@@ -8,18 +8,18 @@ output for identical configs.  Exit codes are contract, not decoration:
 * 2 -- a generator failed its validity certificate, or an improper score
        was requested
 * 3 -- file, format or flag errors
-* 4 -- the optimizer failed to converge from every restart
+* 4 -- a fit did not converge: for ``estimate``, the optimizer failed from
+       every start or sigma ended on its floor (degenerate samples, such as
+       all-equal values or n = 1); for ``sweep``, no row converged
 
 Generator flags use ``name`` or ``name:param`` syntax (``--phi power:0.5``,
-``--eta bhd:2.0``, ``--phi bdpd:1:1``, ``--eta file:table.csv``).  The
-``DIVKIT_THREADS`` environment variable caps sweep parallelism.
+``--eta bhd:2.0``, ``--phi bdpd:1:1``, ``--eta file:table.csv``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -237,7 +237,7 @@ def cmd_estimate(args) -> int:
         "result": result.to_dict(),
     }
     _emit_json(payload, args.out)
-    return 0 if result.optimizer_converged else 4
+    return 0 if result.converged else 4
 
 
 def cmd_sweep(args) -> int:
@@ -247,7 +247,7 @@ def cmd_sweep(args) -> int:
         raise CliUsageError("sweep needs at least one --spec")
     rows = estimation.contamination_sweep(
         epsilons, args.outlier, specs, args.n, args.seed,
-        config=_optimizer_config(args), max_workers=_thread_cap())
+        config=_optimizer_config(args))
     if args.format == "json":
         payload = {
             "config": _resolved_config(args),
@@ -291,14 +291,6 @@ def _optimizer_config(args) -> estimation.OptimizerConfig:
     if getattr(args, "max_iterations", None):
         kwargs["max_iterations"] = args.max_iterations
     return estimation.OptimizerConfig(**kwargs)
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("DIVKIT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _resolved_config(args, **extra) -> dict:

@@ -18,6 +18,7 @@ cross-entropy fields L = <g log(g/f)>, Mg = <g>, Mf = <f> and <g log g>.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -25,7 +26,8 @@ import numpy as np
 
 from .errors import DomainError, RepresentationError, SupportError
 
-SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+TWO_PI = 2.0 * math.pi
+SQRT_TWO_PI = math.sqrt(TWO_PI)
 
 
 def _freeze(values) -> np.ndarray:
@@ -156,20 +158,28 @@ def _xlogx(values: np.ndarray) -> np.ndarray:
 
 
 def _gaussian_power_integral(d: GaussianDensity, gamma: float) -> float:
-    """<d**(1+gamma)> = mass**(1+gamma) (2 pi sigma^2)**(-gamma/2) / sqrt(1+gamma)."""
+    """<d**(1+gamma)> = mass**(1+gamma) (2 pi sigma^2)**(-gamma/2) / sqrt(1+gamma).
+
+    sigma**(-gamma) is taken on its own, since sigma**2 underflows to 0 for
+    sigma below ~1e-154.
+    """
     return float(d.mass ** (1.0 + gamma)
-                 * (2.0 * math.pi * d.sigma**2) ** (-gamma / 2.0)
+                 * TWO_PI ** (-gamma / 2.0) * d.sigma ** (-gamma)
                  / math.sqrt(1.0 + gamma))
 
 
 def _gaussian_cross_integral(g: GaussianDensity, f: GaussianDensity, gamma: float) -> float:
-    """<g f**gamma> for two Gaussians, by completing the square in the exponent."""
-    delta = g.mu - f.mu
-    denom = gamma * g.sigma**2 + f.sigma**2
+    """<g f**gamma> for two Gaussians, by completing the square in the exponent.
+
+    s = sqrt(gamma g.sigma^2 + f.sigma^2) is formed with hypot, which neither
+    underflows nor overflows.
+    """
+    s = math.hypot(math.sqrt(gamma) * g.sigma, f.sigma)
+    q = (g.mu - f.mu) / s
     return float(g.mass * f.mass**gamma
-                 * (2.0 * math.pi * f.sigma**2) ** (-gamma / 2.0)
-                 * f.sigma / math.sqrt(denom)
-                 * math.exp(-gamma * delta**2 / (2.0 * denom)))
+                 * TWO_PI ** (-gamma / 2.0) * f.sigma ** (-gamma)
+                 * (f.sigma / s)
+                 * math.exp(-0.5 * gamma * q * q))
 
 
 def _gaussian_kl(g: GaussianDensity, f: GaussianDensity) -> float:
@@ -272,7 +282,9 @@ def density_value(f: DensityObject, x) -> np.ndarray | float:
     """Pointwise evaluation; grids interpolate linearly and vanish outside."""
     if isinstance(f, GaussianDensity):
         x = np.asarray(x, dtype=float)
-        out = f.mass * np.exp(-0.5 * ((x - f.mu) / f.sigma) ** 2) / (f.sigma * SQRT_TWO_PI)
+        with np.errstate(over="ignore"):  # a squared distance of inf gives exp(-inf) = 0
+            r2 = ((x - f.mu) / f.sigma) ** 2
+        out = f.mass * np.exp(-0.5 * r2) / (f.sigma * SQRT_TWO_PI)
         return out if out.ndim else float(out)
     if isinstance(f, GridDensity):
         out = np.interp(np.asarray(x, dtype=float), f.xs, f.values, left=0.0, right=0.0)
@@ -345,23 +357,49 @@ def read_discrete_csv(path) -> DiscreteDensity:
 
 
 def read_samples_csv(path) -> np.ndarray:
-    """Samples file: single column ``x``."""
-    out = []
+    """Samples file: single column ``x``.
+
+    Leading non-numeric rows (headers) and blank rows are skipped.  A second
+    non-empty column, a non-numeric row after the first sample, or a file
+    without samples raises :class:`RepresentationError`.
+    """
     with open(path, newline="") as handle:
-        for row in csv.reader(handle):
-            if not row or not row[0].strip():
-                continue
-            if any(cell.strip() for cell in row[1:]):
-                raise RepresentationError(f"{path!r}: expected a single column, got {row!r}")
-            try:
-                out.append(float(row[0]))
-            except ValueError:
-                if out:
-                    raise RepresentationError(f"{path!r}: non-numeric sample {row[0]!r}")
-                continue
-    if not out:
+        rows = (row for row in handle if row.strip())
+        first = next((row for row in rows if "," in row or _is_number(row)), None)
+        try:
+            samples = np.fromiter(map(float, itertools.chain([first] if first else [], rows)),
+                                  dtype=float)
+        except ValueError:  # extra cells or a non-numeric row: go row by row
+            handle.seek(0)
+            samples = np.array(_sample_rows(path, handle), dtype=float)
+    if samples.size == 0:
         raise RepresentationError(f"{path!r}: no samples found")
-    return np.asarray(out)
+    return samples
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _sample_rows(path, rows) -> list[float]:
+    out = []
+    for row in rows:
+        cells = row.rstrip("\r\n").split(",")
+        if not cells[0].strip():
+            continue
+        if any(cell.strip() for cell in cells[1:]):
+            raise RepresentationError(f"{path!r}: expected a single column, got {cells!r}")
+        try:
+            out.append(float(cells[0]))
+        except ValueError:
+            if out:
+                raise RepresentationError(
+                    f"{path!r}: non-numeric sample {cells[0]!r}") from None
+    return out
 
 
 def write_density_csv(path, d: DensityObject) -> None:

@@ -197,6 +197,22 @@ def test_estimate_clean_sample(tmp_path):
     assert abs(payload["result"]["sigma_hat"] - 1.0) <= 0.1
 
 
+@pytest.mark.parametrize("samples", [[3.0] * 40, [0.7]], ids=["all-equal", "one-sample"])
+@pytest.mark.parametrize("gamma", ["0", "0.5"])
+def test_estimate_degenerate_sample_exits_4(tmp_path, samples, gamma):
+    samples_path = tmp_path / "s.csv"
+    write_samples(samples_path, samples)
+    out = tmp_path / "fit.json"
+    code = run(["estimate", "--family", "fdpd", "--phi", "identity", "--gamma", gamma,
+                "--samples", str(samples_path), "--out", str(out)])
+    assert code == 4
+    result = json.loads(out.read_text())["result"]
+    assert result["converged"] is False and result["sigma_at_floor"] is True
+    assert result["mu_hat"] == pytest.approx(samples[0], abs=1e-12)
+    assert result["optimizer_converged"] is True
+    assert len(result["evaluations"]) == (0 if gamma == "0" else 5)
+
+
 def test_estimate_improper_gamma_zero_exits_2(tmp_path):
     samples_path = tmp_path / "s.csv"
     write_samples(samples_path, [0.0, 1.0, 2.0])
@@ -218,12 +234,11 @@ def test_sweep_table(tmp_path):
     assert lines[2].split(",")[3] == ""  # the likelihood row has no zeta
 
 
-def test_sweep_is_byte_identical(tmp_path, monkeypatch):
+def test_sweep_is_byte_identical(tmp_path):
     args = ["sweep", "--epsilons", "0,0.1", "--outlier", "8", "--n", "300",
             "--seed", "9", "--spec", "family=jhhb,zeta=0,gamma=0.5"]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run(args + ["--out", str(out1)]) == 0
-    monkeypatch.setenv("DIVKIT_THREADS", "4")
     assert run(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 

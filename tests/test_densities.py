@@ -260,6 +260,26 @@ def test_samples_csv(tmp_path):
     assert np.array_equal(read_samples_csv(path), [0.5, -1.25])
 
 
+def test_samples_csv_skips_header_rows_and_blank_rows(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("# samples\nx\n\n0.5\n  \n-1.25,\n,7\n2e3\n")
+    assert np.array_equal(read_samples_csv(path), [0.5, -1.25, 2000.0])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x\n0.5,1.0\n", "expected a single column, got \\['0.5', '1.0'\\]"),
+    ("x,y\n0.5\n", "expected a single column"),
+    ("x\n0.5\nabc\n", "non-numeric sample 'abc'"),
+    ("x\n\n", "no samples found"),
+    ("", "no samples found"),
+])
+def test_samples_csv_rejections(tmp_path, text, message):
+    path = tmp_path / "s.csv"
+    path.write_text(text)
+    with pytest.raises(RepresentationError, match=message):
+        read_samples_csv(path)
+
+
 def test_grid_csv_rejects_uneven_spacing(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,value\n0.0,1.0\n1.0,1.0\n2.5,1.0\n")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,10 +19,11 @@ from divkit import (
     fit,
     identity_phi,
     log_phi,
+    power_phi,
     power_xi,
     ps_eta,
 )
-from divkit.estimation import SWEEP_HEADER
+from divkit.estimation import SWEEP_HEADER, gaussian_objective
 
 MLE = DivergenceSpec("fdpd", 0.0, phi=identity_phi())
 DPD_HALF = DivergenceSpec("fdpd", 0.5, phi=identity_phi())
@@ -84,6 +86,66 @@ def test_gamma_zero_rejects_improper_generators(gaussian_pair):
         empirical_score([0.0], f, DivergenceSpec("holder", 0.0))
 
 
+def test_empirical_score_survives_an_underflowing_sigma():
+    samples = np.random.default_rng(0).standard_normal(50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = empirical_score(samples, GaussianDensity(0.0, 1e-300), DPD_HALF)
+    assert isinstance(value, float) and math.isfinite(value)
+
+
+# ---------------------------------------------------------------------------
+# the gradient objective
+# ---------------------------------------------------------------------------
+
+OBJECTIVE_SPECS = [
+    DivergenceSpec("holder", 0.5, eta=dpd_eta(0.5)),
+    DivergenceSpec("holder", 0.5, eta=ps_eta(0.5)),
+    DivergenceSpec("fdpd", 0.5, phi=identity_phi()),
+    DivergenceSpec("fdpd", 0.5, phi=log_phi()),
+    DivergenceSpec("fdpd", 0.5, phi=power_phi(0.5)),
+    DivergenceSpec("jhhb", 0.5, zeta=0.0),
+    DivergenceSpec("jhhb", 0.5, zeta=0.5),
+    DivergenceSpec("xi_holder", 0.5, eta=dpd_eta(0.5), xi=power_xi(0.5)),
+]
+
+
+@pytest.mark.parametrize("spec", OBJECTIVE_SPECS, ids=lambda s: str(s.describe()))
+@pytest.mark.parametrize("mu, sigma", [(0.3, 1.2), (1.5, 0.6)])
+def test_objective_matches_the_empirical_score(spec, mu, sigma):
+    samples = seeded_contaminated(n=500)
+    objective = gaussian_objective(samples, spec, 1e-6)
+
+    def reference(m, u):
+        return empirical_score(samples, GaussianDensity(m, math.exp(u)), spec)
+
+    u, h = math.log(sigma), 1e-5
+    value, d_mu, d_u = objective(mu, u)
+    assert value == pytest.approx(reference(mu, u), rel=1e-12, abs=1e-14)
+    fd_mu = (reference(mu + h, u) - reference(mu - h, u)) / (2 * h)
+    fd_u = (reference(mu, u + h) - reference(mu, u - h)) / (2 * h)
+    scale = abs(value) + 1.0
+    assert d_mu == pytest.approx(fd_mu, rel=1e-6, abs=1e-8 * scale)
+    assert d_u == pytest.approx(fd_u, rel=1e-6, abs=1e-8 * scale)
+
+
+def test_objective_is_flat_in_log_sigma_below_the_floor():
+    samples = seeded_contaminated(n=200)
+    objective = gaussian_objective(samples, DPD_HALF, 1e-3)
+    below = objective(0.1, math.log(1e-5))
+    assert below[2] == 0.0
+    assert below[:2] == objective(0.1, math.log(1e-3))[:2]
+
+
+def test_objective_stays_finite_far_from_the_data():
+    samples = seeded_contaminated(n=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in OBJECTIVE_SPECS:
+            values = gaussian_objective(samples, spec, 1e-6)(1e6, math.log(0.01))
+            assert all(math.isfinite(v) for v in values)
+
+
 # ---------------------------------------------------------------------------
 # fitting
 # ---------------------------------------------------------------------------
@@ -120,6 +182,61 @@ def test_mle_fit_matches_the_analytic_minimizer():
     res = fit(EstimationProblem(samples, MLE))
     assert res.mu == pytest.approx(float(np.mean(samples)), abs=1e-5)
     assert res.sigma == pytest.approx(float(np.std(samples)), abs=1e-4)
+
+
+@pytest.mark.parametrize("spec", [MLE, DivergenceSpec("jhhb", 0.0, zeta=1.0),
+                                  DivergenceSpec("fdpd", 0.0, phi=power_phi(1.0))],
+                         ids=["fdpd-identity", "jhhb-1", "fdpd-power-1"])
+def test_gamma_zero_fit_is_the_sample_mean_and_std(spec):
+    samples = seeded_contaminated(n=777, eps=0.1)
+    res = fit(EstimationProblem(samples, spec))
+    assert res.mu == float(np.mean(samples))
+    assert res.sigma == float(np.std(samples))
+    assert res.score == empirical_score(samples, GaussianDensity(res.mu, res.sigma), spec)
+    assert res.converged and res.evaluations == ()
+
+
+def test_gamma_zero_fit_rejects_improper_generators():
+    with pytest.raises(GeneratorValidityError):
+        fit(EstimationProblem(seeded_contaminated(n=50), DivergenceSpec("jhhb", 0.0, zeta=0.0)))
+
+
+@pytest.mark.parametrize("spec", [DPD_HALF, DivergenceSpec("jhhb", 3.0, zeta=0.5)],
+                         ids=["dpd", "jhhb-3"])
+@pytest.mark.parametrize("initial", [(0.0, 1e6), (0.0, 1e-5), (50.0, 0.01)])
+def test_fit_from_a_far_initial_point_reaches_the_minimum(spec, initial):
+    samples = seeded_contaminated(n=500)
+    ref = fit(EstimationProblem(samples, spec))
+    res = fit(EstimationProblem(samples, spec, OptimizerConfig(initial=initial)))
+    assert res.converged
+    assert res.mu == pytest.approx(ref.mu, abs=1e-6)
+    assert res.sigma == pytest.approx(ref.sigma, abs=1e-6)
+
+
+def test_fit_holds_sigma_inside_float_range():
+    # from sigma = 1e-3 the score of N(mu, sigma) with the ps generator at
+    # gamma = 2 falls steeply, and a line search tries log sigma past 709
+    spec = DivergenceSpec("holder", 2.0, eta=ps_eta(2.0))
+    samples = contaminated_sample(500, 0.2, 8.0, [1, 2])
+    res = fit(EstimationProblem(samples, spec, OptimizerConfig(initial=(0.0, 1e-3))))
+    assert math.isfinite(res.score)
+
+
+def test_fit_emits_no_warning():
+    samples = seeded_contaminated()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in [MLE, DPD_HALF, GDIV_HALF] + OBJECTIVE_SPECS:
+            fit(EstimationProblem(samples, spec))
+
+
+def test_fit_reports_evaluations_per_start():
+    res = fit(EstimationProblem(seeded_contaminated(), DPD_HALF))
+    assert len(res.evaluations) == 4 and all(k > 0 for k in res.evaluations)
+    assert res.optimizer_converged
+    payload = res.to_dict()
+    assert payload["evaluations"] == list(res.evaluations)
+    assert payload["optimizer_converged"] is True
 
 
 def test_contaminated_fit_bias_ordering():
@@ -169,11 +286,12 @@ def test_affine_equivariance_of_the_fit():
     spec = DivergenceSpec("jhhb", 0.5, zeta=0.5)
     rng = np.random.default_rng(7)
     x = rng.standard_normal(1500) + 0.3
-    a, b = 2.5, -1.25
+    b = -1.25
     base = fit(EstimationProblem(x, spec))
-    moved = fit(EstimationProblem(a * x + b, spec))
-    assert moved.mu == pytest.approx(a * base.mu + b, abs=1e-3)
-    assert moved.sigma == pytest.approx(a * base.sigma, abs=1e-3)
+    for a in (2.5, 1e-4, 1e4):
+        moved = fit(EstimationProblem(a * x + b, spec))
+        assert moved.mu == pytest.approx(a * base.mu + b, abs=1e-3 * min(a, 1.0))
+        assert moved.sigma == pytest.approx(a * base.sigma, abs=1e-3 * min(a, 1.0))
 
 
 def test_problem_validation():
@@ -196,13 +314,6 @@ def test_sweep_is_deterministic_and_ordered():
     assert len(rows_a) == 6
     assert [r.epsilon for r in rows_a] == [0.0, 0.0, 0.0, 0.1, 0.1, 0.1]
     assert rows_a[0].zeta == 0.0 and rows_a[2].zeta is None
-
-
-def test_sweep_threaded_matches_serial():
-    specs = [GDIV_HALF, MLE]
-    serial = contamination_sweep([0.0, 0.2], 8.0, specs, n=300, seed=5)
-    threaded = contamination_sweep([0.0, 0.2], 8.0, specs, n=300, seed=5, max_workers=4)
-    assert serial == threaded
 
 
 def test_sweep_clean_rows_have_small_bias():
