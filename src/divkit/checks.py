@@ -448,7 +448,7 @@ class EqualityProbeReport:
 
 
 def equality_condition_probe(phi: GeneratorPhi, gamma: float, f: DensityObject,
-                             c: float, zero_tol: float = 1e-8) -> EqualityProbeReport:
+                             c: float, tolerance: float = 1e-8) -> EqualityProbeReport:
     """Evaluate D(c**(1/(1+gamma)) f, f) and test psi's strict convexity there."""
     if not c > 0.0:
         raise DomainError(f"the scaling constant must be > 0, got {c}")
@@ -460,7 +460,7 @@ def equality_condition_probe(phi: GeneratorPhi, gamma: float, f: DensityObject,
     lo, hi = sorted((math.log(b.require_z()), math.log(b.Y)))
     strictly_convex = _strictly_convex_on(phi, lo, hi)
     expect_zero = (c == 1.0) or not strictly_convex
-    consistent = (abs(d_value) <= zero_tol) == expect_zero
+    consistent = (abs(d_value) <= tolerance) == expect_zero
     return EqualityProbeReport(gamma, c, phi.label(), float(d_value),
                                strictly_convex, (lo, hi), consistent)
 

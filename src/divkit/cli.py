@@ -13,7 +13,8 @@ output for identical configs.  Exit codes are contract, not decoration:
        all-equal values or n = 1); for ``sweep``, no row converged
 
 Generator flags use ``name`` or ``name:param`` syntax (``--phi power:0.5``,
-``--eta bhd:2.0``, ``--phi bdpd:1:1``, ``--eta file:table.csv``).
+``--eta bhd:2.0``, ``--phi bdpd:1:1``, ``--eta file:table.csv``); the names
+and their parameters are the tables in ``generators.PRESETS``.
 """
 
 from __future__ import annotations
@@ -32,31 +33,14 @@ from .densities import (
     read_grid_csv,
     read_samples_csv,
 )
-from .errors import DivkitError, GeneratorValidityError
-from .generators import (
-    bhd_eta,
-    bdpd_phi,
-    dpd_eta,
-    eta_from_table,
-    exp_minus_one_phi,
-    identity_phi,
-    identity_xi,
-    jhhb_eta,
-    log_phi,
-    phi_from_table,
-    power_phi,
-    power_xi,
-    ps_eta,
-    xi_from_table,
-)
-from .scores import DivergenceSpec, divergence, score
+from .errors import CliUsageError, DivkitError, GeneratorValidityError
+from .generators import parse_generator, parse_number
+from .scores import FAMILIES, FAMILY_SLOTS, DivergenceSpec, divergence, score
 
 THEOREMS = ("affine-invariance", "jhhb-representation", "fdps-lower-bound",
             "uv-consistency", "equality-conditions")
-
-
-class CliUsageError(DivkitError):
-    """Malformed flags; mapped to exit code 3."""
+# every slot that some family takes
+SLOTS = tuple(dict.fromkeys(slot for slots in FAMILY_SLOTS.values() for slot in slots))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,84 +53,34 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _split_flag(text: str):
-    name, _, rest = text.partition(":")
-    return name, rest
-
-
-def parse_eta(text: str, gamma: float):
-    name, rest = _split_flag(text)
-    if name == "dpd":
-        return dpd_eta(gamma)
-    if name == "ps":
-        return ps_eta(gamma)
-    if name == "bhd":
-        return bhd_eta(_flag_float(text, rest), gamma)
-    if name == "jhhb":
-        return jhhb_eta(_flag_float(text, rest), gamma)
-    if name == "file":
-        return eta_from_table(rest, gamma)
-    raise CliUsageError(f"unknown eta generator {text!r}")
-
-
 def parse_phi(text: str):
-    name, rest = _split_flag(text)
-    if name == "identity":
-        return identity_phi()
-    if name == "log":
-        return log_phi()
-    if name == "power":
-        return power_phi(_flag_float(text, rest))
-    if name == "bdpd":
-        lam1, _, lam2 = rest.partition(":")
-        return bdpd_phi(_flag_float(text, lam1), _flag_float(text, lam2))
-    if name == "exp-minus-one":
-        return exp_minus_one_phi()
-    if name == "file":
-        return phi_from_table(rest)
-    raise CliUsageError(f"unknown phi generator {text!r}")
+    return parse_generator("phi", text)
 
 
 def parse_xi(text: str):
-    name, rest = _split_flag(text)
-    if name == "identity":
-        return identity_xi()
-    if name == "power":
-        return power_xi(_flag_float(text, rest))
-    if name == "file":
-        return xi_from_table(rest)
-    raise CliUsageError(f"unknown xi generator {text!r}")
-
-
-def _flag_float(flag: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise CliUsageError(f"expected a numeric parameter in {flag!r}") from None
+    return parse_generator("xi", text)
 
 
 def build_spec(family: str, gamma: float, eta: str | None, phi: str | None,
                xi: str | None, zeta: float | None) -> DivergenceSpec:
-    if family == "holder":
-        if eta is None and gamma > 0.0:
-            raise CliUsageError("--family holder needs --eta")
+    """The spec of a family from its flag texts; slots it does not take are ignored."""
+    if family not in FAMILY_SLOTS:
+        raise CliUsageError(f"unknown family {family!r}")
+    if family == "holder" and not gamma > 0.0:
         # the gamma = 0 branch takes no generator; ignore a stray --eta
-        eta_gen = parse_eta(eta, gamma) if (eta is not None and gamma > 0.0) else None
-        return DivergenceSpec("holder", gamma, eta=eta_gen)
-    if family == "fdpd":
-        if phi is None:
-            raise CliUsageError("--family fdpd needs --phi")
-        return DivergenceSpec("fdpd", gamma, phi=parse_phi(phi))
-    if family == "jhhb":
-        if zeta is None:
-            raise CliUsageError("--family jhhb needs --zeta")
-        return DivergenceSpec("jhhb", gamma, zeta=zeta)
-    if family == "xi_holder":
-        if eta is None or xi is None:
-            raise CliUsageError("--family xi_holder needs --eta and --xi")
-        return DivergenceSpec("xi_holder", gamma, eta=parse_eta(eta, gamma),
-                              xi=parse_xi(xi))
-    raise CliUsageError(f"unknown family {family!r}")
+        return DivergenceSpec(family, gamma)
+    given = {"eta": eta, "phi": phi, "xi": xi, "zeta": zeta}
+    slots = FAMILY_SLOTS[family]
+    if any(given[slot] is None for slot in slots):
+        raise CliUsageError(f"--family {family} needs "
+                            + " and ".join(f"--{slot}" for slot in slots))
+
+    def parse(slot):
+        if slot == "zeta":
+            return given[slot]
+        return parse_generator(slot, given[slot], *([gamma] if slot == "eta" else []))
+
+    return DivergenceSpec(family, gamma, **{slot: parse(slot) for slot in slots})
 
 
 def load_density(path):
@@ -196,30 +130,32 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # each check keeps its own default tolerance unless --tolerance is given
+    tolerance = {} if args.tolerance is None else {"tolerance": args.tolerance}
     if args.theorem == "affine-invariance":
         phi = parse_phi(args.phi or "log")
         report = checks.check_affine_invariance(
             phi, args.gamma, args.trials, args.seed,
             representation=args.representation, grid_points=args.grid_points,
-            tolerance=args.tolerance if args.tolerance is not None else 1e-5)
+            **tolerance)
     elif args.theorem == "jhhb-representation":
         if args.zeta is None:
             raise CliUsageError("jhhb-representation needs --zeta")
         report = checks.verify_jhhb_holder_representation(
-            args.zeta, args.gamma, args.trials, args.seed,
-            tolerance=args.tolerance if args.tolerance is not None else 1e-10)
+            args.zeta, args.gamma, args.trials, args.seed, **tolerance)
     elif args.theorem == "fdps-lower-bound":
         phi = parse_phi(args.phi or "identity")
-        report = checks.check_fdps_lower_bound(phi, args.gamma, args.trials, args.seed)
+        report = checks.check_fdps_lower_bound(phi, args.gamma, args.trials, args.seed,
+                                               **tolerance)
     elif args.theorem == "uv-consistency":
         xi = parse_xi(args.xi or "identity")
         rng = np.random.default_rng(args.seed)
         densities = [checks.random_discrete_density(rng) for _ in range(args.trials)]
-        report = checks.check_uv_consistency(xi, args.gamma, densities)
+        report = checks.check_uv_consistency(xi, args.gamma, densities, **tolerance)
     else:
         phi = parse_phi(args.phi or "log")
         f = load_density(args.f) if args.f else DiscreteDensity([0.8, 0.2])
-        report = checks.equality_condition_probe(phi, args.gamma, f, args.c)
+        report = checks.equality_condition_probe(phi, args.gamma, f, args.c, **tolerance)
 
     payload = report.to_report()
     payload["config"] = _resolved_config(args)
@@ -241,7 +177,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    epsilons = [float(tok) for tok in args.epsilons.split(",") if tok.strip()]
+    epsilons = [parse_number(tok, f"--epsilons {args.epsilons}")
+                for tok in args.epsilons.split(",") if tok.strip()]
     specs = [_parse_sweep_spec(text) for text in args.spec]
     if not specs:
         raise CliUsageError("sweep needs at least one --spec")
@@ -273,17 +210,15 @@ def _parse_sweep_spec(text: str) -> DivergenceSpec:
         fields[key.strip()] = value.strip()
     try:
         family = fields.pop("family")
-        gamma = float(fields.pop("gamma"))
+        gamma = parse_number(fields.pop("gamma"), text)
     except KeyError as missing:
         raise CliUsageError(f"--spec needs {missing.args[0]}=...") from None
-    eta = fields.pop("eta", None)
-    phi = fields.pop("phi", None)
-    xi = fields.pop("xi", None)
-    zeta = fields.pop("zeta", None)
+    slots = {slot: fields.pop(slot, None) for slot in SLOTS}
     if fields:
         raise CliUsageError(f"unknown --spec keys {sorted(fields)}")
-    return build_spec(family, gamma, eta, phi, xi,
-                      float(zeta) if zeta is not None else None)
+    if slots["zeta"] is not None:
+        slots["zeta"] = parse_number(slots["zeta"], text)
+    return build_spec(family, gamma, **slots)
 
 
 def _optimizer_config(args) -> estimation.OptimizerConfig:
@@ -306,14 +241,11 @@ def _resolved_config(args, **extra) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _add_spec_flags(parser, require_gamma=True):
-    parser.add_argument("--family", choices=("holder", "fdpd", "jhhb", "xi_holder"),
-                        required=True)
-    parser.add_argument("--gamma", type=float, required=require_gamma)
-    parser.add_argument("--eta")
-    parser.add_argument("--phi")
-    parser.add_argument("--xi")
-    parser.add_argument("--zeta", type=float)
+def _add_spec_flags(parser):
+    parser.add_argument("--family", choices=FAMILIES, required=True)
+    parser.add_argument("--gamma", type=float, required=True)
+    for slot in SLOTS:
+        parser.add_argument(f"--{slot}", type=float if slot == "zeta" else str)
 
 
 def build_parser() -> argparse.ArgumentParser:

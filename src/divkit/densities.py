@@ -161,11 +161,14 @@ def _gaussian_power_integral(d: GaussianDensity, gamma: float) -> float:
     """<d**(1+gamma)> = mass**(1+gamma) (2 pi sigma^2)**(-gamma/2) / sqrt(1+gamma).
 
     sigma**(-gamma) is taken on its own, since sigma**2 underflows to 0 for
-    sigma below ~1e-154.
+    sigma below ~1e-154.  A power out of float range raises DomainError.
     """
-    return float(d.mass ** (1.0 + gamma)
-                 * TWO_PI ** (-gamma / 2.0) * d.sigma ** (-gamma)
-                 / math.sqrt(1.0 + gamma))
+    try:
+        return float(d.mass ** (1.0 + gamma)
+                     * TWO_PI ** (-gamma / 2.0) * d.sigma ** (-gamma)
+                     / math.sqrt(1.0 + gamma))
+    except OverflowError:
+        raise _out_of_range(d, gamma) from None
 
 
 def _gaussian_cross_integral(g: GaussianDensity, f: GaussianDensity, gamma: float) -> float:
@@ -176,10 +179,18 @@ def _gaussian_cross_integral(g: GaussianDensity, f: GaussianDensity, gamma: floa
     """
     s = math.hypot(math.sqrt(gamma) * g.sigma, f.sigma)
     q = (g.mu - f.mu) / s
-    return float(g.mass * f.mass**gamma
-                 * TWO_PI ** (-gamma / 2.0) * f.sigma ** (-gamma)
-                 * (f.sigma / s)
-                 * math.exp(-0.5 * gamma * q * q))
+    try:
+        return float(g.mass * f.mass**gamma
+                     * TWO_PI ** (-gamma / 2.0) * f.sigma ** (-gamma)
+                     * (f.sigma / s)
+                     * math.exp(-0.5 * gamma * q * q))
+    except OverflowError:
+        raise _out_of_range(f, gamma) from None
+
+
+def _out_of_range(d: GaussianDensity, gamma: float) -> DomainError:
+    return DomainError(f"power integrals of N({d.mu}, {d.sigma}) with mass {d.mass} "
+                       f"leave float range at gamma={gamma}")
 
 
 def _gaussian_kl(g: GaussianDensity, f: GaussianDensity) -> float:
@@ -313,8 +324,13 @@ def empirical_brackets(samples, f: DensityObject, gamma: float) -> BracketTriple
     if not gamma > 0.0:
         raise DomainError(f"empirical brackets require gamma > 0, got {gamma}")
     values = np.asarray(density_value(f, samples), dtype=float)
-    return BracketTriple(float(np.mean(values**gamma)), power_bracket(f, gamma),
-                         None, gamma)
+    y = power_bracket(f, gamma)
+    with np.errstate(over="ignore"):
+        x = float(np.mean(values**gamma))
+    if math.isinf(x):
+        raise DomainError(f"the plug-in mean of f(x_i)**gamma leaves float range "
+                          f"at gamma={gamma}")
+    return BracketTriple(x, y, None, gamma)
 
 
 def gaussian_grid(d: GaussianDensity, half_width_sigmas: float = 12.0,
@@ -334,7 +350,7 @@ def gaussian_grid(d: GaussianDensity, half_width_sigmas: float = 12.0,
 
 def read_grid_csv(path) -> GridDensity:
     """Grid density file: header ``x,value``, equally spaced increasing x."""
-    xs, values = _read_two_columns(path, ("x", "value"))
+    xs, values = read_two_columns(path, ("x", "value"))
     if xs.size < 2:
         raise RepresentationError(f"{path!r}: a grid needs at least two rows")
     steps = np.diff(xs)
@@ -348,7 +364,7 @@ def read_grid_csv(path) -> GridDensity:
 
 def read_discrete_csv(path) -> DiscreteDensity:
     """Discrete density file: header ``index,mass`` with indices 0..n-1."""
-    idx, masses = _read_two_columns(path, ("index", "mass"))
+    idx, masses = read_two_columns(path, ("index", "mass"))
     order = np.argsort(idx)
     idx = idx[order]
     if not np.array_equal(idx, np.arange(idx.size)):
@@ -418,7 +434,8 @@ def write_density_csv(path, d: DensityObject) -> None:
             raise RepresentationError("only grid and discrete densities have a file form")
 
 
-def _read_two_columns(path, header_names) -> tuple[np.ndarray, np.ndarray]:
+def read_two_columns(path, header_names) -> tuple[np.ndarray, np.ndarray]:
+    """The two numeric columns of a CSV; rows before the first numeric one are headers."""
     first, second = [], []
     with open(path, newline="") as handle:
         for row in csv.reader(handle):

@@ -34,5 +34,5 @@ class DegenerateModelError(DivkitError):
     """A score denominator vanished (zero model integral)."""
 
 
-class FitError(DivkitError):
-    """All optimizer restarts failed to converge."""
+class CliUsageError(DivkitError):
+    """Malformed flag or spec text (unknown name, wrong parameter count, not a number)."""

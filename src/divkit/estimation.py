@@ -65,7 +65,9 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 # sigma is held at or below e**MAX_LOG_SIGMA, where exp still has headroom
 MAX_LOG_SIGMA = 700.0
 # (t, log sigma) offsets of the restarts from the initial point, t in sigmas
-START_OFFSETS = [(0.5, 0.3), (-0.5, -0.3), (0.5, -0.3), (-0.5, 0.3)]
+START_OFFSETS = [(0.5, 0.3), (-0.5, -0.3), (0.5, -0.3)]
+# sigma is held at or above this; a fit that ends on it is unconverged
+SIGMA_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,6 @@ class OptimizerConfig:
 
     initial: tuple[float, float] | None = None  # (mu, sigma); default: median, IQR-based
     max_iterations: int = 2000
-    restarts: int = 3
-    sigma_floor: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -219,21 +219,20 @@ def fit(problem: EstimationProblem) -> EstimationResult:
     """Minimize the empirical score over (mu, log sigma).
 
     gamma = 0 returns the closed-form minimizer.  gamma > 0 runs BFGS from
-    the base initial point (sample median, scaled interquartile range) plus
-    ``restarts`` deterministic perturbations of it and keeps the best
-    minimum.  A fit whose sigma lands on the floor is flagged unconverged.
+    the base initial point (sample median, scaled interquartile range) and
+    from its START_OFFSETS perturbations, and keeps the best minimum.  A fit
+    whose sigma lands on SIGMA_FLOOR is flagged unconverged.
     """
     samples = problem.samples
     spec = problem.spec
     cfg = problem.config
-    floor = cfg.sigma_floor
-    log_floor = math.log(floor)
+    log_floor = math.log(SIGMA_FLOOR)
 
     if spec.gamma == 0.0:
         mu_hat = float(np.mean(samples))
-        sigma_hat = max(float(np.std(samples)), floor)
+        sigma_hat = max(float(np.std(samples)), SIGMA_FLOOR)
         value = empirical_score(samples, GaussianDensity(mu_hat, sigma_hat, 1.0), spec)
-        at_floor = sigma_hat <= floor * (1.0 + 1e-9)
+        at_floor = sigma_hat <= SIGMA_FLOOR * (1.0 + 1e-9)
         return EstimationResult(mu_hat, sigma_hat, value, 0, converged=not at_floor,
                                 sigma_at_floor=at_floor)
 
@@ -245,7 +244,7 @@ def fit(problem: EstimationProblem) -> EstimationResult:
         sigma0 = float((q75 - q25) / 1.349)
     sigma0 = max(sigma0, 1e-3)
 
-    objective = gaussian_objective(samples, spec, floor)
+    objective = gaussian_objective(samples, spec, SIGMA_FLOOR)
     runs = []
 
     def descend(mu_ref: float, sigma_ref: float, offsets) -> tuple[float, float, float]:
@@ -276,7 +275,7 @@ def fit(problem: EstimationProblem) -> EstimationResult:
                 min(max(float(best.x[1]), log_floor), MAX_LOG_SIGMA),
                 float(best.fun) * scale)
 
-    offsets = [(0.0, 0.0)] + START_OFFSETS[:cfg.restarts]
+    offsets = [(0.0, 0.0)] + START_OFFSETS
     mu_hat, u_hat, value = descend(mu0, sigma0, offsets)
     if abs(u_hat - math.log(sigma0)) > math.log(2.0):
         # far from the initial point the normalization and the units of t
@@ -285,7 +284,7 @@ def fit(problem: EstimationProblem) -> EstimationResult:
         mu_hat, u_hat, value = descend(mu_hat, math.exp(u_hat), [(0.0, 0.0)])
 
     sigma_hat = math.exp(u_hat)
-    at_floor = sigma_hat <= floor * (1.0 + 1e-9)
+    at_floor = sigma_hat <= SIGMA_FLOOR * (1.0 + 1e-9)
     any_converged = any(bool(res.success) for res in runs)
     return EstimationResult(mu_hat, sigma_hat, value, sum(int(res.nit) for res in runs),
                             converged=any_converged and not at_floor,

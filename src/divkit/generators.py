@@ -11,6 +11,10 @@ Three kinds of scalar generators parameterize every score in this package:
 * ``GeneratorXi``  -- a nonnegative function ``xi`` whose lift
   ``psi(t) = log(xi(exp(t)))`` must be strictly increasing and convex.
 
+One name table per kind, :data:`PRESETS`, maps the flag text ``name[:param...]``
+to a constructor; :func:`parse_generator` reads that text and the generators'
+``label()`` writes it back.
+
 Validity is established numerically, never symbolically: the conditions are
 sampled on a fixed certificate grid and the result is returned as a
 certificate object recording either success or a concrete counterexample.
@@ -18,14 +22,14 @@ certificate object recording either success or a concrete counterexample.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError
+from .densities import read_two_columns
+from .errors import CliUsageError, DomainError, EvaluationError
 
 # Certificate grid: log-spaced over 12 decades, plus the endpoints that the
 # side conditions pin down (z=0 for the lower bound, z=1 for normalization).
@@ -77,35 +81,18 @@ def _call_vectorized(fn: Callable, z: np.ndarray) -> np.ndarray:
     return np.array([float(fn(zi)) for zi in z])
 
 
-def _read_table(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a two-column (z, value) CSV; a non-numeric first row is a header."""
-    rows = []
-    with open(path, newline="") as handle:
-        for row in csv.reader(handle):
-            if not row or not row[0].strip():
-                continue
-            try:
-                rows.append((float(row[0]), float(row[1])))
-            except ValueError:
-                if rows:
-                    raise
-                continue  # header line
-    if len(rows) < 2:
-        raise DomainError(f"generator table {path!r} needs at least two rows")
-    z = np.array([r[0] for r in rows])
-    v = np.array([r[1] for r in rows])
-    if np.any(np.diff(z) <= 0):
-        raise DomainError(f"generator table {path!r} must have strictly increasing z")
-    return z, v
-
-
 def tabulated(path) -> Callable:
     """Monotone piecewise-linear interpolant of a (z, value) CSV table.
 
-    Outside the tabulated range the boundary segments are extended linearly,
-    which preserves monotonicity of the table.
+    A non-numeric first row is a header.  Outside the tabulated range the
+    boundary segments are extended linearly, which preserves monotonicity of
+    the table.
     """
-    z_tab, v_tab = _read_table(path)
+    z_tab, v_tab = read_two_columns(path, ("z", "value"))
+    if z_tab.size < 2:
+        raise DomainError(f"generator table {path!r} needs at least two rows")
+    if np.any(np.diff(z_tab) <= 0):
+        raise DomainError(f"generator table {path!r} must have strictly increasing z")
     slope_lo = (v_tab[1] - v_tab[0]) / (z_tab[1] - z_tab[0])
     slope_hi = (v_tab[-1] - v_tab[-2]) / (z_tab[-1] - z_tab[-2])
 
@@ -119,19 +106,38 @@ def tabulated(path) -> Callable:
     return fn
 
 
+class _Labelled:
+    """The label shared by the generator classes, read from :data:`PRESETS`."""
+
+    slot: ClassVar[str]  # the key of the class's name table in PRESETS
+
+    def label(self) -> str:
+        """``name[:param...]``, the flag text that :func:`parse_generator` reads back.
+
+        A parameter prints as ``%g`` where that reads back exactly and as
+        ``repr`` otherwise.  Custom and tabulated generators are ``custom``.
+        """
+        preset = PRESETS[self.slot].get(self.kind)
+        if preset is None:
+            return self.kind
+        return ":".join([self.kind, *(_number_text(getattr(self, field))
+                                      for field in preset.params)])
+
+
 # ---------------------------------------------------------------------------
 # eta generators
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class GeneratorEta:
+class GeneratorEta(_Labelled):
     """A scalar generator eta bound to a power parameter gamma.
 
     ``kind`` is one of ``dpd``, ``ps``, ``bhd``, ``jhhb``, ``custom``; the
     parameter fields that do not apply to a kind stay None.
     """
 
+    slot: ClassVar[str] = "eta"
     kind: str
     gamma: float
     kappa: float | None = None
@@ -153,13 +159,6 @@ class GeneratorEta:
                 return -np.asarray(z, dtype=float) ** (1.0 + g)
             return -signed_power((1.0 + g) * np.asarray(z, dtype=float) ** zt - g, 1.0 / zt)
         return self.fn(z)
-
-    def label(self) -> str:
-        if self.kind == "bhd":
-            return f"bhd:{self.kappa:g}"
-        if self.kind == "jhhb":
-            return f"jhhb:{self.zeta:g}"
-        return self.kind
 
 
 def dpd_eta(gamma: float) -> GeneratorEta:
@@ -255,15 +254,16 @@ def validate_eta(eta: GeneratorEta, gamma: float | None = None) -> EtaCertificat
 
 
 @dataclass(frozen=True)
-class GeneratorPhi:
+class GeneratorPhi(_Labelled):
     """A scalar generator phi with lift psi(t) = phi(exp(t)).
 
     ``phi_prime`` is analytic for the presets and a centered finite
     difference for custom generators unless a derivative is supplied.
     log-like kinds return -inf at argument 0 (extended codomain) instead of
-    raising.
+    raising.  ``exp-minus-one`` and ``custom`` evaluate ``fn`` and ``dfn``.
     """
 
+    slot: ClassVar[str] = "phi"
     kind: str
     zeta: float | None = None
     lam1: float | None = None
@@ -312,13 +312,6 @@ class GeneratorPhi:
         """True when phi is affine, the condition for a proper gamma=0 score."""
         return self.kind == "identity" or (self.kind == "power" and self.zeta == 1.0)
 
-    def label(self) -> str:
-        if self.kind == "power":
-            return f"power:{self.zeta:g}"
-        if self.kind == "bdpd":
-            return f"bdpd:{self.lam1:g}:{self.lam2:g}"
-        return self.kind
-
 
 def identity_phi() -> GeneratorPhi:
     return GeneratorPhi("identity")
@@ -351,13 +344,20 @@ def phi_from_table(path) -> GeneratorPhi:
     return custom_phi(tabulated(path))
 
 
+def _exp_minus_one(z):
+    return np.exp(np.asarray(z, dtype=float)) - 1.0
+
+
+def _exp(z):
+    return np.exp(np.asarray(z, dtype=float))
+
+
 def exp_minus_one_phi() -> GeneratorPhi:
     """phi(z) = exp(z) - 1: a valid generator that is not scale-compatible.
 
     Useful as the stock counterexample in affine-invariance checks.
     """
-    return custom_phi(lambda z: np.exp(np.asarray(z, dtype=float)) - 1.0,
-                      lambda z: np.exp(np.asarray(z, dtype=float)))
+    return GeneratorPhi("exp-minus-one", fn=_exp_minus_one, dfn=_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +366,10 @@ def exp_minus_one_phi() -> GeneratorPhi:
 
 
 @dataclass(frozen=True)
-class GeneratorXi:
+class GeneratorXi(_Labelled):
     """A nonnegative generator xi with lift psi(t) = log(xi(exp(t)))."""
 
+    slot: ClassVar[str] = "xi"
     kind: str
     zeta: float | None = None
     fn: Callable | None = None
@@ -388,11 +389,6 @@ class GeneratorXi:
             out = np.log(self(np.exp(np.asarray(t, dtype=float))))
         return out if np.ndim(out) else float(out)
 
-    def label(self) -> str:
-        if self.kind == "power":
-            return f"power:{self.zeta:g}"
-        return self.kind
-
 
 def identity_xi() -> GeneratorXi:
     return GeneratorXi("identity")
@@ -410,6 +406,68 @@ def custom_xi(fn: Callable) -> GeneratorXi:
 
 def xi_from_table(path) -> GeneratorXi:
     return custom_xi(tabulated(path))
+
+
+# ---------------------------------------------------------------------------
+# name tables: flag text <-> generator
+# ---------------------------------------------------------------------------
+
+
+class Preset(NamedTuple):
+    """A named generator: ``make(*params, *gamma)`` builds it, and ``params``
+    names the generator fields that hold its parameters, in flag order."""
+
+    make: Callable
+    params: tuple[str, ...] = ()
+
+
+PRESETS = {
+    "eta": {"dpd": Preset(dpd_eta), "ps": Preset(ps_eta),
+            "bhd": Preset(bhd_eta, ("kappa",)), "jhhb": Preset(jhhb_eta, ("zeta",))},
+    "phi": {"identity": Preset(identity_phi), "log": Preset(log_phi),
+            "power": Preset(power_phi, ("zeta",)),
+            "bdpd": Preset(bdpd_phi, ("lam1", "lam2")),
+            "exp-minus-one": Preset(exp_minus_one_phi)},
+    "xi": {"identity": Preset(identity_xi), "power": Preset(power_xi, ("zeta",))},
+}
+# ``file:PATH`` builds a custom generator of each kind from a (z, value) table
+FROM_TABLE = {"eta": eta_from_table, "phi": phi_from_table, "xi": xi_from_table}
+
+
+def parse_generator(kind: str, text: str, *gamma: float):
+    """The generator of ``kind`` (eta, phi or xi) that ``text`` names.
+
+    ``text`` is ``name[:param...]`` or ``file:PATH``; eta generators also
+    take gamma.  An unknown name, a wrong parameter count or a non-numeric
+    parameter raises :class:`CliUsageError`; a value out of range raises
+    the constructor's :class:`DomainError`.
+    """
+    name, sep, rest = text.partition(":")
+    if name == "file":
+        return FROM_TABLE[kind](rest, *gamma)
+    usage = {key: ":".join([key, *preset.params]) for key, preset in PRESETS[kind].items()}
+    if name not in usage:
+        raise CliUsageError(f"unknown {kind} generator {text!r}; known: "
+                            f"{', '.join(usage.values())}, file:path")
+    params = rest.split(":") if sep else []
+    preset = PRESETS[kind][name]
+    if len(params) != len(preset.params):
+        raise CliUsageError(f"{kind} generator {name!r} is written {usage[name]!r}, "
+                            f"got {text!r}")
+    return preset.make(*(parse_number(p, text) for p in params), *gamma)
+
+
+def parse_number(text: str, where: str) -> float:
+    """float(text), or a :class:`CliUsageError` that quotes ``where``."""
+    try:
+        return float(text)
+    except ValueError:
+        raise CliUsageError(f"expected a numeric parameter in {where!r}") from None
+
+
+def _number_text(value: float) -> str:
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,14 @@ from .generators import (
     validate_xi,
 )
 
-FAMILIES = ("holder", "fdpd", "jhhb", "xi_holder")
+# the slots of DivergenceSpec that each family takes: generators and zeta
+FAMILY_SLOTS = {
+    "holder": ("eta",),
+    "fdpd": ("phi",),
+    "jhhb": ("zeta",),
+    "xi_holder": ("eta", "xi"),
+}
+FAMILIES = tuple(FAMILY_SLOTS)
 
 
 def _log(x: float) -> float:
@@ -175,21 +182,19 @@ def _eta_certificate(eta: GeneratorEta, gamma: float):
 
 
 @lru_cache(maxsize=512)
-def _phi_certificate(phi: GeneratorPhi):
-    return validate_phi(phi)
-
-
-@lru_cache(maxsize=512)
-def _xi_certificate(xi: GeneratorXi):
-    return validate_xi(xi)
+def _psi_certificate(generator: GeneratorPhi | GeneratorXi):
+    if isinstance(generator, GeneratorPhi):
+        return validate_phi(generator)
+    return validate_xi(generator)
 
 
 @dataclass(frozen=True)
 class DivergenceSpec:
     """A family selection with its generators; construction certifies them.
 
-    holder(eta), fdpd(phi), jhhb(zeta) and xi_holder(eta, xi) are supported;
-    xi_holder requires gamma > 0, the others admit their gamma = 0 branch.
+    The family takes the slots that :data:`FAMILY_SLOTS` lists.  xi_holder
+    requires gamma > 0; the others admit their gamma = 0 branch, where
+    holder takes no generator.
     """
 
     family: str
@@ -200,55 +205,40 @@ class DivergenceSpec:
     zeta: float | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in FAMILY_SLOTS:
             raise DomainError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.gamma < 0.0:
             raise DomainError(f"gamma must be >= 0, got {self.gamma}")
-        if self.family in ("holder", "xi_holder"):
-            if self.family == "xi_holder" and self.gamma == 0.0:
-                raise DomainError("xi_holder requires gamma > 0")
-            if self.eta is None and self.gamma > 0.0:
-                raise DomainError(f"{self.family} needs an eta generator")
-            if self.eta is not None and self.gamma > 0.0:
-                # the gamma = 0 branch never evaluates eta
-                cert = _eta_certificate(self.eta, self.gamma)
-                if not cert.valid:
-                    raise GeneratorValidityError(_eta_failure_message(cert))
-        if self.family == "xi_holder":
-            if self.xi is None:
-                raise DomainError("xi_holder needs a xi generator")
-            cert = _xi_certificate(self.xi)
+        if self.family == "xi_holder" and self.gamma == 0.0:
+            raise DomainError("xi_holder requires gamma > 0")
+        if self.family == "holder" and self.gamma == 0.0:
+            return  # the gamma = 0 branch never evaluates eta
+        for slot in FAMILY_SLOTS[self.family]:
+            value = getattr(self, slot)
+            if value is None:
+                raise DomainError(f"{self.family} needs {slot}")
+            if slot == "zeta":
+                _check_zeta(value)
+                continue
+            cert = (_eta_certificate(value, self.gamma) if slot == "eta"
+                    else _psi_certificate(value))
             if not cert.valid:
-                raise GeneratorValidityError(
-                    f"xi certificate failed: psi(z) = log xi(e^z) {cert.failure} "
-                    f"violation at {cert.points}")
-        if self.family == "fdpd":
-            if self.phi is None:
-                raise DomainError("fdpd needs a phi generator")
-            cert = _phi_certificate(self.phi)
-            if not cert.valid:
-                raise GeneratorValidityError(
-                    f"phi certificate failed: psi(z) = phi(e^z) {cert.failure} "
-                    f"violation at {cert.points}")
-        if self.family == "jhhb":
-            if self.zeta is None:
-                raise DomainError("jhhb needs zeta >= 0")
-            _check_zeta(self.zeta)
+                raise GeneratorValidityError(_failure_message(slot, cert))
 
     def describe(self) -> dict:
         out: dict = {"family": self.family, "gamma": self.gamma}
-        if self.eta is not None:
-            out["eta"] = self.eta.label()
-        if self.phi is not None:
-            out["phi"] = self.phi.label()
-        if self.xi is not None:
-            out["xi"] = self.xi.label()
-        if self.zeta is not None:
-            out["zeta"] = self.zeta
+        for slot in FAMILY_SLOTS[self.family]:
+            value = getattr(self, slot)
+            if value is not None:
+                out[slot] = value if slot == "zeta" else value.label()
         return out
 
 
-def _eta_failure_message(cert) -> str:
+def _failure_message(slot: str, cert) -> str:
+    if slot != "eta":
+        lift = "phi(e^z)" if slot == "phi" else "log xi(e^z)"
+        return (f"{slot} certificate failed: psi(z) = {lift} {cert.failure} "
+                f"violation at {cert.points}")
     if cert.reason == "normalization":
         return f"eta certificate failed: eta(1) != -1 (gap {cert.gap:.3e})"
     return (f"eta certificate failed: eta(z) < -z**(1+gamma) at z={cert.z_star:g} "

@@ -250,3 +250,90 @@ def test_sweep_needs_a_spec():
 def test_sweep_rejects_malformed_spec():
     assert run(["sweep", "--epsilons", "0", "--outlier", "8", "--seed", "1",
                 "--spec", "family=jhhb"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# flag text
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flags", [
+    ["--family", "holder", "--eta", "dpd:5"],
+    ["--family", "fdpd", "--phi", "identity:3"],
+    ["--family", "fdpd", "--phi", "power"],
+    ["--family", "fdpd", "--phi", "bdpd:1"],
+    ["--family", "xi_holder", "--eta", "dpd", "--xi", "power:1:2"],
+])
+def test_wrong_parameter_count_exits_3(density_files, capsys, flags):
+    g, f = density_files
+    assert run(["compute", *flags, "--gamma", "1", "--g", g, "--f", f]) == 3
+    assert "is written" in capsys.readouterr().err
+
+
+def test_unknown_generator_lists_the_known_names(density_files, capsys):
+    g, f = density_files
+    assert run(["compute", "--family", "fdpd", "--phi", "nope", "--gamma", "1",
+                "--g", g, "--f", f]) == 3
+    err = capsys.readouterr().err
+    assert ("identity, log, power:zeta, bdpd:lam1:lam2, exp-minus-one, file:path"
+            in err)
+
+
+def test_spec_label_keeps_every_digit(density_files, tmp_path):
+    g, f = density_files
+    out = tmp_path / "r.json"
+    assert run(["compute", "--family", "fdpd", "--phi", "power:0.123456789",
+                "--gamma", "1", "--g", g, "--f", f, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["spec"]["phi"] == "power:0.123456789"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--spec", "family=fdpd,phi=identity,gamma=abc"],
+    ["--spec", "family=jhhb,zeta=x,gamma=0.5"],
+    ["--spec", "family=jhhb,zeta=0,gamma=0.5", "--epsilons", "0,abc"],
+], ids=["gamma", "zeta", "epsilons"])
+def test_sweep_non_numeric_values_exit_3(flags, capsys):
+    args = ["sweep", "--outlier", "8", "--n", "50", "--seed", "1", *flags]
+    if "--epsilons" not in flags:
+        args += ["--epsilons", "0"]
+    assert run(args) == 3
+    assert "expected a numeric parameter" in capsys.readouterr().err
+
+
+VERIFY_CHECKS = [
+    ("affine-invariance", "check_affine_invariance"),
+    ("jhhb-representation", "verify_jhhb_holder_representation"),
+    ("fdps-lower-bound", "check_fdps_lower_bound"),
+    ("uv-consistency", "check_uv_consistency"),
+    ("equality-conditions", "equality_condition_probe"),
+]
+
+
+@pytest.mark.parametrize("theorem, check", VERIFY_CHECKS)
+@pytest.mark.parametrize("tolerance", [None, "0.25"])
+def test_verify_tolerance_reaches_every_check(monkeypatch, tmp_path, theorem, check,
+                                              tolerance):
+    from divkit import checks
+
+    seen = {}
+    real = getattr(checks, check)
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(checks, check, spy)
+    args = ["verify", "--theorem", theorem, "--gamma", "1", "--zeta", "0.5",
+            "--trials", "5", "--seed", "1", "--out", str(tmp_path / "r.json")]
+    run(args + ([] if tolerance is None else ["--tolerance", tolerance]))
+    if tolerance is None:
+        assert "tolerance" not in seen  # the check's own default applies
+    else:
+        assert seen["tolerance"] == 0.25
+
+
+def test_tight_tolerance_flips_the_equality_probe(tmp_path):
+    args = ["verify", "--theorem", "equality-conditions", "--phi", "log",
+            "--gamma", "1", "--seed", "1", "--out", str(tmp_path / "r.json")]
+    assert run(args) == 0  # D is zero up to rounding, as psi is affine
+    assert run(args + ["--tolerance", "1e-20"]) == 1

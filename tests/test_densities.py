@@ -285,3 +285,30 @@ def test_grid_csv_rejects_uneven_spacing(tmp_path):
     path.write_text("x,value\n0.0,1.0\n1.0,1.0\n2.5,1.0\n")
     with pytest.raises(RepresentationError):
         read_grid_csv(path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gaussian_powers_out_of_float_range_raise_domain_error():
+    tiny = GaussianDensity(0.0, 1e-300)
+    with pytest.raises(DomainError, match="float range"):
+        bracket_integrals(tiny, tiny, 1.5)
+    with pytest.raises(DomainError, match="float range"):
+        bracket_integrals(GaussianDensity(0.0, 1.0), tiny, 1.5)
+    with pytest.raises(DomainError, match="float range"):
+        empirical_brackets([0.0, 1.0], tiny, 1.5)
+    # f(x)**gamma overflows though sigma**(-gamma) does not
+    with pytest.raises(DomainError, match="float range"):
+        empirical_brackets([0.0], GaussianDensity(0.0, 1e-153, mass=1e3), 2.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gaussian_powers_in_range_keep_their_formula():
+    g, f = GaussianDensity(0.3, 1e-100, 2.0), GaussianDensity(0.0, 1e-100)
+    gamma = 1.5
+    b = bracket_integrals(g, f, gamma)
+    assert b.Y == (1.0 ** (1.0 + gamma) * (2.0 * math.pi) ** (-gamma / 2.0)
+                   * 1e-100 ** (-gamma) / math.sqrt(1.0 + gamma))
+    s = math.hypot(math.sqrt(gamma) * 1e-100, 1e-100)
+    q = 0.3 / s
+    assert b.X == (2.0 * 1.0**gamma * (2.0 * math.pi) ** (-gamma / 2.0)
+                   * 1e-100 ** (-gamma) * (1e-100 / s) * math.exp(-0.5 * gamma * q * q))

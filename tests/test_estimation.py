@@ -23,7 +23,7 @@ from divkit import (
     power_xi,
     ps_eta,
 )
-from divkit.estimation import SWEEP_HEADER, gaussian_objective
+from divkit.estimation import START_OFFSETS, SWEEP_HEADER, gaussian_objective
 
 MLE = DivergenceSpec("fdpd", 0.0, phi=identity_phi())
 DPD_HALF = DivergenceSpec("fdpd", 0.5, phi=identity_phi())
@@ -157,6 +157,8 @@ def test_clean_fit_recovers_standard_normal():
     assert abs(res.mu) <= 0.1
     assert abs(res.sigma - 1.0) <= 0.1
     assert res.converged
+    # one descent from the initial point and one from each of its offsets
+    assert len(res.evaluations) == 1 + len(START_OFFSETS)
 
 
 def test_fit_never_worse_than_initial_point():

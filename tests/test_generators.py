@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from divkit import (
     DomainError,
     EvaluationError,
+    RepresentationError,
     bdpd_phi,
     bhd_eta,
     custom_eta,
@@ -28,7 +29,7 @@ from divkit import (
     validate_psi,
     validate_xi,
 )
-from divkit.generators import certificate_grid
+from divkit.generators import PRESETS, certificate_grid, parse_generator
 
 GAMMA_GRID = [0.1, 0.5, 1.0, 2.0]
 
@@ -232,3 +233,69 @@ def test_phi_and_xi_from_table(tmp_path):
     assert phi.phi_prime(2.5) == pytest.approx(1.0, rel=1e-5)  # finite difference
     xi = xi_from_table(table)
     assert validate_xi(xi).valid
+
+
+# ---------------------------------------------------------------------------
+# name tables: parse and label
+# ---------------------------------------------------------------------------
+
+POSITIVE = st.floats(min_value=0.0, max_value=1e6, exclude_min=True)
+# the admissible range of each parameter field of the presets
+FIELD_VALUES = {"kappa": st.floats(1.0, 1e6), "zeta": POSITIVE,
+                "lam1": st.floats(0.0, 1e6), "lam2": POSITIVE}
+NAMED = [(kind, name) for kind, presets in PRESETS.items() for name in presets]
+
+
+@pytest.mark.parametrize("kind, name", NAMED)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_label_reads_back_to_the_same_generator(kind, name, data):
+    preset = PRESETS[kind][name]
+    params = [data.draw(FIELD_VALUES[field], label=field) for field in preset.params]
+    gamma = [data.draw(POSITIVE, label="gamma")] if kind == "eta" else []
+    generator = preset.make(*params, *gamma)
+    assert parse_generator(kind, generator.label(), *gamma) == generator
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("phi", "power:0.123456789"), ("xi", "power:1e-300"), ("eta", "bhd:1.0000000001"),
+    ("phi", "bdpd:0.1:0.2"),
+])
+def test_a_label_that_g_format_would_round_reads_back(kind, text):
+    gamma = [0.5] if kind == "eta" else []
+    generator = parse_generator(kind, text, *gamma)
+    assert parse_generator(kind, generator.label(), *gamma) == generator
+
+
+@pytest.mark.parametrize("generator, label", [
+    (power_phi(0.5), "power:0.5"), (power_phi(2.0), "power:2"),
+    (bdpd_phi(1.0, 1.0), "bdpd:1:1"), (bhd_eta(2.0, 1.0), "bhd:2"),
+    (jhhb_eta(0.0, 1.0), "jhhb:0"), (power_xi(0.25), "power:0.25"),
+    (dpd_eta(1.0), "dpd"), (log_phi(), "log"), (identity_xi(), "identity"),
+    (power_phi(0.123456789), "power:0.123456789"),
+    (custom_phi(lambda z: z), "custom"),
+])
+def test_labels(generator, label):
+    assert generator.label() == label
+
+
+def test_exp_minus_one_is_a_named_kind():
+    assert exp_minus_one_phi() == exp_minus_one_phi()
+    assert exp_minus_one_phi().label() == "exp-minus-one"
+    assert parse_generator("phi", "exp-minus-one") == exp_minus_one_phi()
+
+
+def test_file_generators_load_their_table(tmp_path):
+    table = tmp_path / "lin.csv"
+    table.write_text("z,value\n0,0\n1,1\n2,2\n")
+    xi = parse_generator("xi", f"file:{table}")
+    assert xi.kind == "custom" and xi(1.5) == 1.5
+    eta = parse_generator("eta", f"file:{table}", 0.5)
+    assert eta.gamma == 0.5
+
+
+def test_a_malformed_table_row_is_a_divkit_error(tmp_path):
+    table = tmp_path / "bad.csv"
+    table.write_text("z,value\n0,1\n1,-1\nabc,3\n")
+    with pytest.raises(RepresentationError):
+        eta_from_table(table, gamma=1.0)
