@@ -93,6 +93,11 @@ def _bracket_dict(b: BracketTriple) -> dict:
     return {"X": b.X, "Y": b.Y, "Z": b.Z, "gamma": b.gamma}
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+
+
 # ---------------------------------------------------------------------------
 # affine invariance
 # ---------------------------------------------------------------------------
@@ -166,6 +171,9 @@ def check_affine_invariance(phi: GeneratorPhi, gamma: float, trials: int, seed: 
     """
     if representation not in ("grid", "gaussian"):
         raise DomainError(f"unknown representation {representation!r}")
+    if representation == "grid" and grid_points < 2:
+        raise DomainError(f"a grid needs at least 2 points, got {grid_points}")
+    _require_trials(trials)
     if phi.kind == "power":
         zeta: float | None = phi.zeta
     elif phi.kind == "log":
@@ -255,6 +263,7 @@ def verify_jhhb_holder_representation(zeta: float, gamma: float, trials: int,
     tau is the signed power map for zeta > 0 and log for zeta = 0.  The two
     routes are independent formula paths and serve as each other's oracle.
     """
+    _require_trials(trials)
     eta = jhhb_eta(zeta, gamma)
     rng = np.random.default_rng(seed)
     max_err = -1.0
@@ -322,6 +331,7 @@ def check_fdps_lower_bound(phi: GeneratorPhi, gamma: float, trials: int, seed: i
     """
     if not gamma > 0.0:
         raise DomainError("the lower-bound check requires gamma > 0")
+    _require_trials(trials)
     rng = np.random.default_rng(seed)
     worst_gap = math.inf
     tight_gap = math.inf

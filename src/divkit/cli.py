@@ -118,7 +118,7 @@ def cmd_compute(args) -> int:
     b = bracket_integrals(g, f, args.gamma)
     brackets = {"X": b.X, "Y": b.Y, "Z": b.Z}
     if b.gamma == 0.0:
-        brackets.update({"L": b.L, "Mg": b.Mg, "Mf": b.Mf})
+        brackets.update({"L": b.L, "Mg": b.X, "Mf": b.Y})
     payload = {
         "config": _resolved_config(args, spec=spec.describe()),
         "brackets": brackets,

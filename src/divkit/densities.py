@@ -11,8 +11,9 @@ The central object is :class:`BracketTriple`, the integrals
     X = <g f**gamma>,  Y = <f**(1+gamma)>,  Z = <g**(1+gamma)>,
 
 which satisfy the Hoelder bound X <= Z**(1/(1+gamma)) * Y**(gamma/(1+gamma)).
-At gamma = 0 the triple degenerates to total masses and is extended with the
-cross-entropy fields L = <g log(g/f)>, Mg = <g>, Mf = <f> and <g log g>.
+At gamma = 0 the triple degenerates to the total masses X = Z = <g> and
+Y = <f>, and is extended with the cross-entropy fields L = <g log(g/f)> and
+cross = <g log f>.
 """
 
 from __future__ import annotations
@@ -101,10 +102,10 @@ DensityObject = DiscreteDensity | GridDensity | GaussianDensity
 class BracketTriple:
     """The integrals X = <g f**gamma>, Y = <f**(1+gamma)>, Z = <g**(1+gamma)>.
 
-    Z is None for empirical brackets (no score needs the plug-in measure's
-    own power integral).  The gamma = 0 extension carries L = <g log(g/f)>,
-    the total masses Mg, Mf, and g_log_g = <g log g>, from which both the
-    gamma = 0 score and divergence are assembled.
+    At gamma = 0, X = Z = <g> and Y = <f> are the total masses, and the
+    triple carries L = <g log(g/f)>, which the divergences read, and
+    cross = <g log f>, which the scores read.  An empirical (plug-in)
+    bracket has neither Z nor L, so a divergence on it raises DomainError.
     """
 
     X: float
@@ -112,9 +113,7 @@ class BracketTriple:
     Z: float | None
     gamma: float
     L: float | None = None
-    Mg: float | None = None
-    Mf: float | None = None
-    g_log_g: float | None = None
+    cross: float | None = None
 
     def require_z(self) -> float:
         if self.Z is None:
@@ -122,11 +121,17 @@ class BracketTriple:
                               "(empirical plug-in); divergence unavailable")
         return self.Z
 
-    def require_kl_fields(self) -> tuple[float, float, float, float]:
-        if self.L is None or self.Mg is None or self.Mf is None or self.g_log_g is None:
-            raise DomainError("gamma=0 fields (L, Mg, Mf, <g log g>) missing; "
-                              "build the bracket with gamma=0")
-        return self.L, self.Mg, self.Mf, self.g_log_g
+    def require_l(self) -> float:
+        if self.L is None:
+            raise DomainError("this bracket has no <g log(g/f)> integral "
+                              "(empirical plug-in, or gamma > 0); divergence unavailable")
+        return self.L
+
+    def require_cross(self) -> float:
+        if self.cross is None:
+            raise DomainError("this bracket has no <g log f> integral; "
+                              "build it with gamma=0")
+        return self.cross
 
 
 def _check_nonnegative(arr: np.ndarray, name: str) -> None:
@@ -150,25 +155,15 @@ def _grids_match(g: GridDensity, f: GridDensity) -> bool:
             and abs(g.dx - f.dx) <= 1e-12 * g.dx)
 
 
-def _xlogx(values: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    positive = values > 0.0
-    out[positive] = values[positive] * np.log(values[positive])
-    return out
-
-
 def _gaussian_power_integral(d: GaussianDensity, gamma: float) -> float:
     """<d**(1+gamma)> = mass**(1+gamma) (2 pi sigma^2)**(-gamma/2) / sqrt(1+gamma).
 
     sigma**(-gamma) is taken on its own, since sigma**2 underflows to 0 for
-    sigma below ~1e-154.  A power out of float range raises DomainError.
+    sigma below ~1e-154.
     """
-    try:
-        return float(d.mass ** (1.0 + gamma)
-                     * TWO_PI ** (-gamma / 2.0) * d.sigma ** (-gamma)
-                     / math.sqrt(1.0 + gamma))
-    except OverflowError:
-        raise _out_of_range(d, gamma) from None
+    return float(d.mass ** (1.0 + gamma)
+                 * TWO_PI ** (-gamma / 2.0) * d.sigma ** (-gamma)
+                 / math.sqrt(1.0 + gamma))
 
 
 def _gaussian_cross_integral(g: GaussianDensity, f: GaussianDensity, gamma: float) -> float:
@@ -179,18 +174,10 @@ def _gaussian_cross_integral(g: GaussianDensity, f: GaussianDensity, gamma: floa
     """
     s = math.hypot(math.sqrt(gamma) * g.sigma, f.sigma)
     q = (g.mu - f.mu) / s
-    try:
-        return float(g.mass * f.mass**gamma
-                     * TWO_PI ** (-gamma / 2.0) * f.sigma ** (-gamma)
-                     * (f.sigma / s)
-                     * math.exp(-0.5 * gamma * q * q))
-    except OverflowError:
-        raise _out_of_range(f, gamma) from None
-
-
-def _out_of_range(d: GaussianDensity, gamma: float) -> DomainError:
-    return DomainError(f"power integrals of N({d.mu}, {d.sigma}) with mass {d.mass} "
-                       f"leave float range at gamma={gamma}")
+    return float(g.mass * f.mass**gamma
+                 * TWO_PI ** (-gamma / 2.0) * f.sigma ** (-gamma)
+                 * (f.sigma / s)
+                 * math.exp(-0.5 * gamma * q * q))
 
 
 def _gaussian_kl(g: GaussianDensity, f: GaussianDensity) -> float:
@@ -200,12 +187,78 @@ def _gaussian_kl(g: GaussianDensity, f: GaussianDensity) -> float:
                  + (g.sigma**2 + delta**2) / (2.0 * f.sigma**2) - 0.5)
 
 
+def _array(d: DiscreteDensity | GridDensity) -> tuple[np.ndarray, float | None]:
+    """The values of an array density and its trapezoid spacing (None: a plain sum)."""
+    return (d.values, d.dx) if isinstance(d, GridDensity) else (d.masses, None)
+
+
+def _total(values: np.ndarray, dx: float | None) -> float:
+    return float(values.sum()) if dx is None else _trapezoid(values, dx)
+
+
+def _power_integral(d: DensityObject, gamma: float) -> float:
+    """<d**(1+gamma)>, unchecked (see _in_range)."""
+    if isinstance(d, GaussianDensity):
+        return _gaussian_power_integral(d, gamma)
+    values, dx = _array(d)
+    return _total(values ** (1.0 + gamma), dx)
+
+
+def _integrals(g: DensityObject, f: DensityObject, gamma: float) -> tuple[float, float, float]:
+    """X, Y and Z of two densities of one representation, unchecked."""
+    if isinstance(g, GaussianDensity):
+        x = _gaussian_cross_integral(g, f, gamma)
+    else:
+        (gv, dx), (fv, _) = _array(g), _array(f)
+        x = _total(gv * fv**gamma, dx)
+    return x, _power_integral(f, gamma), _power_integral(g, gamma)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow in numpy gives inf, caught below
+def _in_range(compute, gamma: float) -> tuple[float, ...]:
+    """The power integrals that compute() returns, each finite.
+
+    An integral out of float range raises DomainError, whether it overflows
+    in numpy, in a Python power (OverflowError) or silently in a Python
+    product (inf).  Values in range keep their formula.
+    """
+    try:
+        values = compute()
+    except OverflowError:
+        values = (math.inf,)
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"power integrals leave float range at gamma={gamma}")
+    return values
+
+
+def _log_integrals(g: DensityObject, f: DensityObject) -> tuple[float, float]:
+    """L = <g log(g/f)> and cross = <g log f>, the gamma = 0 fields.
+
+    cross is <g log g> - L; where g > 0 meets f = 0 this raises SupportError.
+    """
+    if isinstance(g, GaussianDensity):
+        mg, mf = g.mass, f.mass
+        ll = mg * (math.log(mg / mf) + _gaussian_kl(g, f))
+        entropy = 0.5 * math.log(2.0 * math.pi * math.e * g.sigma**2)
+        return ll, (mg * math.log(mg) - mg * entropy) - ll
+    (gv, dx), (fv, _) = _array(g), _array(f)
+    support = gv > 0.0
+    if np.any(support & (fv == 0.0)):
+        raise SupportError("g log(g/f) undefined: g > 0 where f = 0")
+    ratio_term, g_log_g = np.zeros_like(gv), np.zeros_like(gv)
+    ratio_term[support] = gv[support] * np.log(gv[support] / fv[support])
+    g_log_g[support] = gv[support] * np.log(gv[support])
+    ll = _total(ratio_term, dx)
+    return ll, _total(g_log_g, dx) - ll
+
+
 def bracket_integrals(g: DensityObject, f: DensityObject, gamma: float) -> BracketTriple:
     """Compute the bracket triple of (g, f) at the given power parameter.
 
     g and f must share a representation class (and, for grids, the grid
     itself).  gamma = 0 additionally fills the cross-entropy fields and
-    raises :class:`SupportError` where g > 0 meets f = 0.
+    raises :class:`SupportError` where g > 0 meets f = 0.  An integral out
+    of float range raises :class:`DomainError`.
     """
     if gamma < 0.0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
@@ -213,49 +266,15 @@ def bracket_integrals(g: DensityObject, f: DensityObject, gamma: float) -> Brack
         raise RepresentationError(
             f"g and f must share a representation, got {type(g).__name__} "
             f"and {type(f).__name__}")
+    if isinstance(g, DiscreteDensity) and g.size != f.size:
+        raise RepresentationError(f"discrete supports differ: {g.size} vs {f.size} points")
+    if isinstance(g, GridDensity) and not _grids_match(g, f):
+        raise RepresentationError("grid densities must share x0, dx and length")
 
-    if isinstance(g, GaussianDensity):
-        if gamma == 0.0:
-            mg, mf = g.mass, f.mass
-            ll = mg * (math.log(mg / mf) + _gaussian_kl(g, f))
-            entropy = 0.5 * math.log(2.0 * math.pi * math.e * g.sigma**2)
-            g_log_g = mg * math.log(mg) - mg * entropy
-            return BracketTriple(mg, mf, mg, 0.0, L=ll, Mg=mg, Mf=mf, g_log_g=g_log_g)
-        return BracketTriple(
-            _gaussian_cross_integral(g, f, gamma),
-            _gaussian_power_integral(f, gamma),
-            _gaussian_power_integral(g, gamma),
-            gamma)
-
-    if isinstance(g, DiscreteDensity):
-        if g.size != f.size:
-            raise RepresentationError(
-                f"discrete supports differ: {g.size} vs {f.size} points")
-        gv, fv = g.masses, f.masses
-        weight = None
-    else:
-        if not _grids_match(g, f):
-            raise RepresentationError("grid densities must share x0, dx and length")
-        gv, fv = g.values, f.values
-        weight = g.dx
-
-    def total(values: np.ndarray) -> float:
-        return float(values.sum()) if weight is None else _trapezoid(values, weight)
-
-    if gamma == 0.0:
-        support = gv > 0.0
-        if np.any(support & (fv == 0.0)):
-            raise SupportError("g log(g/f) undefined: g > 0 where f = 0")
-        ratio_term = np.zeros_like(gv)
-        ratio_term[support] = gv[support] * np.log(gv[support] / fv[support])
-        mg, mf = total(gv), total(fv)
-        return BracketTriple(mg, mf, mg, 0.0, L=total(ratio_term),
-                             Mg=mg, Mf=mf, g_log_g=total(_xlogx(gv)))
-
-    return BracketTriple(total(gv * fv**gamma),
-                         total(fv ** (1.0 + gamma)),
-                         total(gv ** (1.0 + gamma)),
-                         gamma)
+    xyz = _in_range(lambda: _integrals(g, f, gamma), gamma)
+    if gamma > 0.0:
+        return BracketTriple(*xyz, gamma)
+    return BracketTriple(*xyz, 0.0, *_log_integrals(g, f))
 
 
 def affine_transform(f: DensityObject, sigma: float, mu: float) -> DensityObject:
@@ -303,34 +322,27 @@ def density_value(f: DensityObject, x) -> np.ndarray | float:
     raise RepresentationError("discrete densities are not pointwise evaluable")
 
 
-def power_bracket(f: DensityObject, gamma: float) -> float:
-    """<f**(1+gamma)> of a single density."""
-    if isinstance(f, GaussianDensity):
-        return _gaussian_power_integral(f, gamma)
-    if isinstance(f, GridDensity):
-        return _trapezoid(f.values ** (1.0 + gamma), f.dx)
-    return float((f.masses ** (1.0 + gamma)).sum())
-
-
 def empirical_brackets(samples, f: DensityObject, gamma: float) -> BracketTriple:
-    """Bracket triple with the plug-in cross integral X = mean f(x_i)**gamma.
+    """Bracket triple of the plug-in measure: X = mean f(x_i)**gamma.
 
-    Y comes from the model exactly (or by quadrature); Z is unavailable for
-    the empirical measure and left as None.
+    Y comes from the model exactly (or by quadrature).  The plug-in measure
+    has no power or log-ratio integral of its own, so Z and L are None and a
+    divergence on this bracket raises DomainError.  At gamma = 0, X = 1 is
+    the plug-in mass and cross = mean log f(x_i), which is -inf where some
+    f(x_i) = 0.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise DomainError("empirical brackets need a nonempty sample list")
-    if not gamma > 0.0:
-        raise DomainError(f"empirical brackets require gamma > 0, got {gamma}")
+    if not gamma >= 0.0:
+        raise DomainError(f"empirical brackets require gamma >= 0, got {gamma}")
     values = np.asarray(density_value(f, samples), dtype=float)
-    y = power_bracket(f, gamma)
-    with np.errstate(over="ignore"):
-        x = float(np.mean(values**gamma))
-    if math.isinf(x):
-        raise DomainError(f"the plug-in mean of f(x_i)**gamma leaves float range "
-                          f"at gamma={gamma}")
-    return BracketTriple(x, y, None, gamma)
+    x, y = _in_range(lambda: (float(np.mean(values**gamma)), _power_integral(f, gamma)),
+                     gamma)
+    if gamma > 0.0:
+        return BracketTriple(x, y, None, gamma)
+    with np.errstate(divide="ignore"):
+        return BracketTriple(x, y, None, 0.0, cross=float(np.mean(np.log(values))))
 
 
 def gaussian_grid(d: GaussianDensity, half_width_sigmas: float = 12.0,

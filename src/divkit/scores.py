@@ -10,7 +10,9 @@ share a single set of formulas.  For gamma > 0 the families are
 * jhhb (zeta family): the power / log branches written out directly
 * xi-Hoelder:         S = eta(xi(X)/xi(Y)) xi(Y),   D = S + xi(Z)
 
-and each has the gamma = 0 branch assembled from the cross-entropy fields.
+and each but xi-Hoelder has a gamma = 0 branch: the scores read the masses
+X = <g>, Y = <f> and cross = <g log f>, the divergences X, Y and
+L = <g log(g/f)>.
 Values follow the extended codomain: log-like generators return -inf at 0
 and divergences through them become +inf rather than raising.
 """
@@ -60,15 +62,13 @@ def holder_score(b: BracketTriple, eta: GeneratorEta) -> float:
         if b.Y <= 0.0:
             raise DegenerateModelError("holder score undefined: <f**(1+gamma)> = 0")
         return float(eta(b.X / b.Y) * b.Y)
-    ll, _, mf, g_log_g = b.require_kl_fields()
-    return (ll - g_log_g) + mf
+    return -b.require_cross() + b.Y
 
 
 def holder_divergence(b: BracketTriple, eta: GeneratorEta) -> float:
     if b.gamma > 0.0:
         return holder_score(b, eta) + b.require_z()
-    ll, mg, mf, _ = b.require_kl_fields()
-    return ll - mg + mf
+    return b.require_l() - b.X + b.Y
 
 
 # ---------------------------------------------------------------------------
@@ -81,16 +81,14 @@ def fdp_score(b: BracketTriple, phi: GeneratorPhi) -> float:
     g = b.gamma
     if g > 0.0:
         return g * phi(b.Y) - (1.0 + g) * phi(b.X)
-    ll, mg, mf, g_log_g = b.require_kl_fields()
-    return -phi.phi_prime(mg) * (g_log_g - ll) + phi(mf)
+    return -phi.phi_prime(b.X) * b.require_cross() + phi(b.Y)
 
 
 def fdp_divergence(b: BracketTriple, phi: GeneratorPhi) -> float:
     g = b.gamma
     if g > 0.0:
         return phi(b.require_z()) / g - (1.0 + g) * phi(b.X) / g + phi(b.Y)
-    ll, mg, mf, _ = b.require_kl_fields()
-    return phi.phi_prime(mg) * ll - phi(mg) + phi(mf)
+    return phi.phi_prime(b.X) * b.require_l() - phi(b.X) + phi(b.Y)
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +104,10 @@ def jhhb_score(b: BracketTriple, zeta: float) -> float:
         if zeta > 0.0:
             return (g * b.Y**zeta - (1.0 + g) * b.X**zeta + 1.0) / zeta
         return g * _log(b.Y) - (1.0 + g) * _log(b.X)
-    ll, mg, mf, g_log_g = b.require_kl_fields()
-    cross_entropy = g_log_g - ll  # <g log f>
+    cross = b.require_cross()
     if zeta > 0.0:
-        return -(mg ** (zeta - 1.0)) * cross_entropy + (mf**zeta - 1.0) / zeta
-    return -cross_entropy / mg + _log(mf)
+        return -(b.X ** (zeta - 1.0)) * cross + (b.Y**zeta - 1.0) / zeta
+    return -cross / b.X + _log(b.Y)
 
 
 def jhhb_divergence(b: BracketTriple, zeta: float) -> float:
@@ -121,10 +118,10 @@ def jhhb_divergence(b: BracketTriple, zeta: float) -> float:
         if zeta > 0.0:
             return (z_int**zeta / g - (1.0 + g) * b.X**zeta / g + b.Y**zeta) / zeta
         return _log(z_int) / g - (1.0 + g) * _log(b.X) / g + _log(b.Y)
-    ll, mg, mf, _ = b.require_kl_fields()
+    ll = b.require_l()
     if zeta > 0.0:
-        return mg ** (zeta - 1.0) * ll - mg**zeta / zeta + mf**zeta / zeta
-    return ll / mg - _log(mg) + _log(mf)
+        return b.X ** (zeta - 1.0) * ll - b.X**zeta / zeta + b.Y**zeta / zeta
+    return ll / b.X - _log(b.X) + _log(b.Y)
 
 
 def _check_zeta(zeta: float) -> None:

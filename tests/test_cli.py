@@ -80,7 +80,10 @@ def test_compute_gamma_zero_reports_kl_fields(density_files, tmp_path):
                 "--g", g, "--f", f, "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
-    assert "L" in payload["brackets"] and "Mg" in payload["brackets"]
+    brackets = payload["brackets"]
+    assert "L" in brackets
+    assert brackets["Mg"] == brackets["X"] == brackets["Z"] == 1.0
+    assert brackets["Mf"] == brackets["Y"] == 1.0
 
 
 def test_compute_missing_file_exits_3(density_files):
@@ -337,3 +340,32 @@ def test_tight_tolerance_flips_the_equality_probe(tmp_path):
             "--gamma", "1", "--seed", "1", "--out", str(tmp_path / "r.json")]
     assert run(args) == 0  # D is zero up to rounding, as psi is affine
     assert run(args + ["--tolerance", "1e-20"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# out-of-range flags: each exits 3 with a message, never a traceback
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flags", [
+    ["--theorem", "affine-invariance", "--trials", "-3"],
+    ["--theorem", "jhhb-representation", "--zeta", "0.5", "--trials", "0"],
+    ["--theorem", "fdps-lower-bound", "--trials", "0"],
+], ids=["affine-invariance", "jhhb-representation", "fdps-lower-bound"])
+def test_verify_without_trials_exits_3(flags, capsys, tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["verify", *flags, "--gamma", "0.5", "--seed", "1", "--out", str(out)]) == 3
+    assert "trials must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_affine_on_a_one_point_grid_exits_3(capsys):
+    assert run(["verify", "--theorem", "affine-invariance", "--gamma", "0.5",
+                "--trials", "2", "--grid-points", "1", "--seed", "1"]) == 3
+    assert "at least 2 points" in capsys.readouterr().err
+
+
+def test_sweep_with_negative_n_exits_3(capsys):
+    assert run(["sweep", "--epsilons", "0,0.1", "--outlier", "6", "--n", "-5",
+                "--seed", "1", "--spec", "family=fdpd,phi=identity,gamma=0.5"]) == 3
+    assert "n >= 1" in capsys.readouterr().err

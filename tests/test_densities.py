@@ -17,6 +17,7 @@ from divkit import (
     density_value,
     empirical_brackets,
     gaussian_grid,
+    holder_divergence,
     read_discrete_csv,
     read_grid_csv,
     read_samples_csv,
@@ -66,10 +67,11 @@ def test_gaussian_agrees_with_grid_quadrature(gaussian_pair, gamma):
 def test_gamma_zero_brackets_gaussian(gaussian_pair):
     g, f = gaussian_pair
     b = bracket_integrals(g, f, 0.0)
-    assert b.Mg == 1.0 and b.Mf == 1.0
+    assert b.X == 1.0 and b.Y == 1.0 and b.Z == 1.0
     assert b.L == pytest.approx(0.5, abs=1e-14)  # KL of N(0,1) vs N(1,1)
-    # <g log g> = -differential entropy = -log(sqrt(2 pi e))
-    assert b.g_log_g == pytest.approx(-0.5 * math.log(2.0 * math.pi * math.e), abs=1e-14)
+    # <g log f> = <g log g> - L = -log(sqrt(2 pi e)) - 1/2
+    assert b.cross == pytest.approx(-0.5 * math.log(2.0 * math.pi * math.e) - 0.5,
+                                    abs=1e-14)
 
 
 def test_gamma_zero_brackets_grid_match_gaussian(gaussian_pair):
@@ -79,8 +81,8 @@ def test_gamma_zero_brackets_grid_match_gaussian(gaussian_pair):
     fg = gaussian_grid(f, x_min=-12.0, x_max=12.0, points=4096)
     quad = bracket_integrals(gg, fg, 0.0)
     assert quad.L == pytest.approx(exact.L, abs=1e-6)
-    assert quad.Mg == pytest.approx(1.0, abs=1e-8)
-    assert quad.g_log_g == pytest.approx(exact.g_log_g, abs=1e-6)
+    assert quad.X == pytest.approx(1.0, abs=1e-8)
+    assert quad.cross == pytest.approx(exact.cross, abs=1e-6)
 
 
 def test_gamma_zero_support_error():
@@ -210,7 +212,7 @@ def test_empirical_rejects_bad_input(gaussian_pair):
     with pytest.raises(DomainError):
         empirical_brackets([], g, 1.0)
     with pytest.raises(DomainError):
-        empirical_brackets([0.0], g, 0.0)
+        empirical_brackets([0.0], g, -0.5)
 
 
 def test_density_value_grid_interpolates():
@@ -312,3 +314,50 @@ def test_gaussian_powers_in_range_keep_their_formula():
     q = 0.3 / s
     assert b.X == (2.0 * 1.0**gamma * (2.0 * math.pi) ** (-gamma / 2.0)
                    * 1e-100 ** (-gamma) * (1e-100 / s) * math.exp(-0.5 * gamma * q * q))
+
+
+HUGE_GRID = GridDensity(0.0, 1.0, np.array([1e200, 1e200]))
+TINY_HEAVY = GaussianDensity(0.0, 1e-153, mass=1e3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("compute", [
+    lambda: bracket_integrals(HUGE_GRID, HUGE_GRID, 1.0),
+    lambda: empirical_brackets([0.0], GridDensity(-1.0, 1.0, np.array([1e200] * 3)), 1.0),
+    # the product overflows, though no power does
+    lambda: bracket_integrals(TINY_HEAVY, TINY_HEAVY, 2.0),
+    lambda: bracket_integrals(DiscreteDensity([1.0, 1.0]), DiscreteDensity([1e300, 1.0]), 0.5),
+    # every term is in range, their sum is not
+    lambda: bracket_integrals(DiscreteDensity([1e308] * 4), DiscreteDensity([1.0] * 4), 0.0),
+], ids=["grid", "empirical-grid", "gaussian-product", "discrete-cross", "discrete-sum"])
+def test_brackets_out_of_float_range_raise_domain_error(compute):
+    with pytest.raises(DomainError, match="float range"):
+        compute()
+
+
+@pytest.mark.filterwarnings("error")
+def test_array_powers_in_range_keep_their_formula():
+    gv, fv = np.array([1e100, 3e100, 2e100]), np.array([2e100, 1e100, 5e99])
+    gamma, dx = 2.0, 0.5
+
+    def trapezoid(v):
+        return dx * (v.sum() - 0.5 * (v[0] + v[-1]))
+
+    b = bracket_integrals(GridDensity(0.0, dx, gv), GridDensity(0.0, dx, fv), gamma)
+    assert (b.X, b.Y, b.Z) == (trapezoid(gv * fv**gamma), trapezoid(fv ** (1.0 + gamma)),
+                               trapezoid(gv ** (1.0 + gamma)))
+    b = bracket_integrals(DiscreteDensity(gv), DiscreteDensity(fv), gamma)
+    assert (b.X, b.Y, b.Z) == ((gv * fv**gamma).sum(), (fv ** (1.0 + gamma)).sum(),
+                               (gv ** (1.0 + gamma)).sum())
+
+
+@pytest.mark.filterwarnings("error")
+def test_empirical_gamma_zero_bracket():
+    f = GaussianDensity(0.5, 2.0, mass=1.5)
+    samples = np.array([0.0, 1.0, -3.0])
+    b = empirical_brackets(samples, f, 0.0)
+    assert b.X == 1.0 and b.Y == 1.5
+    assert b.cross == float(np.mean(np.log(density_value(f, samples))))
+    assert b.L is None and b.Z is None
+    with pytest.raises(DomainError):
+        holder_divergence(b, None)

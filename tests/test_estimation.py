@@ -10,11 +10,13 @@ from divkit import (
     EstimationProblem,
     GaussianDensity,
     GeneratorValidityError,
+    GridDensity,
     OptimizerConfig,
     contaminated_sample,
     contamination_sweep,
     custom_phi,
     dpd_eta,
+    empirical_brackets,
     empirical_score,
     fit,
     identity_phi,
@@ -22,6 +24,7 @@ from divkit import (
     power_phi,
     power_xi,
     ps_eta,
+    score,
 )
 from divkit.estimation import START_OFFSETS, SWEEP_HEADER, gaussian_objective
 
@@ -84,6 +87,26 @@ def test_gamma_zero_rejects_improper_generators(gaussian_pair):
         empirical_score([0.0], f, DivergenceSpec("jhhb", 0.0, zeta=0.0))
     with pytest.raises(GeneratorValidityError):
         empirical_score([0.0], f, DivergenceSpec("holder", 0.0))
+
+
+@pytest.mark.parametrize("spec", [MLE, DivergenceSpec("jhhb", 0.0, zeta=1.0), DPD_HALF,
+                                  GDIV_HALF], ids=["mle", "jhhb-1-at-0", "dpd", "gdiv"])
+def test_empirical_score_is_the_score_of_the_plug_in_bracket(gaussian_pair, spec):
+    f, _ = gaussian_pair
+    samples = np.array([-0.5, 0.25, 1.0])
+    b = empirical_brackets(samples, f, spec.gamma)
+    assert empirical_score(samples, f, spec) == score(b, spec)
+
+
+def test_gamma_zero_score_rejects_an_empty_sample(gaussian_pair):
+    f, _ = gaussian_pair
+    with pytest.raises(DomainError):
+        empirical_score([], f, MLE)
+
+
+def test_gamma_zero_score_is_inf_where_the_model_vanishes():
+    f = GridDensity(0.0, 1.0, np.array([0.0, 1.0, 0.0]))
+    assert empirical_score([0.5, 5.0], f, MLE) == math.inf
 
 
 def test_empirical_score_survives_an_underflowing_sigma():

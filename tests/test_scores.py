@@ -268,8 +268,8 @@ def test_empirical_bracket_has_no_divergence():
 
 def test_xi_holder_requires_positive_gamma(b):
     with pytest.raises(DomainError):
-        xi_holder_score(BracketTriple(1.0, 1.0, 1.0, 0.0, L=0.0, Mg=1.0, Mf=1.0,
-                                      g_log_g=0.0), dpd_eta(1.0), identity_xi())
+        xi_holder_score(BracketTriple(1.0, 1.0, 1.0, 0.0, L=0.0, cross=0.0),
+                        dpd_eta(1.0), identity_xi())
 
 
 # ---------------------------------------------------------------------------
