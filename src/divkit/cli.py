@@ -179,6 +179,8 @@ def cmd_estimate(args) -> int:
 def cmd_sweep(args) -> int:
     epsilons = [parse_number(tok, f"--epsilons {args.epsilons}")
                 for tok in args.epsilons.split(",") if tok.strip()]
+    if not epsilons:
+        raise CliUsageError(f"--epsilons needs at least one value, got {args.epsilons!r}")
     specs = [_parse_sweep_spec(text) for text in args.spec]
     if not specs:
         raise CliUsageError("sweep needs at least one --spec")
@@ -222,10 +224,8 @@ def _parse_sweep_spec(text: str) -> DivergenceSpec:
 
 
 def _optimizer_config(args) -> estimation.OptimizerConfig:
-    kwargs = {}
-    if getattr(args, "max_iterations", None):
-        kwargs["max_iterations"] = args.max_iterations
-    return estimation.OptimizerConfig(**kwargs)
+    given = {} if args.max_iterations is None else {"max_iterations": args.max_iterations}
+    return estimation.OptimizerConfig(**given)
 
 
 def _resolved_config(args, **extra) -> dict:

@@ -180,13 +180,6 @@ def _gaussian_cross_integral(g: GaussianDensity, f: GaussianDensity, gamma: floa
                  * math.exp(-0.5 * gamma * q * q))
 
 
-def _gaussian_kl(g: GaussianDensity, f: GaussianDensity) -> float:
-    """KL divergence between the normalized shapes of g and f."""
-    delta = g.mu - f.mu
-    return float(math.log(f.sigma / g.sigma)
-                 + (g.sigma**2 + delta**2) / (2.0 * f.sigma**2) - 0.5)
-
-
 def _array(d: DiscreteDensity | GridDensity) -> tuple[np.ndarray, float | None]:
     """The values of an array density and its trapezoid spacing (None: a plain sum)."""
     return (d.values, d.dx) if isinstance(d, GridDensity) else (d.masses, None)
@@ -214,42 +207,65 @@ def _integrals(g: DensityObject, f: DensityObject, gamma: float) -> tuple[float,
     return x, _power_integral(f, gamma), _power_integral(g, gamma)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow in numpy gives inf, caught below
-def _in_range(compute, gamma: float) -> tuple[float, ...]:
-    """The power integrals that compute() returns, each finite.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # inf and nan are caught below
+def _in_range(gamma: float, *forms) -> tuple[float, ...]:
+    """The integrals that the first form to stay in float range returns.
 
-    An integral out of float range raises DomainError, whether it overflows
-    in numpy, in a Python power (OverflowError) or silently in a Python
-    product (inf).  Values in range keep their formula.
+    A form fails when it raises in Python arithmetic (OverflowError,
+    ZeroDivisionError, a math domain error) or returns inf or nan, whether
+    from an overflow in numpy or silently from a Python product.  When every
+    form fails, the integrals leave float range and DomainError is raised.
+    Values the first form computes in range keep its formula.
     """
-    try:
-        values = compute()
-    except OverflowError:
-        values = (math.inf,)
-    if not all(map(math.isfinite, values)):
-        raise DomainError(f"power integrals leave float range at gamma={gamma}")
-    return values
+    for form in forms:
+        try:
+            values = form()
+        except (ArithmeticError, ValueError):
+            continue
+        if all(map(math.isfinite, values)):
+            return values
+    raise DomainError(f"bracket integrals leave float range at gamma={gamma}")
 
 
 def _log_integrals(g: DensityObject, f: DensityObject) -> tuple[float, float]:
     """L = <g log(g/f)> and cross = <g log f>, the gamma = 0 fields.
 
     cross is <g log g> - L; where g > 0 meets f = 0 this raises SupportError.
+    Where g/f, a mass ratio or sigma**2 leaves float range, the logs are
+    taken of each factor and subtracted instead.
     """
     if isinstance(g, GaussianDensity):
-        mg, mf = g.mass, f.mass
-        ll = mg * (math.log(mg / mf) + _gaussian_kl(g, f))
-        entropy = 0.5 * math.log(2.0 * math.pi * math.e * g.sigma**2)
-        return ll, (mg * math.log(mg) - mg * entropy) - ll
+        mg, mf, delta = g.mass, f.mass, g.mu - f.mu
+
+        def gaussian(log_mass_ratio, kl, entropy):
+            ll = mg * (log_mass_ratio + kl)
+            return ll, (mg * math.log(mg) - mg * entropy) - ll
+
+        return _in_range(
+            0.0,
+            lambda: gaussian(math.log(mg / mf),
+                             math.log(f.sigma / g.sigma)
+                             + (g.sigma**2 + delta**2) / (2.0 * f.sigma**2) - 0.5,
+                             0.5 * math.log(2.0 * math.pi * math.e * g.sigma**2)),
+            lambda: gaussian(math.log(mg) - math.log(mf),
+                             math.log(f.sigma) - math.log(g.sigma)
+                             + 0.5 * ((g.sigma / f.sigma) ** 2 + (delta / f.sigma) ** 2) - 0.5,
+                             0.5 * math.log(2.0 * math.pi * math.e) + math.log(g.sigma)))
     (gv, dx), (fv, _) = _array(g), _array(f)
     support = gv > 0.0
     if np.any(support & (fv == 0.0)):
         raise SupportError("g log(g/f) undefined: g > 0 where f = 0")
-    ratio_term, g_log_g = np.zeros_like(gv), np.zeros_like(gv)
-    ratio_term[support] = gv[support] * np.log(gv[support] / fv[support])
-    g_log_g[support] = gv[support] * np.log(gv[support])
-    ll = _total(ratio_term, dx)
-    return ll, _total(g_log_g, dx) - ll
+    gs, fs = gv[support], fv[support]
+
+    def array(log_ratio):
+        ratio_term, g_log_g = np.zeros_like(gv), np.zeros_like(gv)
+        ratio_term[support] = gs * log_ratio
+        g_log_g[support] = gs * np.log(gs)
+        ll = _total(ratio_term, dx)
+        return ll, _total(g_log_g, dx) - ll
+
+    return _in_range(0.0, lambda: array(np.log(gs / fs)),
+                     lambda: array(np.log(gs) - np.log(fs)))
 
 
 def bracket_integrals(g: DensityObject, f: DensityObject, gamma: float) -> BracketTriple:
@@ -260,8 +276,8 @@ def bracket_integrals(g: DensityObject, f: DensityObject, gamma: float) -> Brack
     raises :class:`SupportError` where g > 0 meets f = 0.  An integral out
     of float range raises :class:`DomainError`.
     """
-    if gamma < 0.0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
+    if not 0.0 <= gamma < math.inf:
+        raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
     if type(g) is not type(f):
         raise RepresentationError(
             f"g and f must share a representation, got {type(g).__name__} "
@@ -271,7 +287,7 @@ def bracket_integrals(g: DensityObject, f: DensityObject, gamma: float) -> Brack
     if isinstance(g, GridDensity) and not _grids_match(g, f):
         raise RepresentationError("grid densities must share x0, dx and length")
 
-    xyz = _in_range(lambda: _integrals(g, f, gamma), gamma)
+    xyz = _in_range(gamma, lambda: _integrals(g, f, gamma))
     if gamma > 0.0:
         return BracketTriple(*xyz, gamma)
     return BracketTriple(*xyz, 0.0, *_log_integrals(g, f))
@@ -334,11 +350,10 @@ def empirical_brackets(samples, f: DensityObject, gamma: float) -> BracketTriple
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise DomainError("empirical brackets need a nonempty sample list")
-    if not gamma >= 0.0:
-        raise DomainError(f"empirical brackets require gamma >= 0, got {gamma}")
+    if not 0.0 <= gamma < math.inf:
+        raise DomainError(f"empirical brackets require finite gamma >= 0, got {gamma}")
     values = np.asarray(density_value(f, samples), dtype=float)
-    x, y = _in_range(lambda: (float(np.mean(values**gamma)), _power_integral(f, gamma)),
-                     gamma)
+    x, y = _in_range(gamma, lambda: (float(np.mean(values**gamma)), _power_integral(f, gamma)))
     if gamma > 0.0:
         return BracketTriple(x, y, None, gamma)
     with np.errstate(divide="ignore"):
@@ -362,7 +377,7 @@ def gaussian_grid(d: GaussianDensity, half_width_sigmas: float = 12.0,
 
 def read_grid_csv(path) -> GridDensity:
     """Grid density file: header ``x,value``, equally spaced increasing x."""
-    xs, values = read_two_columns(path, ("x", "value"))
+    xs, values = read_columns(path, ("x", "value"))
     if xs.size < 2:
         raise RepresentationError(f"{path!r}: a grid needs at least two rows")
     steps = np.diff(xs)
@@ -376,7 +391,7 @@ def read_grid_csv(path) -> GridDensity:
 
 def read_discrete_csv(path) -> DiscreteDensity:
     """Discrete density file: header ``index,mass`` with indices 0..n-1."""
-    idx, masses = read_two_columns(path, ("index", "mass"))
+    idx, masses = read_columns(path, ("index", "mass"))
     order = np.argsort(idx)
     idx = idx[order]
     if not np.array_equal(idx, np.arange(idx.size)):
@@ -385,24 +400,41 @@ def read_discrete_csv(path) -> DiscreteDensity:
 
 
 def read_samples_csv(path) -> np.ndarray:
-    """Samples file: single column ``x``.
-
-    Leading non-numeric rows (headers) and blank rows are skipped.  A second
-    non-empty column, a non-numeric row after the first sample, or a file
-    without samples raises :class:`RepresentationError`.
-    """
-    with open(path, newline="") as handle:
-        rows = (row for row in handle if row.strip())
-        first = next((row for row in rows if "," in row or _is_number(row)), None)
-        try:
-            samples = np.fromiter(map(float, itertools.chain([first] if first else [], rows)),
-                                  dtype=float)
-        except ValueError:  # extra cells or a non-numeric row: go row by row
-            handle.seek(0)
-            samples = np.array(_sample_rows(path, handle), dtype=float)
-    if samples.size == 0:
-        raise RepresentationError(f"{path!r}: no samples found")
+    """Samples file: single column ``x``."""
+    (samples,) = read_columns(path, ("x",))
     return samples
+
+
+def read_columns(path, names) -> tuple[np.ndarray, ...]:
+    """The numeric columns of a CSV file, one array per name in ``names``.
+
+    Rows before the first data row are headers; a row is data when its first
+    cell, stripped of quotes and whitespace, is a number.  Blank rows are
+    skipped.  A header row with more cells than ``names``, a data row with a
+    non-numeric or empty cell, a column count other than ``len(names)``, or a
+    file without data rows raises :class:`RepresentationError`.
+    """
+    expected = ",".join(names)
+    with open(path) as handle:
+        rows = filter(str.strip, handle)  # skips blank and whitespace-only rows
+        for first in rows:
+            cells = first.split(",")
+            if _is_number(cells[0].strip().strip('"')):
+                break
+            if len(cells) > len(names):
+                raise RepresentationError(
+                    f"{path!r}: expected columns {expected}, got header {first.strip()!r}")
+        else:  # checked here, since loadtxt warns on a file without data
+            raise RepresentationError(f"{path!r}: expected columns {expected}, got no data row")
+        try:
+            data = np.loadtxt(itertools.chain([first], rows), delimiter=",",
+                              comments=None, quotechar='"', ndmin=2)
+        except ValueError as err:
+            raise RepresentationError(f"{path!r}: {err}") from None
+    if data.shape[1] != len(names):
+        raise RepresentationError(
+            f"{path!r}: expected columns {expected}, got {data.shape[1]} per row")
+    return tuple(data.T)
 
 
 def _is_number(text: str) -> bool:
@@ -411,23 +443,6 @@ def _is_number(text: str) -> bool:
     except ValueError:
         return False
     return True
-
-
-def _sample_rows(path, rows) -> list[float]:
-    out = []
-    for row in rows:
-        cells = row.rstrip("\r\n").split(",")
-        if not cells[0].strip():
-            continue
-        if any(cell.strip() for cell in cells[1:]):
-            raise RepresentationError(f"{path!r}: expected a single column, got {cells!r}")
-        try:
-            out.append(float(cells[0]))
-        except ValueError:
-            if out:
-                raise RepresentationError(
-                    f"{path!r}: non-numeric sample {cells[0]!r}") from None
-    return out
 
 
 def write_density_csv(path, d: DensityObject) -> None:
@@ -444,24 +459,3 @@ def write_density_csv(path, d: DensityObject) -> None:
                 writer.writerow([i, repr(float(m))])
         else:
             raise RepresentationError("only grid and discrete densities have a file form")
-
-
-def read_two_columns(path, header_names) -> tuple[np.ndarray, np.ndarray]:
-    """The two numeric columns of a CSV; rows before the first numeric one are headers."""
-    first, second = [], []
-    with open(path, newline="") as handle:
-        for row in csv.reader(handle):
-            if not row or not row[0].strip():
-                continue
-            try:
-                a, b = float(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                if first:
-                    raise RepresentationError(f"{path!r}: malformed row {row!r}")
-                continue  # header
-            first.append(a)
-            second.append(b)
-    if not first:
-        raise RepresentationError(
-            f"{path!r}: expected columns {header_names[0]},{header_names[1]}")
-    return np.asarray(first), np.asarray(second)

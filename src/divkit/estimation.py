@@ -68,6 +68,10 @@ class OptimizerConfig:
     initial: tuple[float, float] | None = None  # (mu, sigma); default: median, IQR-based
     max_iterations: int = 2000
 
+    def __post_init__(self):
+        if self.max_iterations < 1:
+            raise DomainError(f"max_iterations must be >= 1, got {self.max_iterations}")
+
 
 @dataclass(frozen=True)
 class EstimationProblem:

@@ -22,13 +22,14 @@ certificate object recording either success or a concrete counterexample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
-from .densities import read_two_columns
+from .densities import read_columns
 from .errors import CliUsageError, DomainError, EvaluationError
 
 # Certificate grid: log-spaced over 12 decades, plus the endpoints that the
@@ -84,11 +85,11 @@ def _call_vectorized(fn: Callable, z: np.ndarray) -> np.ndarray:
 def tabulated(path) -> Callable:
     """Monotone piecewise-linear interpolant of a (z, value) CSV table.
 
-    A non-numeric first row is a header.  Outside the tabulated range the
-    boundary segments are extended linearly, which preserves monotonicity of
-    the table.
+    Header rows are read as :func:`~divkit.densities.read_columns` reads them.
+    Outside the tabulated range the boundary segments are extended linearly,
+    which preserves monotonicity of the table.
     """
-    z_tab, v_tab = read_two_columns(path, ("z", "value"))
+    z_tab, v_tab = read_columns(path, ("z", "value"))
     if z_tab.size < 2:
         raise DomainError(f"generator table {path!r} needs at least two rows")
     if np.any(np.diff(z_tab) <= 0):
@@ -176,8 +177,8 @@ def ps_eta(gamma: float) -> GeneratorEta:
 def bhd_eta(kappa: float, gamma: float) -> GeneratorEta:
     """Bridge generator; kappa=1+gamma gives dpd, kappa=1 gives ps."""
     _require_positive(gamma, "gamma")
-    if kappa < 1.0:
-        raise DomainError(f"bhd requires kappa >= 1, got {kappa}")
+    if not 1.0 <= kappa < math.inf:
+        raise DomainError(f"bhd requires finite kappa >= 1, got {kappa}")
     return GeneratorEta("bhd", gamma, kappa=kappa)
 
 
@@ -191,8 +192,8 @@ def jhhb_eta(zeta: float, gamma: float) -> GeneratorEta:
     and for zeta = 0 it degenerates to the ps generator -z**(1+gamma).
     """
     _require_positive(gamma, "gamma")
-    if zeta < 0.0:
-        raise DomainError(f"jhhb requires zeta >= 0, got {zeta}")
+    if not 0.0 <= zeta < math.inf:
+        raise DomainError(f"jhhb requires finite zeta >= 0, got {zeta}")
     return GeneratorEta("jhhb", gamma, zeta=zeta)
 
 
@@ -329,8 +330,8 @@ def power_phi(zeta: float) -> GeneratorPhi:
 
 def bdpd_phi(lam1: float, lam2: float) -> GeneratorPhi:
     """phi(z) = log(lam1 + lam2 z) / lam2, bridging identity (lam1 -> 0 scale) and log."""
-    if lam1 < 0.0:
-        raise DomainError(f"bdpd requires lam1 >= 0, got {lam1}")
+    if not 0.0 <= lam1 < math.inf:
+        raise DomainError(f"bdpd requires finite lam1 >= 0, got {lam1}")
     _require_positive(lam2, "lam2")
     return GeneratorPhi("bdpd", lam1=lam1, lam2=lam2)
 
@@ -563,5 +564,5 @@ def validate_xi(xi: GeneratorXi) -> PsiCertificate:
 
 
 def _require_positive(value: float, name: str) -> None:
-    if not value > 0.0:
-        raise DomainError(f"{name} must be > 0, got {value}")
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be finite and > 0, got {value}")

@@ -125,8 +125,8 @@ def jhhb_divergence(b: BracketTriple, zeta: float) -> float:
 
 
 def _check_zeta(zeta: float) -> None:
-    if zeta < 0.0:
-        raise DomainError(f"zeta must be >= 0, got {zeta}")
+    if not 0.0 <= zeta < math.inf:
+        raise DomainError(f"zeta must be finite and >= 0, got {zeta}")
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +160,8 @@ def equivalent_transform(s: float, tau: str, zeta: float | None = None) -> float
     ``neg_exp_neg``:  -exp(-s).
     """
     if tau == "signed_power":
-        if zeta is None or zeta <= 0.0:
-            raise DomainError(f"signed_power transform needs zeta > 0, got {zeta}")
+        if zeta is None or not 0.0 < zeta < math.inf:
+            raise DomainError(f"signed_power transform needs finite zeta > 0, got {zeta}")
         return (float(signed_power(s, zeta)) - 1.0) / zeta
     if tau == "neg_exp_neg":
         return -math.exp(-s)
@@ -204,8 +204,8 @@ class DivergenceSpec:
     def __post_init__(self):
         if self.family not in FAMILY_SLOTS:
             raise DomainError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.gamma < 0.0:
-            raise DomainError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise DomainError(f"gamma must be finite and >= 0, got {self.gamma}")
         if self.family == "xi_holder" and self.gamma == 0.0:
             raise DomainError("xi_holder requires gamma > 0")
         if self.family == "holder" and self.gamma == 0.0:

@@ -369,3 +369,64 @@ def test_sweep_with_negative_n_exits_3(capsys):
     assert run(["sweep", "--epsilons", "0,0.1", "--outlier", "6", "--n", "-5",
                 "--seed", "1", "--spec", "family=fdpd,phi=identity,gamma=0.5"]) == 3
     assert "n >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--family", "jhhb", "--zeta", "nan", "--gamma", "0.5"],
+    ["--family", "jhhb", "--zeta", "inf", "--gamma", "0.5"],
+    ["--family", "fdpd", "--phi", "identity", "--gamma", "inf"],
+    ["--family", "holder", "--eta", "dpd", "--gamma", "nan"],
+], ids=["zeta-nan", "zeta-inf", "gamma-inf", "gamma-nan"])
+def test_compute_with_a_non_finite_parameter_exits_3(density_files, flags, capsys, tmp_path):
+    g, f = density_files
+    out = tmp_path / "r.json"
+    assert run(["compute", *flags, "--g", g, "--f", f, "--out", str(out)]) == 3
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_estimate_with_a_nan_zeta_exits_3(tmp_path, capsys):
+    samples_path = tmp_path / "s.csv"
+    write_samples(samples_path, [0.0, 1.0, 2.0])
+    assert run(["estimate", "--family", "jhhb", "--zeta", "nan", "--gamma", "0.5",
+                "--samples", str(samples_path)]) == 3
+    assert "zeta must be finite" in capsys.readouterr().err
+
+
+def test_verify_with_a_nan_zeta_exits_3(capsys):
+    assert run(["verify", "--theorem", "jhhb-representation", "--zeta", "nan",
+                "--gamma", "0.5", "--trials", "3", "--seed", "1"]) == 3
+    assert "finite zeta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("command", ["estimate", "sweep"])
+def test_max_iterations_below_one_exits_3(tmp_path, capsys, command, value):
+    samples_path = tmp_path / "s.csv"
+    write_samples(samples_path, [0.0, 1.0, 2.0])
+    args = (["estimate", "--family", "fdpd", "--phi", "identity", "--gamma", "0.5",
+             "--samples", str(samples_path)] if command == "estimate" else
+            ["sweep", "--epsilons", "0", "--outlier", "6", "--n", "50", "--seed", "1",
+             "--spec", "family=fdpd,phi=identity,gamma=0.5"])
+    assert run(args + ["--max-iterations", value]) == 3
+    assert f"max_iterations must be >= 1, got {value}" in capsys.readouterr().err
+
+
+def test_max_iterations_reaches_the_optimizer(tmp_path):
+    samples_path = tmp_path / "s.csv"
+    write_samples(samples_path, np.random.default_rng(2).standard_normal(200))
+    out = tmp_path / "fit.json"
+    args = ["estimate", "--family", "fdpd", "--phi", "identity", "--gamma", "0.5",
+            "--samples", str(samples_path), "--out", str(out)]
+    assert run(args) == 0
+    default = json.loads(out.read_text())["result"]["evaluations"]
+    run(args + ["--max-iterations", "1"])
+    payload = json.loads(out.read_text())
+    assert payload["config"]["max_iterations"] == 1
+    assert sum(payload["result"]["evaluations"]) < sum(default)
+
+
+def test_sweep_without_epsilons_exits_3(capsys):
+    assert run(["sweep", "--epsilons", ",", "--outlier", "6", "--seed", "1",
+                "--spec", "family=fdpd,phi=identity,gamma=0.5"]) == 3
+    assert "--epsilons needs at least one value" in capsys.readouterr().err

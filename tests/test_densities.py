@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from divkit import (
     scale_values,
     write_density_csv,
 )
+from divkit.densities import read_columns
+from divkit.generators import eta_from_table
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -83,6 +86,53 @@ def test_gamma_zero_brackets_grid_match_gaussian(gaussian_pair):
     assert quad.L == pytest.approx(exact.L, abs=1e-6)
     assert quad.X == pytest.approx(1.0, abs=1e-8)
     assert quad.cross == pytest.approx(exact.cross, abs=1e-6)
+
+
+LOG_2PI, LOG_2PIE = math.log(2.0 * math.pi), math.log(2.0 * math.pi * math.e)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("g, f, ll, cross, rel", [
+    # sigma**2 underflows to 0 in the KL and in the entropy
+    (GaussianDensity(0.0, 1e-200), GaussianDensity(0.0, 1e-200),
+     0.0, -0.5 * LOG_2PIE + 200.0 * math.log(10.0), 1e-15),
+    (GaussianDensity(0.0, 1e-170), GaussianDensity(0.0, 1.0),
+     170.0 * math.log(10.0) - 0.5, -0.5 * LOG_2PI, 1e-15),
+    # sigma**2 and delta**2 overflow
+    (GaussianDensity(1e200, 1e200), GaussianDensity(0.0, 1e200),
+     0.5, -0.5 * LOG_2PI - 200.0 * math.log(10.0) - 1.0, 1e-15),
+    # g/f overflows
+    (DiscreteDensity([1.0]), DiscreteDensity([1e-320]),
+     -math.log(1e-320), math.log(1e-320), 1e-15),
+    # g/f underflows to 0; the results are subnormal
+    (DiscreteDensity([1e-320]), DiscreteDensity([1e10]),
+     1e-320 * (math.log(1e-320) - math.log(1e10)), 1e-320 * math.log(1e10), 1e-2),
+], ids=["gaussian-tiny-sigma", "gaussian-tiny-against-unit", "gaussian-huge",
+        "discrete-ratio-overflow", "discrete-ratio-underflow"])
+def test_gamma_zero_log_integrals_at_extreme_scales(g, f, ll, cross, rel):
+    b = bracket_integrals(g, f, 0.0)
+    assert b.L == pytest.approx(ll, rel=rel, abs=0.0)
+    assert b.cross == pytest.approx(cross, rel=rel)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gamma_zero_log_integrals_out_of_float_range_raise_domain_error():
+    with pytest.raises(DomainError, match="float range"):
+        bracket_integrals(GaussianDensity(0.0, 1e200), GaussianDensity(0.0, 1e-200), 0.0)
+
+
+def test_gamma_zero_log_integrals_in_range_keep_their_formula():
+    g, f = GaussianDensity(0.3, 0.7, 2.0), GaussianDensity(-0.2, 1.3, 0.5)
+    b = bracket_integrals(g, f, 0.0)
+    delta = 0.3 - -0.2
+    kl = math.log(1.3 / 0.7) + (0.7**2 + delta**2) / (2.0 * 1.3**2) - 0.5
+    ll = 2.0 * (math.log(2.0 / 0.5) + kl)
+    entropy = 0.5 * math.log(2.0 * math.pi * math.e * 0.7**2)
+    assert (b.L, b.cross) == (ll, (2.0 * math.log(2.0) - 2.0 * entropy) - ll)
+    gv, fv = np.array([0.2, 0.0, 0.8]), np.array([0.5, 0.25, 0.25])
+    b = bracket_integrals(DiscreteDensity(gv), DiscreteDensity(fv), 0.0)
+    ll = (gv[[0, 2]] * np.log(gv[[0, 2]] / fv[[0, 2]])).sum()
+    assert (b.L, b.cross) == (ll, (gv[[0, 2]] * np.log(gv[[0, 2]])).sum() - ll)
 
 
 def test_gamma_zero_support_error():
@@ -215,6 +265,15 @@ def test_empirical_rejects_bad_input(gaussian_pair):
         empirical_brackets([0.0], g, -0.5)
 
 
+@pytest.mark.parametrize("gamma", [-0.5, math.nan, math.inf])
+def test_brackets_reject_a_gamma_out_of_range(gaussian_pair, gamma):
+    g, f = gaussian_pair
+    with pytest.raises(DomainError, match="finite"):
+        bracket_integrals(g, f, gamma)
+    with pytest.raises(DomainError, match="finite"):
+        empirical_brackets([0.0], f, gamma)
+
+
 def test_density_value_grid_interpolates():
     f = GridDensity(0.0, 1.0, np.array([0.0, 1.0, 0.0]))
     assert density_value(f, 0.5) == pytest.approx(0.5)
@@ -264,22 +323,98 @@ def test_samples_csv(tmp_path):
 
 def test_samples_csv_skips_header_rows_and_blank_rows(tmp_path):
     path = tmp_path / "s.csv"
-    path.write_text("# samples\nx\n\n0.5\n  \n-1.25,\n,7\n2e3\n")
-    assert np.array_equal(read_samples_csv(path), [0.5, -1.25, 2000.0])
+    path.write_text("# samples\nx\n\n0.5\n  \n2e3\n")
+    assert np.array_equal(read_samples_csv(path), [0.5, 2000.0])
 
 
 @pytest.mark.parametrize("text, message", [
-    ("x\n0.5,1.0\n", "expected a single column, got \\['0.5', '1.0'\\]"),
-    ("x,y\n0.5\n", "expected a single column"),
-    ("x\n0.5\nabc\n", "non-numeric sample 'abc'"),
-    ("x\n\n", "no samples found"),
-    ("", "no samples found"),
-])
+    ("x\n0.5,1.0\n", "expected columns x, got 2 per row"),
+    ("x,y\n0.5\n", "expected columns x, got header 'x,y'"),
+    ("x\n0.5\nabc\n", "could not convert string 'abc'"),
+    ("x\n\n", "expected columns x, got no data row"),
+    ("", "expected columns x, got no data row"),
+    ("x\n0.5\n-1.25,\n", "number of columns changed from 1 to 2 at row 2"),
+    ("x\n-1.25,\n", "could not convert string '' to float64 at row 0, column 2"),
+    ("x\n0.5\n,7\n", "number of columns changed from 1 to 2 at row 2"),
+], ids=["two-cells", "wide-header", "non-numeric", "header-only", "empty",
+        "trailing-empty-cell", "first-row-trailing-empty-cell", "blank-first-cell"])
 def test_samples_csv_rejections(tmp_path, text, message):
     path = tmp_path / "s.csv"
     path.write_text(text)
     with pytest.raises(RepresentationError, match=message):
         read_samples_csv(path)
+
+
+# the column names of each file kind
+FILE_KINDS = {
+    "grid": ("x", "value"),
+    "discrete": ("index", "mass"),
+    "samples": ("x",),
+    "table": ("z", "value"),
+}
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(FILE_KINDS)),
+       rows=st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=20),
+       fmt=st.sampled_from(["{!r}", "{:.17g}"]),
+       newline=st.sampled_from(["\n", "\r\n"]),
+       headers=st.integers(0, 2),
+       blanks=st.lists(st.sampled_from(["", "  ", "\t"]), max_size=3))
+def test_read_columns_gives_the_floats_of_the_written_text(tmp_path_factory, kind, rows,
+                                                          fmt, newline, headers, blanks):
+    names = FILE_KINDS[kind]
+    cells = [[fmt.format(v) for v in row[:len(names)]] for row in rows]
+    lines = ["# written by a test", ",".join(names)][2 - headers:]
+    lines += blanks + [",".join(row) for row in cells]
+    lines.insert(len(lines) // 2 + 1, "")  # a blank row among the data
+    path = tmp_path_factory.mktemp("files") / f"{kind}.csv"
+    with open(path, "w", newline="") as handle:
+        handle.write(newline.join(lines) + newline)
+    columns = read_columns(path, names)
+    assert len(columns) == len(names)
+    for j, column in enumerate(columns):
+        expected = np.array([float(row[j]) for row in cells])
+        assert column.tobytes() == expected.tobytes()
+
+
+THIRD_COLUMN = {
+    "grid": (read_grid_csv, "x,value\n0,1{}\n1,1{}\n"),
+    "discrete": (read_discrete_csv, "index,mass\n0,0.5{}\n1,0.5{}\n"),
+    "table": (lambda path: eta_from_table(path, gamma=1.0), "z,value\n0,0{}\n1,1{}\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(THIRD_COLUMN))
+@pytest.mark.parametrize("cells, message", [
+    (("", ",99"), "number of columns changed from 2 to 3"),
+    ((",99", ",99"), "expected columns .*, got 3 per row"),
+], ids=["one-row", "every-row"])
+def test_a_third_column_is_rejected(tmp_path, kind, cells, message):
+    read, template = THIRD_COLUMN[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(template.format(*cells))
+    with pytest.raises(RepresentationError, match=message):
+        read(path)
+
+
+def test_a_quoted_first_data_row_is_data(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_text('"x","value"\n"0.0","0.5"\n1.0,0.25\n')
+    back = read_grid_csv(path)
+    assert (back.x0, back.dx, back.values.tolist()) == (0.0, 1.0, [0.5, 0.25])
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n", "x,value\n", "x,value\n\n# no rows\n"],
+                         ids=["empty", "blank", "header-only", "headers-and-blanks"])
+def test_a_file_without_data_rows_raises_without_a_warning(tmp_path, text):
+    path = tmp_path / "grid.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RepresentationError, match="got no data row"):
+            read_grid_csv(path)
 
 
 def test_grid_csv_rejects_uneven_spacing(tmp_path):
