@@ -26,7 +26,7 @@ never as free triples, so Hoelder feasibility holds by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,6 +60,9 @@ from .scores import (
 )
 
 STRICT_CONVEXITY_TOL = 1e-11
+# every random discrete density has RANDOM_ATOMS masses drawn from [low, RANDOM_MASS_HIGH)
+RANDOM_ATOMS = 8
+RANDOM_MASS_HIGH = 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -67,25 +70,23 @@ STRICT_CONVEXITY_TOL = 1e-11
 # ---------------------------------------------------------------------------
 
 
-def random_discrete_density(rng: np.random.Generator, atoms: int = 8,
-                            low: float = 0.05, high: float = 3.0,
+def random_discrete_density(rng: np.random.Generator, low: float = 0.05,
                             normalize: bool = False) -> DiscreteDensity:
-    masses = rng.uniform(low, high, atoms)
+    masses = rng.uniform(low, RANDOM_MASS_HIGH, RANDOM_ATOMS)
     if normalize:
         masses = masses / masses.sum()
     return DiscreteDensity(masses)
 
 
-def random_discrete_pair(rng: np.random.Generator, atoms: int = 8,
-                         low: float = 0.05, high: float = 3.0,
+def random_discrete_pair(rng: np.random.Generator, low: float = 0.05,
                          normalize: bool = False):
-    return (random_discrete_density(rng, atoms, low, high, normalize),
-            random_discrete_density(rng, atoms, low, high, normalize))
+    return (random_discrete_density(rng, low, normalize),
+            random_discrete_density(rng, low, normalize))
 
 
-def random_brackets(rng: np.random.Generator, gamma: float, atoms: int = 8,
-                    low: float = 0.05, high: float = 3.0) -> BracketTriple:
-    g, f = random_discrete_pair(rng, atoms, low, high)
+def random_brackets(rng: np.random.Generator, gamma: float,
+                    low: float = 0.05) -> BracketTriple:
+    g, f = random_discrete_pair(rng, low)
     return bracket_integrals(g, f, gamma)
 
 
@@ -98,13 +99,38 @@ def _require_trials(trials: int) -> None:
         raise DomainError(f"trials must be >= 1, got {trials}")
 
 
+@dataclass(frozen=True)
+class CheckReport:
+    """The one JSON shape of every ``divkit verify`` report.
+
+    ``trials``, ``seed`` and ``passed`` (written ``pass``) go to the top level,
+    the fields named in ``PARAMETERS`` under ``parameters``, and every other
+    field under ``worst_case``, with the entries of a ``worst`` dict merged in.
+    """
+
+    THEOREM = ""  # set by each report; unannotated, so not dataclass fields
+    PARAMETERS = ()
+
+    def to_report(self) -> dict:
+        placed = {"trials", "seed", "passed", "worst", *self.PARAMETERS}
+        rest = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in placed}
+        return {
+            "theorem": self.THEOREM,
+            "parameters": {name: getattr(self, name) for name in self.PARAMETERS},
+            "trials": self.trials,
+            "seed": self.seed,
+            "worst_case": dict(getattr(self, "worst", {}), **rest),
+            "pass": self.passed,
+        }
+
+
 # ---------------------------------------------------------------------------
 # affine invariance
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(CheckReport):
     """Worst relative deviation of h * D(transformed) from D(original).
 
     The violation is measured against the predicted scale h, not against a
@@ -113,10 +139,12 @@ class InvarianceReport:
     is free of any assumed h.
     """
 
+    THEOREM = "affine-invariance"
+    PARAMETERS = ("gamma", "zeta", "characterized")
+
     gamma: float
     zeta: float | None
     trials: int
-    used: int
     skipped: int
     seed: int
     max_relative_violation: float
@@ -125,19 +153,9 @@ class InvarianceReport:
     characterized: bool
     passed: bool
 
-    def to_report(self) -> dict:
-        return {
-            "theorem": "affine-invariance",
-            "parameters": {"gamma": self.gamma, "zeta": self.zeta,
-                           "characterized": self.characterized},
-            "trials": self.trials,
-            "seed": self.seed,
-            "worst_case": dict(self.worst,
-                               max_relative_violation=self.max_relative_violation,
-                               predicted_scale=self.predicted_scale,
-                               skipped=self.skipped),
-            "pass": self.passed,
-        }
+    @property
+    def used(self) -> int:
+        return self.trials - self.skipped
 
 
 def _render_pair(rng, representation, grid_points):
@@ -185,7 +203,7 @@ def check_affine_invariance(phi: GeneratorPhi, gamma: float, trials: int, seed: 
     worst = {"sigma": None, "mu": None, "ratio": None}
     worst_violation = -1.0
     predicted_at_worst = None
-    used = skipped = 0
+    skipped = 0
 
     for _ in range(trials):
         pairs = [_render_pair(rng, representation, grid_points)]
@@ -208,7 +226,6 @@ def check_affine_invariance(phi: GeneratorPhi, gamma: float, trials: int, seed: 
         if degenerate:
             skipped += 1
             continue
-        used += 1
 
         if zeta is not None:
             h = abs(sigma_t) ** (-gamma * zeta) if gamma > 0.0 else abs(sigma_t) ** (-zeta)
@@ -224,7 +241,7 @@ def check_affine_invariance(phi: GeneratorPhi, gamma: float, trials: int, seed: 
             worst = {"sigma": sigma_t, "mu": mu_t, "ratio": float(ratio)}
 
     passed = worst_violation <= tolerance
-    return InvarianceReport(gamma, zeta, trials, used, skipped, seed,
+    return InvarianceReport(gamma, zeta, trials, skipped, seed,
                             float(worst_violation), predicted_at_worst, worst,
                             zeta is not None, passed)
 
@@ -235,24 +252,17 @@ def check_affine_invariance(phi: GeneratorPhi, gamma: float, trials: int, seed: 
 
 
 @dataclass(frozen=True)
-class RepresentationReport:
+class RepresentationReport(CheckReport):
+    THEOREM = "jhhb-representation"
+    PARAMETERS = ("zeta", "gamma")
+
     zeta: float
     gamma: float
     trials: int
     seed: int
     max_abs_error: float
-    worst_bracket: dict
+    worst: dict
     passed: bool
-
-    def to_report(self) -> dict:
-        return {
-            "theorem": "jhhb-representation",
-            "parameters": {"zeta": self.zeta, "gamma": self.gamma},
-            "trials": self.trials,
-            "seed": self.seed,
-            "worst_case": dict(self.worst_bracket, max_abs_error=self.max_abs_error),
-            "pass": self.passed,
-        }
 
 
 def verify_jhhb_holder_representation(zeta: float, gamma: float, trials: int,
@@ -290,44 +300,40 @@ def verify_jhhb_holder_representation(zeta: float, gamma: float, trials: int,
 
 
 @dataclass(frozen=True)
-class LowerBoundReport:
+class LowerBoundReport(CheckReport):
     """Worst signed gap of score - bound over random brackets (>= 0 expected)."""
 
+    THEOREM = "fdps-lower-bound"
+    PARAMETERS = ("gamma", "phi", "bound_is_fdps")
+
     gamma: float
-    phi_label: str
+    phi: str
     trials: int
-    valid_trials: int
     invalid_trials: int
     seed: int
-    holds: bool
+    passed: bool
     worst_gap: float
     tight_at: dict | None
     bound_is_fdps: bool
 
-    def to_report(self) -> dict:
-        return {
-            "theorem": "fdps-lower-bound",
-            "parameters": {"gamma": self.gamma, "phi": self.phi_label,
-                           "bound_is_fdps": self.bound_is_fdps},
-            "trials": self.trials,
-            "seed": self.seed,
-            "worst_case": {"worst_gap": self.worst_gap, "tight_at": self.tight_at,
-                           "invalid_trials": self.invalid_trials},
-            "pass": self.holds,
-        }
+    @property
+    def valid_trials(self) -> int:
+        return self.trials - self.invalid_trials
+
+    @property
+    def holds(self) -> bool:  # the name tests/test_acceptance.py reads
+        return self.passed
 
 
 def check_fdps_lower_bound(phi: GeneratorPhi, gamma: float, trials: int, seed: int,
-                           atoms: int = 8, mass_low: float = 0.8,
-                           mass_high: float = 3.0,
                            tolerance: float = 1e-12) -> LowerBoundReport:
     """Check gamma phi(Y) - (1+gamma) phi(X) >= -phi(X)**(1+gamma)/phi(Y)**gamma.
 
     Trials where phi is nonpositive at a bracket (so log phi is undefined)
-    are counted invalid and skipped; the default mass range keeps brackets
-    above 1 so power-kind generators stay positive.  The report also states
-    whether the bound is itself a valid score, i.e. whether log phi(e^z)
-    passes the psi certificate.
+    are counted invalid and skipped; masses drawn from [0.8, 3.0) keep
+    brackets above 1 so power-kind generators stay positive.  The report also
+    states whether the bound is itself a valid score, i.e. whether
+    log phi(e^z) passes the psi certificate.
     """
     if not gamma > 0.0:
         raise DomainError("the lower-bound check requires gamma > 0")
@@ -336,14 +342,13 @@ def check_fdps_lower_bound(phi: GeneratorPhi, gamma: float, trials: int, seed: i
     worst_gap = math.inf
     tight_gap = math.inf
     tight_at = None
-    invalid = valid = 0
+    invalid = 0
     for _ in range(trials):
-        b = random_brackets(rng, gamma, atoms, mass_low, mass_high)
+        b = random_brackets(rng, gamma, low=0.8)
         phi_x, phi_y = phi(b.X), phi(b.Y)
         if not (phi_x > 0.0 and phi_y > 0.0):
             invalid += 1
             continue
-        valid += 1
         lhs = fdp_score(b, phi)
         rhs = -math.exp(-(gamma * math.log(phi_y) - (1.0 + gamma) * math.log(phi_x)))
         gap = lhs - rhs
@@ -363,8 +368,8 @@ def check_fdps_lower_bound(phi: GeneratorPhi, gamma: float, trials: int, seed: i
 
     if tight_gap > 1e-9:
         tight_at = None
-    holds = valid > 0 and worst_gap >= -tolerance
-    return LowerBoundReport(gamma, phi.label(), trials, valid, invalid, seed,
+    holds = invalid < trials and worst_gap >= -tolerance
+    return LowerBoundReport(gamma, phi.label(), trials, invalid, seed,
                             holds, float(worst_gap), tight_at, bound_is_fdps)
 
 
@@ -374,22 +379,20 @@ def check_fdps_lower_bound(phi: GeneratorPhi, gamma: float, trials: int, seed: i
 
 
 @dataclass(frozen=True)
-class UvConsistencyReport:
+class UvConsistencyReport(CheckReport):
+    THEOREM = "uv-consistency"
+    PARAMETERS = ("gamma", "xi")
+    seed = None
+
     gamma: float
-    xi_label: str
-    densities: int
+    xi: str
+    trials: int
     max_abs_error: float
     passed: bool
 
-    def to_report(self) -> dict:
-        return {
-            "theorem": "uv-consistency",
-            "parameters": {"gamma": self.gamma, "xi": self.xi_label},
-            "trials": self.densities,
-            "seed": None,
-            "worst_case": {"max_abs_error": self.max_abs_error},
-            "pass": self.passed,
-        }
+    @property
+    def densities(self) -> int:  # the name bench/tracing.py reads
+        return self.trials
 
 
 def check_uv_consistency(xi: GeneratorXi, gamma: float,
@@ -427,34 +430,27 @@ def check_uv_consistency(xi: GeneratorXi, gamma: float,
 
 
 @dataclass(frozen=True)
-class EqualityProbeReport:
+class EqualityProbeReport(CheckReport):
     """Divergence of the scaled pair g = c**(1/(1+gamma)) f against f.
 
     Expected zero exactly when psi is affine on the segment between
     log <g**(1+gamma)> and log <f**(1+gamma)> (or trivially when c = 1);
-    ``consistent`` records whether the observed value matches that
-    expectation.
+    ``passed`` records whether the observed value matches that
+    expectation.  The probe is one deterministic trial.
     """
+
+    THEOREM = "equality-conditions"
+    PARAMETERS = ("gamma", "c", "phi")
+    trials = 1
+    seed = None
 
     gamma: float
     c: float
-    phi_label: str
+    phi: str
     D_value: float
     psi_strictly_convex: bool
     segment: tuple[float, float]
-    consistent: bool
-
-    def to_report(self) -> dict:
-        return {
-            "theorem": "equality-conditions",
-            "parameters": {"gamma": self.gamma, "c": self.c, "phi": self.phi_label},
-            "trials": 1,
-            "seed": None,
-            "worst_case": {"D_value": self.D_value,
-                           "psi_strictly_convex": self.psi_strictly_convex,
-                           "segment": list(self.segment)},
-            "pass": self.consistent,
-        }
+    passed: bool
 
 
 def equality_condition_probe(phi: GeneratorPhi, gamma: float, f: DensityObject,
@@ -475,11 +471,10 @@ def equality_condition_probe(phi: GeneratorPhi, gamma: float, f: DensityObject,
                                strictly_convex, (lo, hi), consistent)
 
 
-def _strictly_convex_on(phi: GeneratorPhi, lo: float, hi: float,
-                        samples: int = 101) -> bool:
+def _strictly_convex_on(phi: GeneratorPhi, lo: float, hi: float) -> bool:
     if hi - lo < 1e-15:
         return False  # degenerate segment: convexity is vacuous
-    ts = np.linspace(lo, hi, samples)
+    ts = np.linspace(lo, hi, 101)
     step = np.maximum(1e-4, 1e-4 * np.abs(ts))
     second = phi.psi(ts + step) - 2.0 * phi.psi(ts) + phi.psi(ts - step)
     return bool(np.min(second) > STRICT_CONVEXITY_TOL)

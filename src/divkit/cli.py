@@ -7,7 +7,8 @@ output for identical configs.  Exit codes are contract, not decoration:
 * 1 -- ``verify`` found a counterexample (expected for invalid inputs)
 * 2 -- a generator failed its validity certificate, or an improper score
        was requested
-* 3 -- file, format or flag errors
+* 3 -- file, format or flag errors, and a score, divergence or bracket
+       integral that leaves float range
 * 4 -- a fit did not converge: for ``estimate``, the optimizer failed from
        every start or sigma ended on its floor (degenerate samples, such as
        all-equal values or n = 1); for ``sweep``, no row converged
@@ -305,10 +306,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except CliUsageError as err:
-        print(f"divkit: {err}", file=sys.stderr)
-        return 3
+        # an overflow or an invalid operation in numpy gives inf or NaN, which
+        # the range checks turn into DomainError; numpy's warning would only
+        # repeat that on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except GeneratorValidityError as err:
         print(f"divkit: {err}", file=sys.stderr)
         return 2

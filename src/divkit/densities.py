@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -137,11 +138,12 @@ class BracketTriple:
 def _check_nonnegative(arr: np.ndarray, name: str) -> None:
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError(f"{name} must be a nonempty 1-D array")
-    if not np.all(np.isfinite(arr)):
+    low, high = arr.min(), arr.max()
+    if not -math.inf < low <= high < math.inf:  # a NaN makes both NaN
         raise DomainError(f"{name} must be finite")
-    if np.any(arr < 0.0):
+    if low < 0.0:
         raise DomainError(f"{name} must be nonnegative")
-    if not np.any(arr > 0.0):
+    if not high > 0.0:
         raise DomainError(f"{name} must not be identically zero")
 
 
@@ -418,10 +420,9 @@ def read_columns(path, names) -> tuple[np.ndarray, ...]:
     with open(path) as handle:
         rows = filter(str.strip, handle)  # skips blank and whitespace-only rows
         for first in rows:
-            cells = first.split(",")
-            if _is_number(cells[0].strip().strip('"')):
+            if _is_data(first):
                 break
-            if len(cells) > len(names):
+            if len(first.split(",")) > len(names):
                 raise RepresentationError(
                     f"{path!r}: expected columns {expected}, got header {first.strip()!r}")
         else:  # checked here, since loadtxt warns on a file without data
@@ -430,19 +431,45 @@ def read_columns(path, names) -> tuple[np.ndarray, ...]:
             data = np.loadtxt(itertools.chain([first], rows), delimiter=",",
                               comments=None, quotechar='"', ndmin=2)
         except ValueError as err:
-            raise RepresentationError(f"{path!r}: {err}") from None
+            raise RepresentationError(f"{path!r}: {_at_file_line(path, err)}") from None
     if data.shape[1] != len(names):
         raise RepresentationError(
             f"{path!r}: expected columns {expected}, got {data.shape[1]} per row")
     return tuple(data.T)
 
 
-def _is_number(text: str) -> bool:
+def _is_data(row: str) -> bool:
+    """A data row: its first cell, stripped of quotes and whitespace, is a number."""
     try:
-        float(text)
+        float(row.split(",", 1)[0].strip().strip('"'))
     except ValueError:
         return False
     return True
+
+
+# numpy counts the data rows it was given, from 0 in a bad-cell message and
+# from 1 in a column-count one
+_NUMPY_ROW = re.compile(r" at row (\d+)(, column \d+)?")
+
+
+def _at_file_line(path, err: ValueError) -> str:
+    """numpy's loadtxt message, with its data row given as a 1-based file line.
+
+    The file is read again to count its header and blank lines; this runs
+    on the error path only.
+    """
+    text = str(err)
+    match = _NUMPY_ROW.search(text)
+    if match is None:
+        return text
+    data_row = int(match[1]) - (match[2] is None)
+    with open(path) as handle:
+        lines = ((number, row) for number, row in enumerate(handle, 1) if row.strip())
+        body = itertools.dropwhile(lambda line: not _is_data(line[1]), lines)
+        line = next(itertools.islice(body, data_row, None), None)
+    if line is None:
+        return text
+    return f"{text[:match.start()]} at line {line[0]}{match[2] or ''}"
 
 
 def write_density_csv(path, d: DensityObject) -> None:

@@ -242,23 +242,38 @@ def _failure_message(slot: str, cert) -> str:
             f"(gap {cert.gap:.3e})")
 
 
+# each family's score and divergence, from a bracket triple and a spec
+_FORMULAS = {
+    "holder": (lambda b, s: holder_score(b, s.eta), lambda b, s: holder_divergence(b, s.eta)),
+    "fdpd": (lambda b, s: fdp_score(b, s.phi), lambda b, s: fdp_divergence(b, s.phi)),
+    "jhhb": (lambda b, s: jhhb_score(b, s.zeta), lambda b, s: jhhb_divergence(b, s.zeta)),
+    "xi_holder": (lambda b, s: xi_holder_score(b, s.eta, s.xi),
+                  lambda b, s: xi_holder_divergence(b, s.eta, s.xi)),
+}
+
+
 def score(b: BracketTriple, spec: DivergenceSpec) -> float:
-    """Evaluate the family's composite score on a bracket triple."""
-    if spec.family == "holder":
-        return holder_score(b, spec.eta)
-    if spec.family == "fdpd":
-        return fdp_score(b, spec.phi)
-    if spec.family == "jhhb":
-        return jhhb_score(b, spec.zeta)
-    return xi_holder_score(b, spec.eta, spec.xi)
+    """Evaluate the family's composite score on a bracket triple (see _evaluate)."""
+    return _evaluate(0, b, spec)
 
 
 def divergence(b: BracketTriple, spec: DivergenceSpec) -> float:
-    """Evaluate the family's divergence on a bracket triple."""
-    if spec.family == "holder":
-        return holder_divergence(b, spec.eta)
-    if spec.family == "fdpd":
-        return fdp_divergence(b, spec.phi)
-    if spec.family == "jhhb":
-        return jhhb_divergence(b, spec.zeta)
-    return xi_holder_divergence(b, spec.eta, spec.xi)
+    """Evaluate the family's divergence on a bracket triple (see _evaluate)."""
+    return _evaluate(1, b, spec)
+
+
+def _evaluate(which: int, b: BracketTriple, spec: DivergenceSpec) -> float:
+    """The family's score (0) or divergence (1), in the extended codomain.
+
+    +-inf passes.  A formula that raises ArithmeticError or returns NaN
+    leaves float range and raises DomainError: an overflow raises in Python
+    floats, and gives an inf in numpy that inf - inf turns into NaN.
+    """
+    try:
+        value = _FORMULAS[spec.family][which](b, spec)
+    except ArithmeticError:
+        value = math.nan
+    if value != value:
+        kind = ("score", "divergence")[which]
+        raise DomainError(f"the {spec.family} {kind} leaves float range at gamma={b.gamma}")
+    return value

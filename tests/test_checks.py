@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
 from divkit import (
+    DiscreteDensity,
     DomainError,
     GaussianDensity,
     affine_transform,
     bracket_integrals,
+    custom_phi,
     exp_minus_one_phi,
     fdp_divergence,
     identity_phi,
@@ -162,7 +165,7 @@ def test_equality_probe_affine_lift_gives_zero(discrete_pair):
     report = equality_condition_probe(log_phi(), 1.0, f, c=2.0)
     assert abs(report.D_value) <= 1e-10
     assert not report.psi_strictly_convex
-    assert report.consistent
+    assert report.passed
 
 
 def test_equality_probe_strictly_convex_lift_is_positive(discrete_pair):
@@ -171,7 +174,7 @@ def test_equality_probe_strictly_convex_lift_is_positive(discrete_pair):
     report = equality_condition_probe(identity_phi(), 1.0, f, c=2.0)
     assert report.D_value == pytest.approx(0.68 * (3.0 - 2.0 * math.sqrt(2.0)), abs=1e-9)
     assert report.psi_strictly_convex
-    assert report.consistent
+    assert report.passed
 
 
 def test_equality_probe_c_one_is_zero_for_any_generator(discrete_pair):
@@ -179,7 +182,7 @@ def test_equality_probe_c_one_is_zero_for_any_generator(discrete_pair):
     for phi in (identity_phi(), power_phi(2.0), log_phi()):
         report = equality_condition_probe(phi, 1.0, f, c=1.0)
         assert abs(report.D_value) <= 1e-12
-        assert report.consistent
+        assert report.passed
 
 
 def test_equality_probe_gaussian_input():
@@ -197,3 +200,36 @@ def test_checks_are_reproducible():
     a = verify_jhhb_holder_representation(0.5, 1.0, trials=100, seed=9)
     b = verify_jhhb_holder_representation(0.5, 1.0, trials=100, seed=9)
     assert a == b
+
+
+# every theorem's report, each with a nonzero count where the check has one:
+# the lower bound's phi is nonpositive at brackets below 20
+REPORTS = {
+    "affine-invariance": lambda: check_affine_invariance(
+        exp_minus_one_phi(), 0.5, trials=20, seed=3, representation="gaussian"),
+    "jhhb-representation": lambda: verify_jhhb_holder_representation(
+        0.5, 1.0, trials=20, seed=4),
+    "fdps-lower-bound": lambda: check_fdps_lower_bound(
+        custom_phi(lambda z: np.asarray(z, float) - 20.0), 0.5, trials=50, seed=5),
+    "uv-consistency": lambda: check_uv_consistency(
+        identity_xi(), 1.0, [random_discrete_density(np.random.default_rng(6))
+                             for _ in range(4)]),
+    "equality-conditions": lambda: equality_condition_probe(
+        log_phi(), 1.0, DiscreteDensity([0.8, 0.2]), c=2.0),
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(REPORTS))
+def test_every_report_has_the_one_shape(theorem):
+    report = REPORTS[theorem]()
+    payload = report.to_report()
+    assert set(payload) == REPORT_KEYS
+    assert (payload["theorem"], payload["trials"], payload["seed"], payload["pass"]) == (
+        theorem, report.trials, report.seed, report.passed)
+    assert set(payload["parameters"]) == set(report.PARAMETERS)
+    if theorem == "affine-invariance":
+        assert report.used + report.skipped == report.trials
+    if theorem == "fdps-lower-bound":
+        assert report.invalid_trials > 0 and report.valid_trials > 0
+        assert report.valid_trials + report.invalid_trials == report.trials
+        assert payload["worst_case"]["invalid_trials"] == report.invalid_trials

@@ -430,3 +430,21 @@ def test_sweep_without_epsilons_exits_3(capsys):
     assert run(["sweep", "--epsilons", ",", "--outlier", "6", "--seed", "1",
                 "--spec", "family=fdpd,phi=identity,gamma=0.5"]) == 3
     assert "--epsilons needs at least one value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, family", [
+    (["--family", "jhhb", "--zeta", "2"], "jhhb"),
+    (["--family", "fdpd", "--phi", "power:2"], "fdpd"),
+    (["--family", "fdpd", "--phi", "exp-minus-one"], "fdpd"),
+], ids=["jhhb-zeta-2", "fdpd-power-2", "fdpd-exp-minus-one"])
+def test_compute_out_of_float_range_exits_3(tmp_path, capsys, flags, family):
+    # X = Y = Z = 1e300 are in range; the scores are not.  Warnings are errors
+    # in this suite, so numpy's overflow warning would fail the test too.
+    path = tmp_path / "big.csv"
+    path.write_text("index,mass\n0,1e150\n1,1\n")
+    out = tmp_path / "r.json"
+    assert run(["compute", *flags, "--gamma", "1", "--g", str(path), "--f", str(path),
+                "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"divkit: the {family} score leaves float range at gamma=1.0\n")
+    assert not out.exists()

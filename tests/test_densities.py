@@ -330,12 +330,12 @@ def test_samples_csv_skips_header_rows_and_blank_rows(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("x\n0.5,1.0\n", "expected columns x, got 2 per row"),
     ("x,y\n0.5\n", "expected columns x, got header 'x,y'"),
-    ("x\n0.5\nabc\n", "could not convert string 'abc'"),
+    ("x\n0.5\nabc\n", "could not convert string 'abc' to float64 at line 3, column 1$"),
     ("x\n\n", "expected columns x, got no data row"),
     ("", "expected columns x, got no data row"),
-    ("x\n0.5\n-1.25,\n", "number of columns changed from 1 to 2 at row 2"),
-    ("x\n-1.25,\n", "could not convert string '' to float64 at row 0, column 2"),
-    ("x\n0.5\n,7\n", "number of columns changed from 1 to 2 at row 2"),
+    ("x\n0.5\n-1.25,\n", "number of columns changed from 1 to 2 at line 3$"),
+    ("x\n-1.25,\n", "could not convert string '' to float64 at line 2, column 2$"),
+    ("x\n0.5\n,7\n", "number of columns changed from 1 to 2 at line 3$"),
 ], ids=["two-cells", "wide-header", "non-numeric", "header-only", "empty",
         "trailing-empty-cell", "first-row-trailing-empty-cell", "blank-first-cell"])
 def test_samples_csv_rejections(tmp_path, text, message):
@@ -388,13 +388,27 @@ THIRD_COLUMN = {
 
 @pytest.mark.parametrize("kind", sorted(THIRD_COLUMN))
 @pytest.mark.parametrize("cells, message", [
-    (("", ",99"), "number of columns changed from 2 to 3"),
+    (("", ",99"), "number of columns changed from 2 to 3 at line 3$"),
     ((",99", ",99"), "expected columns .*, got 3 per row"),
 ], ids=["one-row", "every-row"])
 def test_a_third_column_is_rejected(tmp_path, kind, cells, message):
     read, template = THIRD_COLUMN[kind]
     path = tmp_path / f"{kind}.csv"
     path.write_text(template.format(*cells))
+    with pytest.raises(RepresentationError, match=message):
+        read(path)
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (read_grid_csv, "x,value\n0,1\n\n1,abc\n", "'abc' to float64 at line 4, column 2$"),
+    (read_discrete_csv, "# masses\nindex,mass\n\n0,0.5\n  \n1,0.5,9\n",
+     "number of columns changed from 2 to 3 at line 6$"),
+    (read_samples_csv, "# c\nx\n\n0.5\n\n\nabc\n", "'abc' to float64 at line 7, column 1$"),
+    (read_samples_csv, "x\n\n0.5\n\n,7\n", "number of columns changed from 1 to 2 at line 5$"),
+], ids=["grid-cell", "discrete-columns", "samples-cell", "samples-columns"])
+def test_reader_errors_name_the_file_line(tmp_path, read, text, message):
+    path = tmp_path / "f.csv"
+    path.write_text(text)
     with pytest.raises(RepresentationError, match=message):
         read(path)
 
@@ -496,3 +510,20 @@ def test_empirical_gamma_zero_bracket():
     assert b.L is None and b.Z is None
     with pytest.raises(DomainError):
         holder_divergence(b, None)
+
+
+@pytest.mark.parametrize("masses, message", [
+    ([math.nan], "finite"),
+    ([-math.inf, 1.0], "finite"),
+    ([1.0, math.inf], "finite"),
+    ([math.nan, -1.0], "finite"),
+    ([-1.0, math.nan], "finite"),
+    ([2.0, -1.0], "nonnegative"),
+    ([0.0, 0.0], "identically zero"),
+    ([-0.0], "identically zero"),
+    ([], "nonempty 1-D"),
+    ([[1.0]], "nonempty 1-D"),
+])
+def test_density_validation_order(masses, message):
+    with pytest.raises(DomainError, match=message):
+        DiscreteDensity(masses)

@@ -357,3 +357,28 @@ def test_strict_propriety_for_certified_xi(rng):
     b_gg = bracket_integrals(g, g, 1.0)
     assert (xi_holder_score(b_gf, ps_eta(1.0), concave)
             < xi_holder_score(b_gg, ps_eta(1.0), concave) - 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the dispatch stays in the extended codomain
+# ---------------------------------------------------------------------------
+
+
+def test_dispatch_keeps_infinite_values():
+    # disjoint supports: X = <g f**gamma> = 0, and log phi(0) = -inf
+    b = bracket_integrals(DiscreteDensity([1.0, 0.0]), DiscreteDensity([0.0, 1.0]), 0.5)
+    spec = DivergenceSpec("fdpd", 0.5, phi=log_phi())
+    assert score(b, spec) == math.inf
+    assert divergence(b, spec) == math.inf
+
+
+@pytest.mark.parametrize("spec", [
+    DivergenceSpec("jhhb", 1.0, zeta=2.0),  # OverflowError in Python floats
+    DivergenceSpec("fdpd", 1.0, phi=power_phi(2.0)),  # inf - inf in numpy
+], ids=["jhhb-zeta-2", "fdpd-power-2"])
+def test_dispatch_out_of_float_range_raises_domain_error(spec):
+    b = BracketTriple(1e300, 1e300, 1e300, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for evaluate in (score, divergence):
+            with pytest.raises(DomainError, match="leaves float range at gamma=1.0"):
+                evaluate(b, spec)
