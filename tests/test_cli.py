@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import divkit
 from divkit import DiscreteDensity, GaussianDensity, gaussian_grid, write_density_csv
 from divkit.cli import main
 
@@ -18,6 +23,18 @@ def density_files(tmp_path):
 
 def run(args):
     return main(args)
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    # numpy is the only runtime dependency; scipy's import time and shared
+    # libraries would otherwise land on every command
+    src = str(Path(divkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, divkit.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from divkit import (
+    BracketTriple,
     DivergenceSpec,
     DomainError,
     EstimationProblem,
@@ -26,7 +27,13 @@ from divkit import (
     ps_eta,
     score,
 )
-from divkit.estimation import START_OFFSETS, SWEEP_HEADER, gaussian_objective
+from divkit.estimation import (
+    SIGMA_FLOOR,
+    START_OFFSETS,
+    SWEEP_HEADER,
+    gaussian_objective,
+    minimize,
+)
 
 MLE = DivergenceSpec("fdpd", 0.0, phi=identity_phi())
 DPD_HALF = DivergenceSpec("fdpd", 0.5, phi=identity_phi())
@@ -143,7 +150,7 @@ def test_objective_matches_the_empirical_score(spec, mu, sigma):
         return empirical_score(samples, GaussianDensity(m, math.exp(u)), spec)
 
     u, h = math.log(sigma), 1e-5
-    value, d_mu, d_u = objective(mu, u)
+    value, (d_mu, d_u), _ = objective(mu, u)
     assert value == pytest.approx(reference(mu, u), rel=1e-12, abs=1e-14)
     fd_mu = (reference(mu + h, u) - reference(mu - h, u)) / (2 * h)
     fd_u = (reference(mu, u + h) - reference(mu, u - h)) / (2 * h)
@@ -155,9 +162,10 @@ def test_objective_matches_the_empirical_score(spec, mu, sigma):
 def test_objective_is_flat_in_log_sigma_below_the_floor():
     samples = seeded_contaminated(n=200)
     objective = gaussian_objective(samples, DPD_HALF, 1e-3)
-    below = objective(0.1, math.log(1e-5))
-    assert below[2] == 0.0
-    assert below[:2] == objective(0.1, math.log(1e-3))[:2]
+    value, (d_mu, d_u), ((h_mm, h_mu), (h_um, h_uu)) = objective(0.1, math.log(1e-5))
+    at_floor = objective(0.1, math.log(1e-3))
+    assert d_u == h_mu == h_um == h_uu == 0.0
+    assert (value, d_mu, h_mm) == (at_floor[0], at_floor[1][0], at_floor[2][0][0])
 
 
 def test_objective_stays_finite_far_from_the_data():
@@ -165,8 +173,89 @@ def test_objective_stays_finite_far_from_the_data():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for spec in OBJECTIVE_SPECS:
-            values = gaussian_objective(samples, spec, 1e-6)(1e6, math.log(0.01))
-            assert all(math.isfinite(v) for v in values)
+            value, grad, hess = gaussian_objective(samples, spec, 1e-6)(1e6, math.log(0.01))
+            assert all(math.isfinite(v) for v in (value, *grad, *hess[0], *hess[1]))
+
+
+@pytest.mark.parametrize("spec", OBJECTIVE_SPECS, ids=lambda s: str(s.describe()))
+@pytest.mark.parametrize("mu, sigma", [(0.3, 1.2), (1.5, 0.6)])
+def test_objective_hessian_matches_differences_of_its_gradient(spec, mu, sigma):
+    samples = seeded_contaminated(n=500)
+    objective = gaussian_objective(samples, spec, 1e-6)
+    # the gradient carries the rounding of its own central differences in
+    # F, so a step much below 1e-3 amplifies it
+    u, h = math.log(sigma), 1e-3
+    _, _, ((h_mm, h_mu), (h_um, h_uu)) = objective(mu, u)
+    assert h_mu == h_um
+    (mu_up, u_up), (mu_down, u_down) = objective(mu + h, u)[1], objective(mu - h, u)[1]
+    (mu_right, u_right), (_, u_left) = objective(mu, u + h)[1], objective(mu, u - h)[1]
+    scale = max(abs(h_mm), abs(h_mu), abs(h_uu))
+    assert h_mm == pytest.approx((mu_up - mu_down) / (2 * h), rel=1e-5, abs=1e-6 * scale)
+    assert h_mu == pytest.approx((u_up - u_down) / (2 * h), rel=1e-5, abs=1e-6 * scale)
+    assert h_uu == pytest.approx((u_right - u_left) / (2 * h), rel=1e-5, abs=1e-6 * scale)
+
+
+# ---------------------------------------------------------------------------
+# the Newton solver
+# ---------------------------------------------------------------------------
+
+
+def counted(objective):
+    """objective, and a list that grows by one entry per call."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return objective(x)
+
+    return wrapped, calls
+
+
+def quartic(x):
+    # minima at (+-1, 0); negative curvature in x0 for |x0| < 1/sqrt(3)
+    return (x[0] ** 4 / 4 - x[0] ** 2 / 2 + x[1] ** 2 / 2, (x[0] ** 3 - x[0], x[1]),
+            ((3 * x[0] ** 2 - 1, 0.0), (0.0, 1.0)))
+
+
+def test_minimize_solves_a_quadratic_in_one_newton_step():
+    # 1/2 x.A.x - b.x with A = [[3, 1], [1, 2]], b = (1, -1): minimum A^-1 b = (3/5, -4/5)
+    def quadratic(x):
+        g = (3 * x[0] + x[1] - 1, x[0] + 2 * x[1] + 1)
+        return (0.5 * (x[0] * (g[0] - 1) + x[1] * (g[1] + 1)) - x[0] + x[1], g,
+                ((3.0, 1.0), (1.0, 2.0)))
+
+    res = minimize(quadratic, (0.5, 0.2), 100)
+    assert res.success and res.nit == 1 and res.nfev == 2
+    assert res.x == pytest.approx((0.6, -0.8), abs=1e-12)
+
+
+def test_minimize_descends_from_negative_curvature():
+    objective, calls = counted(quartic)
+    start = (0.1, 1.0)
+    assert quartic(start)[2][0][0] < 0.0
+    res = minimize(objective, start, 100)
+    assert res.success
+    # a plain Newton step heads for the maximum at x0 = 0; the floored one
+    # leaves it for the minimum on the side of the start
+    assert res.x == pytest.approx((1.0, 0.0), abs=1e-7)
+    assert res.fun == pytest.approx(-0.25, abs=1e-12)
+    assert res.nfev == len(calls)
+
+
+def test_minimize_stops_at_max_iterations():
+    objective, calls = counted(quartic)
+    res = minimize(objective, (0.1, 1.0), 1)
+    assert not res.success
+    assert res.nit == 1
+    assert res.nfev == len(calls) >= 2
+    assert res.fun < quartic((0.1, 1.0))[0]
+
+
+@pytest.mark.parametrize("grad", [(1e-9, math.nan), (math.nan, 1e-9)])
+def test_minimize_fails_on_a_nan_gradient(grad):
+    res = minimize(lambda x: (0.0, grad, ((1.0, 0.0), (0.0, 1.0))), (0.0, 0.0), 10)
+    assert not res.success
+    assert (res.nit, res.nfev) == (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +287,10 @@ def test_degenerate_data_hits_sigma_floor():
     res = fit(EstimationProblem(np.full(40, 3.0), DivergenceSpec("fdpd", 1.0,
                                                                  phi=identity_phi())))
     assert res.mu == pytest.approx(3.0, abs=1e-6)
-    assert res.sigma_at_floor
+    assert res.sigma == pytest.approx(SIGMA_FLOOR, rel=1e-9)
+    # the score falls as sigma shrinks, and a descent meets its tolerance on
+    # the floor, where the log sigma gradient is 0; the fit is still flagged
+    assert res.sigma_at_floor and res.optimizer_converged
     assert not res.converged
 
 
@@ -324,6 +416,48 @@ def test_problem_validation():
         EstimationProblem(np.array([]), MLE)
     with pytest.raises(DomainError):
         EstimationProblem(np.array([np.nan]), MLE)
+
+
+# ---------------------------------------------------------------------------
+# the estimating equations, independent of the solver
+# ---------------------------------------------------------------------------
+
+
+def oracle_specs(gamma):
+    return [DivergenceSpec("holder", gamma, eta=ps_eta(gamma)),
+            DivergenceSpec("fdpd", gamma, phi=log_phi()),
+            DivergenceSpec("jhhb", gamma, zeta=0.5),
+            DivergenceSpec("xi_holder", gamma, eta=dpd_eta(gamma), xi=power_xi(0.5))]
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.2])
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 2.0])
+def test_every_fit_solves_the_weighted_moment_equations(gamma, eps):
+    # with weights w_i = f(x_i)**gamma, a stationary point of F(X, Y) has mu
+    # the weighted mean and sigma^2 = v / (1 + rho): v the weighted variance,
+    # rho = (Y dF/dY) / (X dF/dX), the elasticity ratio of the outer map
+    samples = seeded_contaminated(eps=eps)
+    for spec in oracle_specs(gamma):
+        res = fit(EstimationProblem(samples, spec))
+        assert res.converged
+        r = (samples - res.mu) / res.sigma
+        w = np.exp(-0.5 * gamma * (r * r - np.min(r * r)))
+        mean = float(np.sum(w * samples) / np.sum(w))
+        variance = float(np.sum(w * (samples - mean) ** 2) / np.sum(w))
+        b = empirical_brackets(samples, GaussianDensity(res.mu, res.sigma), gamma)
+        rho = elasticity(spec, b, 0, 1) / elasticity(spec, b, 1, 0)
+        assert abs(res.mu - mean) <= 1e-6 * res.sigma, spec.describe()
+        assert abs(res.sigma - math.sqrt(variance / (1 + rho))) <= 1e-6 * res.sigma, \
+            spec.describe()
+
+
+def elasticity(spec, b, in_x, in_y, h=1e-6):
+    """X dF/dX (in_x = 1) or Y dF/dY (in_y = 1) of the score at the bracket b."""
+    def f(sign):
+        return score(BracketTriple(b.X * (1 + sign * in_x * h), b.Y * (1 + sign * in_y * h),
+                                   None, b.gamma), spec)
+
+    return (f(1) - f(-1)) / (2 * h)
 
 
 # ---------------------------------------------------------------------------
