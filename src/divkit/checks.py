@@ -20,7 +20,12 @@ report) and measures the worst deviation from an identity or inequality:
   c f**(1+gamma) occur exactly when psi is affine on the relevant segment.
 
 Random brackets are always generated from genuine random discrete densities,
-never as free triples, so Hoelder feasibility holds by construction.
+never as free triples, so Hoelder feasibility holds by construction.  The
+lower-bound and representation checks draw them BATCH_TRIALS trials at a time
+and evaluate each batch in one vectorized pass; the draws are those of
+:func:`random_discrete_pair` trial after trial, so a seed gives the same
+densities whatever the batch size.  A score or gap that leaves float range in
+any trial raises DomainError: such a trial is neither passed nor skipped.
 """
 
 from __future__ import annotations
@@ -63,6 +68,8 @@ STRICT_CONVEXITY_TOL = 1e-11
 # every random discrete density has RANDOM_ATOMS masses drawn from [low, RANDOM_MASS_HIGH)
 RANDOM_ATOMS = 8
 RANDOM_MASS_HIGH = 3.0
+# trials drawn and evaluated together; larger batches only add memory
+BATCH_TRIALS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +97,31 @@ def random_brackets(rng: np.random.Generator, gamma: float,
     return bracket_integrals(g, f, gamma)
 
 
-def _bracket_dict(b: BracketTriple) -> dict:
-    return {"X": b.X, "Y": b.Y, "Z": b.Z, "gamma": b.gamma}
+def _bracket_batches(rng: np.random.Generator, trials: int, gamma: float,
+                     low: float = 0.05):
+    """The brackets of ``trials`` random pairs, BATCH_TRIALS pairs per batch.
+
+    The masses are drawn g before f, trial after trial, as
+    :func:`random_discrete_pair` draws them, so batch i holds the brackets
+    that :func:`random_brackets` would give at trials i*BATCH_TRIALS on.
+    """
+    for start in range(0, trials, BATCH_TRIALS):
+        masses = rng.uniform(low, RANDOM_MASS_HIGH,
+                             (min(BATCH_TRIALS, trials - start), 2, RANDOM_ATOMS))
+        yield bracket_integrals(DiscreteDensity(masses[:, 0]),
+                                DiscreteDensity(masses[:, 1]), gamma)
+
+
+def _bracket_dict(b: BracketTriple, row: int) -> dict:
+    """The bracket of one trial of a batch, as the reports write it."""
+    return {"X": float(b.X[row]), "Y": float(b.Y[row]), "Z": float(b.Z[row]),
+            "gamma": b.gamma}
+
+
+def _no_nan(values: np.ndarray, what: str, gamma: float) -> np.ndarray:
+    if np.isnan(values).any():
+        raise DomainError(f"the {what} leaves float range at gamma={gamma}")
+    return values
 
 
 def _require_trials(trials: int) -> None:
@@ -265,6 +295,7 @@ class RepresentationReport(CheckReport):
     passed: bool
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # NaN is caught
 def verify_jhhb_holder_representation(zeta: float, gamma: float, trials: int,
                                       seed: int,
                                       tolerance: float = 1e-10) -> RepresentationReport:
@@ -272,24 +303,25 @@ def verify_jhhb_holder_representation(zeta: float, gamma: float, trials: int,
 
     tau is the signed power map for zeta > 0 and log for zeta = 0.  The two
     routes are independent formula paths and serve as each other's oracle.
+    The worst trial is the first with the largest error.
     """
     _require_trials(trials)
     eta = jhhb_eta(zeta, gamma)
     rng = np.random.default_rng(seed)
     max_err = -1.0
     worst: dict = {}
-    for _ in range(trials):
-        b = random_brackets(rng, gamma)
+    for b in _bracket_batches(rng, trials, gamma):
         s = holder_score(b, eta)
         if zeta > 0.0:
             via_holder = -equivalent_transform(-s, "signed_power", zeta)
-        else:
-            via_holder = -math.log(-s)
-        direct = jhhb_score(b, zeta)
-        err = abs(via_holder - direct)
-        if err > max_err:
-            max_err = err
-            worst = _bracket_dict(b)
+        else:  # math.log entry by entry, as each trial alone takes it
+            via_holder = -np.fromiter(map(math.log, (-s).tolist()), float, s.size)
+        err = _no_nan(np.abs(via_holder - jhhb_score(b, zeta)),
+                      "representation error", gamma)
+        i = int(np.argmax(err))
+        if err[i] > max_err:
+            max_err = float(err[i])
+            worst = _bracket_dict(b, i)
     return RepresentationReport(zeta, gamma, trials, seed, float(max_err), worst,
                                 max_err <= tolerance)
 
@@ -325,15 +357,17 @@ class LowerBoundReport(CheckReport):
         return self.passed
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # NaN is caught
 def check_fdps_lower_bound(phi: GeneratorPhi, gamma: float, trials: int, seed: int,
                            tolerance: float = 1e-12) -> LowerBoundReport:
     """Check gamma phi(Y) - (1+gamma) phi(X) >= -phi(X)**(1+gamma)/phi(Y)**gamma.
 
     Trials where phi is nonpositive at a bracket (so log phi is undefined)
     are counted invalid and skipped; masses drawn from [0.8, 3.0) keep
-    brackets above 1 so power-kind generators stay positive.  The report also
-    states whether the bound is itself a valid score, i.e. whether
-    log phi(e^z) passes the psi certificate.
+    brackets above 1 so power-kind generators stay positive.  The tight
+    trial is the first with the smallest |gap|.  The report also states
+    whether the bound is itself a valid score, i.e. whether log phi(e^z)
+    passes the psi certificate.
     """
     if not gamma > 0.0:
         raise DomainError("the lower-bound check requires gamma > 0")
@@ -343,19 +377,24 @@ def check_fdps_lower_bound(phi: GeneratorPhi, gamma: float, trials: int, seed: i
     tight_gap = math.inf
     tight_at = None
     invalid = 0
-    for _ in range(trials):
-        b = random_brackets(rng, gamma, low=0.8)
+    for b in _bracket_batches(rng, trials, gamma, low=0.8):
         phi_x, phi_y = phi(b.X), phi(b.Y)
-        if not (phi_x > 0.0 and phi_y > 0.0):
-            invalid += 1
+        valid = (phi_x > 0.0) & (phi_y > 0.0)
+        invalid += int(np.count_nonzero(~valid))
+        if not valid.any():
             continue
+        if not valid.all():  # score the valid trials only
+            b = BracketTriple(b.X[valid], b.Y[valid], b.Z[valid], gamma)
+            phi_x, phi_y = phi_x[valid], phi_y[valid]
         lhs = fdp_score(b, phi)
-        rhs = -math.exp(-(gamma * math.log(phi_y) - (1.0 + gamma) * math.log(phi_x)))
-        gap = lhs - rhs
-        worst_gap = min(worst_gap, gap)
-        if abs(gap) < tight_gap:
-            tight_gap = abs(gap)
-            tight_at = _bracket_dict(b)
+        rhs = -np.exp(-(gamma * np.log(phi_y) - (1.0 + gamma) * np.log(phi_x)))
+        gap = _no_nan(lhs - rhs, "lower-bound gap", gamma)
+        worst_gap = min(worst_gap, float(gap.min()))
+        abs_gap = np.abs(gap)
+        i = int(np.argmin(abs_gap))
+        if abs_gap[i] < tight_gap:
+            tight_gap = float(abs_gap[i])
+            tight_at = _bracket_dict(b, i)
 
     def psi_star(t):
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -2,7 +2,8 @@
 
 Three in-memory representations share one integral interface:
 
-* ``DiscreteDensity`` -- masses on a finite shared support; exact sums.
+* ``DiscreteDensity`` -- masses on a finite shared support; exact sums.  A
+  (trials, atoms) array of masses is a batch of densities, one per row.
 * ``GridDensity``     -- values on a uniform 1-D grid; trapezoid quadrature.
 * ``GaussianDensity`` -- mass * N(mu, sigma); closed forms throughout.
 
@@ -14,6 +15,9 @@ which satisfy the Hoelder bound X <= Z**(1/(1+gamma)) * Y**(gamma/(1+gamma)).
 At gamma = 0 the triple degenerates to the total masses X = Z = <g> and
 Y = <f>, and is extended with the cross-entropy fields L = <g log(g/f)> and
 cross = <g log f>.
+
+Two batches of discrete densities give a triple whose fields are arrays, one
+entry per row, each equal bit for bit to the triple of that row alone.
 """
 
 from __future__ import annotations
@@ -40,20 +44,25 @@ def _freeze(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscreteDensity:
-    """Nonnegative masses on a finite support shared by position."""
+    """Nonnegative masses on a finite support shared by position.
+
+    A 2-D array of masses is a batch: each row is a density of its own, and
+    each row is validated on its own.  Batches have no file form.
+    """
 
     masses: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "masses", _freeze(self.masses))
-        _check_nonnegative(self.masses, "masses")
+        _check_nonnegative(self.masses, "masses", batch=True)
 
     @property
     def size(self) -> int:
-        return self.masses.size
+        """The number of support points (of each row, for a batch)."""
+        return self.masses.shape[-1]
 
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
+    def total_mass(self) -> float | np.ndarray:
+        return _total(self.masses, None)
 
 
 @dataclass(frozen=True)
@@ -107,6 +116,8 @@ class BracketTriple:
     triple carries L = <g log(g/f)>, which the divergences read, and
     cross = <g log f>, which the scores read.  An empirical (plug-in)
     bracket has neither Z nor L, so a divergence on it raises DomainError.
+    The brackets of two batches of discrete densities hold one array entry
+    per row in each field but gamma.
     """
 
     X: float
@@ -135,15 +146,18 @@ class BracketTriple:
         return self.cross
 
 
-def _check_nonnegative(arr: np.ndarray, name: str) -> None:
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError(f"{name} must be a nonempty 1-D array")
-    low, high = arr.min(), arr.max()
-    if not -math.inf < low <= high < math.inf:  # a NaN makes both NaN
+def _check_nonnegative(arr: np.ndarray, name: str, batch: bool = False) -> None:
+    """Finite, nonnegative and not identically zero; a batch, row by row."""
+    if arr.ndim not in ((1, 2) if batch else (1,)) or arr.size == 0:
+        raise DomainError(f"{name} must be a nonempty 1-D array"
+                          + (" or a 2-D batch of them" if batch else ""))
+    low, high = arr.min(axis=-1), arr.max(axis=-1)
+    # a NaN makes both NaN
+    if not ((-math.inf < low) & (low <= high) & (high < math.inf)).all():
         raise DomainError(f"{name} must be finite")
-    if low < 0.0:
+    if (low < 0.0).any():
         raise DomainError(f"{name} must be nonnegative")
-    if not high > 0.0:
+    if not (high > 0.0).all():
         raise DomainError(f"{name} must not be identically zero")
 
 
@@ -187,8 +201,12 @@ def _array(d: DiscreteDensity | GridDensity) -> tuple[np.ndarray, float | None]:
     return (d.values, d.dx) if isinstance(d, GridDensity) else (d.masses, None)
 
 
-def _total(values: np.ndarray, dx: float | None) -> float:
-    return float(values.sum()) if dx is None else _trapezoid(values, dx)
+def _total(values: np.ndarray, dx: float | None) -> float | np.ndarray:
+    """The sum over the last axis, or the trapezoid rule on a grid's values."""
+    if dx is not None:
+        return _trapezoid(values, dx)
+    total = values.sum(axis=-1)
+    return total if total.ndim else float(total)
 
 
 def _power_integral(d: DensityObject, gamma: float) -> float:
@@ -199,7 +217,7 @@ def _power_integral(d: DensityObject, gamma: float) -> float:
     return _total(values ** (1.0 + gamma), dx)
 
 
-def _integrals(g: DensityObject, f: DensityObject, gamma: float) -> tuple[float, float, float]:
+def _integrals(g: DensityObject, f: DensityObject, gamma: float) -> tuple:
     """X, Y and Z of two densities of one representation, unchecked."""
     if isinstance(g, GaussianDensity):
         x = _gaussian_cross_integral(g, f, gamma)
@@ -210,26 +228,27 @@ def _integrals(g: DensityObject, f: DensityObject, gamma: float) -> tuple[float,
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # inf and nan are caught below
-def _in_range(gamma: float, *forms) -> tuple[float, ...]:
+def _in_range(gamma: float, *forms) -> tuple:
     """The integrals that the first form to stay in float range returns.
 
     A form fails when it raises in Python arithmetic (OverflowError,
     ZeroDivisionError, a math domain error) or returns inf or nan, whether
-    from an overflow in numpy or silently from a Python product.  When every
-    form fails, the integrals leave float range and DomainError is raised.
-    Values the first form computes in range keep its formula.
+    from an overflow in numpy or silently from a Python product; for a
+    batch, when any row does.  When every form fails, the integrals leave
+    float range and DomainError is raised.  Values the first form computes
+    in range keep its formula.
     """
     for form in forms:
         try:
             values = form()
         except (ArithmeticError, ValueError):
             continue
-        if all(map(math.isfinite, values)):
+        if np.isfinite(values).all():
             return values
     raise DomainError(f"bracket integrals leave float range at gamma={gamma}")
 
 
-def _log_integrals(g: DensityObject, f: DensityObject) -> tuple[float, float]:
+def _log_integrals(g: DensityObject, f: DensityObject) -> tuple:
     """L = <g log(g/f)> and cross = <g log f>, the gamma = 0 fields.
 
     cross is <g log g> - L; where g > 0 meets f = 0 this raises SupportError.
@@ -276,7 +295,8 @@ def bracket_integrals(g: DensityObject, f: DensityObject, gamma: float) -> Brack
     g and f must share a representation class (and, for grids, the grid
     itself).  gamma = 0 additionally fills the cross-entropy fields and
     raises :class:`SupportError` where g > 0 meets f = 0.  An integral out
-    of float range raises :class:`DomainError`.
+    of float range raises :class:`DomainError`.  Two discrete batches of one
+    shape give the brackets of their rows, as arrays.
     """
     if not 0.0 <= gamma < math.inf:
         raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
@@ -286,6 +306,9 @@ def bracket_integrals(g: DensityObject, f: DensityObject, gamma: float) -> Brack
             f"and {type(f).__name__}")
     if isinstance(g, DiscreteDensity) and g.size != f.size:
         raise RepresentationError(f"discrete supports differ: {g.size} vs {f.size} points")
+    if isinstance(g, DiscreteDensity) and g.masses.shape != f.masses.shape:
+        raise RepresentationError(f"discrete batches differ: masses of shape "
+                                  f"{g.masses.shape} vs {f.masses.shape}")
     if isinstance(g, GridDensity) and not _grids_match(g, f):
         raise RepresentationError("grid densities must share x0, dx and length")
 
@@ -480,9 +503,10 @@ def write_density_csv(path, d: DensityObject) -> None:
             writer.writerow(["x", "value"])
             for x, v in zip(d.xs, d.values):
                 writer.writerow([repr(float(x)), repr(float(v))])
-        elif isinstance(d, DiscreteDensity):
+        elif isinstance(d, DiscreteDensity) and d.masses.ndim == 1:
             writer.writerow(["index", "mass"])
             for i, m in enumerate(d.masses):
                 writer.writerow([i, repr(float(m))])
         else:
-            raise RepresentationError("only grid and discrete densities have a file form")
+            raise RepresentationError("only grid and single discrete densities have a "
+                                      "file form")

@@ -72,14 +72,24 @@ def signed_power(w, exponent):
 
 
 def _call_vectorized(fn: Callable, z: np.ndarray) -> np.ndarray:
-    """Evaluate fn on an array, falling back to a scalar loop."""
+    """Evaluate fn on an array, falling back to a scalar loop.
+
+    A scalar-only fn (one built on ``math``, say) raises on an array, or,
+    on numpy releases that deprecate an array's conversion to a scalar,
+    warns or returns one value; each of these takes the loop.
+    """
     try:
         out = np.asarray(fn(z), dtype=float)
         if out.shape == z.shape:
             return out
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, DeprecationWarning):
         pass
     return np.array([float(fn(zi)) for zi in z])
+
+
+def _apply(fn: Callable, z: np.ndarray) -> np.ndarray:
+    """fn at z: called directly on a 0-d z, through _call_vectorized on an array."""
+    return np.asarray(fn(z), dtype=float) if z.ndim == 0 else _call_vectorized(fn, z)
 
 
 def tabulated(path) -> Callable:
@@ -261,7 +271,8 @@ class GeneratorPhi(_Labelled):
     ``phi_prime`` is analytic for the presets and a centered finite
     difference for custom generators unless a derivative is supplied.
     log-like kinds return -inf at argument 0 (extended codomain) instead of
-    raising.  ``exp-minus-one`` and ``custom`` evaluate ``fn`` and ``dfn``.
+    raising.  ``exp-minus-one`` and ``custom`` evaluate ``fn`` and ``dfn``,
+    on an array element by element where they take scalars only.
     """
 
     slot: ClassVar[str] = "phi"
@@ -285,7 +296,7 @@ class GeneratorPhi(_Labelled):
             with np.errstate(divide="ignore"):
                 out = np.log(self.lam1 + self.lam2 * z) / self.lam2
         else:
-            out = np.asarray(self.fn(z), dtype=float)
+            out = _apply(self.fn, z)
         return out if out.ndim else float(out)
 
     def psi(self, t):
@@ -302,11 +313,10 @@ class GeneratorPhi(_Labelled):
         elif self.kind == "bdpd":
             out = 1.0 / (self.lam1 + self.lam2 * z)
         elif self.dfn is not None:
-            out = np.asarray(self.dfn(z), dtype=float)
+            out = _apply(self.dfn, z)
         else:
             step = 1e-6 * np.maximum(1.0, np.abs(z))
-            out = (np.asarray(self.fn(z + step), dtype=float)
-                   - np.asarray(self.fn(z - step), dtype=float)) / (2.0 * step)
+            out = (_apply(self.fn, z + step) - _apply(self.fn, z - step)) / (2.0 * step)
         return out if out.ndim else float(out)
 
     def has_constant_derivative(self) -> bool:
@@ -382,7 +392,7 @@ class GeneratorXi(_Labelled):
         elif self.kind == "power":
             out = z**self.zeta
         else:
-            out = np.asarray(self.fn(z), dtype=float)
+            out = _apply(self.fn, z)
         return out if out.ndim else float(out)
 
     def psi(self, t):

@@ -14,14 +14,23 @@ and each but xi-Hoelder has a gamma = 0 branch: the scores read the masses
 X = <g>, Y = <f> and cross = <g log f>, the divergences X, Y and
 L = <g log(g/f)>.
 Values follow the extended codomain: log-like generators return -inf at 0
-and divergences through them become +inf rather than raising.
+and divergences through them become +inf rather than raising.  Every family
+function raises DomainError where its value leaves float range.
+
+Each family function also takes the brackets of a batch of discrete
+densities, whose fields are arrays, and returns one value per row.  A float
+bracket stays on Python floats and ``math``, which a fit calls many times.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+
+import numpy as np
 
 from .densities import BracketTriple
 from .errors import DegenerateModelError, DomainError, GeneratorValidityError
@@ -45,10 +54,64 @@ FAMILY_SLOTS = {
 FAMILIES = tuple(FAMILY_SLOTS)
 
 
-def _log(x: float) -> float:
+# A batch of brackets must give each row the bits of its scalar value: the
+# jhhb check reports its worst trial, and the errors it compares are rounding
+# noise.  On a float bracket some powers and logs come from the C library (in
+# Python floats, and in signed_power, where |w|**p is a numpy scalar), and
+# numpy's SIMD loops can miss those results by the last bit.  So a batch
+# takes those steps entry by entry, in Python floats, through the helpers
+# below.
+
+
+def _by_entry(fn, z: np.ndarray, *args) -> np.ndarray:
+    """fn(entry, *args) for each entry of z, as a Python float."""
+    return np.fromiter(map(fn, z.tolist(), *map(itertools.repeat, args)), float, z.size)
+
+
+def _in_python_floats(formula, b: BracketTriple, zeta: float) -> np.ndarray:
+    """formula on a batch, its arithmetic and ``**`` run as Python runs them.
+
+    The bracket's arrays become object arrays of Python floats, on which
+    numpy applies each operator as Python does to each float.
+    """
+    fields = {name: getattr(b, name).astype(object) for name in ("X", "Y", "Z", "L", "cross")
+              if getattr(b, name) is not None}
+    return np.asarray(formula(replace(b, **fields), zeta), dtype=float)
+
+
+def _log(x):
+    """log x, -inf at 0, by math.log; for an array, entry by entry."""
+    if x.__class__ is float and x > 0.0:  # first, and not isinstance: a fit's hot path
+        return math.log(x)
+    if x.__class__ is np.ndarray:
+        return _by_entry(_log, x)
     if x < 0.0:
         raise DomainError(f"log of negative bracket value {x}")
     return -math.inf if x == 0.0 else math.log(x)
+
+
+def _in_codomain(family: str, kind: str):
+    """Raise DomainError where the family function's value leaves float range.
+
+    +-inf passes.  A formula that raises ArithmeticError or returns NaN (in
+    any entry, for a batch) leaves float range: an overflow raises in Python
+    floats, and gives an inf in numpy that inf - inf turns into NaN.  Under
+    warnings-as-errors numpy's RuntimeWarning is that overflow too.  The
+    wrapper takes fixed arguments: a fit calls it many times, and a
+    ``*args`` call costs about as much as the cheapest formula.
+    """
+    def decorate(formula):
+        @functools.wraps(formula)
+        def guarded(b: BracketTriple, generator, xi=None):  # xi: the xi-Hoelder slot
+            try:
+                value = formula(b, generator) if xi is None else formula(b, generator, xi)
+            except (ArithmeticError, RuntimeWarning):
+                value = math.nan
+            if value == value if value.__class__ is float else not np.isnan(value).any():
+                return value
+            raise DomainError(f"the {family} {kind} leaves float range at gamma={b.gamma}")
+        return guarded
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -56,15 +119,19 @@ def _log(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+@_in_codomain("holder", "score")
 def holder_score(b: BracketTriple, eta: GeneratorEta) -> float:
     """eta(X/Y) * Y for gamma > 0; -<g log f> + <f> at gamma = 0."""
     if b.gamma > 0.0:
-        if b.Y <= 0.0:
+        y = b.Y
+        batch = y.__class__ is np.ndarray
+        if (y <= 0.0).any() if batch else y <= 0.0:
             raise DegenerateModelError("holder score undefined: <f**(1+gamma)> = 0")
-        return float(eta(b.X / b.Y) * b.Y)
+        return _by_entry(eta, b.X / y) * y if batch else float(eta(b.X / y) * y)
     return -b.require_cross() + b.Y
 
 
+@_in_codomain("holder", "divergence")
 def holder_divergence(b: BracketTriple, eta: GeneratorEta) -> float:
     if b.gamma > 0.0:
         return holder_score(b, eta) + b.require_z()
@@ -76,6 +143,7 @@ def holder_divergence(b: BracketTriple, eta: GeneratorEta) -> float:
 # ---------------------------------------------------------------------------
 
 
+@_in_codomain("fdpd", "score")
 def fdp_score(b: BracketTriple, phi: GeneratorPhi) -> float:
     """gamma phi(Y) - (1+gamma) phi(X); the gamma = 0 branch uses phi'."""
     g = b.gamma
@@ -84,6 +152,7 @@ def fdp_score(b: BracketTriple, phi: GeneratorPhi) -> float:
     return -phi.phi_prime(b.X) * b.require_cross() + phi(b.Y)
 
 
+@_in_codomain("fdpd", "divergence")
 def fdp_divergence(b: BracketTriple, phi: GeneratorPhi) -> float:
     g = b.gamma
     if g > 0.0:
@@ -96,9 +165,13 @@ def fdp_divergence(b: BracketTriple, phi: GeneratorPhi) -> float:
 # ---------------------------------------------------------------------------
 
 
+@_in_codomain("jhhb", "score")
 def jhhb_score(b: BracketTriple, zeta: float) -> float:
     """The score of the (gamma, zeta) family; zeta = 0 is the log branch."""
-    _check_zeta(zeta)
+    if not 0.0 <= zeta < math.inf:  # _check_zeta, inline on this hot path
+        raise DomainError(f"zeta must be finite and >= 0, got {zeta}")
+    if b.X.__class__ is np.ndarray and b.X.dtype != object:
+        return _in_python_floats(jhhb_score.__wrapped__, b, zeta)
     g = b.gamma
     if g > 0.0:
         if zeta > 0.0:
@@ -110,8 +183,11 @@ def jhhb_score(b: BracketTriple, zeta: float) -> float:
     return -cross / b.X + _log(b.Y)
 
 
+@_in_codomain("jhhb", "divergence")
 def jhhb_divergence(b: BracketTriple, zeta: float) -> float:
     _check_zeta(zeta)
+    if b.X.__class__ is np.ndarray and b.X.dtype != object:
+        return _in_python_floats(jhhb_divergence.__wrapped__, b, zeta)
     g = b.gamma
     if g > 0.0:
         z_int = b.require_z()
@@ -134,18 +210,23 @@ def _check_zeta(zeta: float) -> None:
 # ---------------------------------------------------------------------------
 
 
+@_in_codomain("xi_holder", "score")
 def xi_holder_score(b: BracketTriple, eta: GeneratorEta, xi: GeneratorXi) -> float:
     """eta(xi(X)/xi(Y)) * xi(Y); defined for gamma > 0 only."""
     if not b.gamma > 0.0:
         raise DomainError("xi-Hoelder scores require gamma > 0")
     xi_y = xi(b.Y)
-    if xi_y <= 0.0:
+    batch = xi_y.__class__ is np.ndarray
+    if (xi_y <= 0.0).any() if batch else xi_y <= 0.0:
         raise DegenerateModelError("xi-Hoelder score undefined: xi(<f**(1+gamma)>) = 0")
+    if batch:
+        return _by_entry(eta, xi(b.X) / xi_y) * xi_y
     return float(eta(xi(b.X) / xi_y) * xi_y)
 
 
+@_in_codomain("xi_holder", "divergence")
 def xi_holder_divergence(b: BracketTriple, eta: GeneratorEta, xi: GeneratorXi) -> float:
-    return xi_holder_score(b, eta, xi) + float(xi(b.require_z()))
+    return xi_holder_score(b, eta, xi) + xi(b.require_z())
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +237,16 @@ def xi_holder_divergence(b: BracketTriple, eta: GeneratorEta, xi: GeneratorXi) -
 def equivalent_transform(s: float, tau: str, zeta: float | None = None) -> float:
     """Strictly increasing reparameterizations of a score (both tau kinds).
 
-    ``signed_power``: (sign(s)|s|**zeta - 1)/zeta, the odd power map;
+    ``signed_power``: (sign(s)|s|**zeta - 1)/zeta, the odd power map, which
+    also maps an array of scores entry by entry;
     ``neg_exp_neg``:  -exp(-s).
     """
     if tau == "signed_power":
         if zeta is None or not 0.0 < zeta < math.inf:
             raise DomainError(f"signed_power transform needs finite zeta > 0, got {zeta}")
-        return (float(signed_power(s, zeta)) - 1.0) / zeta
+        if s.__class__ is np.ndarray:
+            return (_by_entry(signed_power, s, zeta) - 1.0) / zeta
+        return (signed_power(s, zeta) - 1.0) / zeta
     if tau == "neg_exp_neg":
         return -math.exp(-s)
     raise DomainError(f"unknown transform {tau!r}")
@@ -253,27 +337,10 @@ _FORMULAS = {
 
 
 def score(b: BracketTriple, spec: DivergenceSpec) -> float:
-    """Evaluate the family's composite score on a bracket triple (see _evaluate)."""
-    return _evaluate(0, b, spec)
+    """The family's composite score on a bracket triple, in the extended codomain."""
+    return _FORMULAS[spec.family][0](b, spec)
 
 
 def divergence(b: BracketTriple, spec: DivergenceSpec) -> float:
-    """Evaluate the family's divergence on a bracket triple (see _evaluate)."""
-    return _evaluate(1, b, spec)
-
-
-def _evaluate(which: int, b: BracketTriple, spec: DivergenceSpec) -> float:
-    """The family's score (0) or divergence (1), in the extended codomain.
-
-    +-inf passes.  A formula that raises ArithmeticError or returns NaN
-    leaves float range and raises DomainError: an overflow raises in Python
-    floats, and gives an inf in numpy that inf - inf turns into NaN.
-    """
-    try:
-        value = _FORMULAS[spec.family][which](b, spec)
-    except ArithmeticError:
-        value = math.nan
-    if value != value:
-        kind = ("score", "divergence")[which]
-        raise DomainError(f"the {spec.family} {kind} leaves float range at gamma={b.gamma}")
-    return value
+    """The family's divergence on a bracket triple, in the extended codomain."""
+    return _FORMULAS[spec.family][1](b, spec)

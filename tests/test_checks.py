@@ -10,20 +10,27 @@ from divkit import (
     affine_transform,
     bracket_integrals,
     custom_phi,
+    equivalent_transform,
     exp_minus_one_phi,
     fdp_divergence,
+    fdp_score,
+    holder_score,
     identity_phi,
     identity_xi,
+    jhhb_eta,
+    jhhb_score,
     log_phi,
     power_phi,
     power_xi,
 )
 from divkit.checks import (
+    BATCH_TRIALS,
     check_affine_invariance,
     check_fdps_lower_bound,
     check_uv_consistency,
     equality_condition_probe,
     random_discrete_density,
+    random_discrete_pair,
     verify_jhhb_holder_representation,
 )
 
@@ -94,6 +101,44 @@ def test_representation_routes_agree(zeta):
     assert report.max_abs_error <= 1e-10
 
 
+# two full batches and a partial one
+BATCHED_TRIALS = 2 * BATCH_TRIALS + 37
+
+
+def _close(value, reference):
+    return abs(value - reference) <= 1e-13 * max(1.0, abs(reference))
+
+
+def _reference_representation(zeta, gamma, trials, seed):
+    """The representation check trial by trial, on the float brackets of
+    random_discrete_pair: (max error, worst bracket)."""
+    eta = jhhb_eta(zeta, gamma)
+    rng = np.random.default_rng(seed)
+    max_err, worst = -1.0, {}
+    for _ in range(trials):
+        b = bracket_integrals(*random_discrete_pair(rng), gamma)
+        s = holder_score(b, eta)
+        if zeta > 0.0:
+            via_holder = -equivalent_transform(-s, "signed_power", zeta)
+        else:
+            via_holder = -math.log(-s)
+        err = abs(via_holder - jhhb_score(b, zeta))
+        if err > max_err:
+            max_err, worst = err, {"X": b.X, "Y": b.Y, "Z": b.Z, "gamma": gamma}
+    return max_err, worst
+
+
+@pytest.mark.parametrize("seed", [5, 7, 1005])
+@pytest.mark.parametrize("zeta, gamma", [(0.0, 1.0), (0.25, 1.0), (0.5, 0.5), (2.0, 2.0)])
+def test_representation_matches_a_trial_by_trial_reference(zeta, gamma, seed):
+    report = verify_jhhb_holder_representation(zeta, gamma, BATCHED_TRIALS, seed)
+    max_err, worst = _reference_representation(zeta, gamma, BATCHED_TRIALS, seed)
+    assert report.trials == BATCHED_TRIALS
+    assert report.worst == worst
+    assert _close(report.max_abs_error, max_err)
+    assert report.passed is (max_err <= 1e-10)
+
+
 def test_representation_affine_case_is_exact():
     report = verify_jhhb_holder_representation(1.0, 1.0, trials=300, seed=17)
     assert report.max_abs_error <= 1e-12
@@ -133,6 +178,62 @@ def test_lower_bound_holds_and_flag_matches(phi, is_fdps):
     assert report.worst_gap >= -1e-12
     assert report.bound_is_fdps is is_fdps
     assert report.invalid_trials == 0
+
+
+def _reference_lower_bound(phi, gamma, trials, seed, tolerance=1e-12):
+    """The lower-bound check trial by trial, on the float brackets of
+    random_discrete_pair: (invalid trials, worst gap, tight bracket, pass)."""
+    rng = np.random.default_rng(seed)
+    worst_gap = tight_gap = math.inf
+    tight_at, invalid = None, 0
+    for _ in range(trials):
+        b = bracket_integrals(*random_discrete_pair(rng, low=0.8), gamma)
+        phi_x, phi_y = phi(b.X), phi(b.Y)
+        if not (phi_x > 0.0 and phi_y > 0.0):
+            invalid += 1
+            continue
+        rhs = -math.exp(-(gamma * math.log(phi_y) - (1.0 + gamma) * math.log(phi_x)))
+        gap = fdp_score(b, phi) - rhs
+        worst_gap = min(worst_gap, gap)
+        if abs(gap) < tight_gap:
+            tight_gap, tight_at = abs(gap), {"X": b.X, "Y": b.Y, "Z": b.Z, "gamma": gamma}
+    return (invalid, worst_gap, tight_at if tight_gap <= 1e-9 else None,
+            invalid < trials and worst_gap >= -tolerance)
+
+
+@pytest.mark.parametrize("seed", [5, 7, 1005])
+@pytest.mark.parametrize("phi, gamma", [
+    (identity_phi(), 1.0),
+    (power_phi(0.5), 1.0),
+    (log_phi(), 2.0),
+    # nonpositive below 20: batches mix valid and invalid trials
+    (custom_phi(lambda z: np.asarray(z, float) - 20.0), 0.5),
+], ids=["identity", "power-0.5", "log", "shifted"])
+def test_lower_bound_matches_a_trial_by_trial_reference(phi, gamma, seed):
+    report = check_fdps_lower_bound(phi, gamma, BATCHED_TRIALS, seed)
+    invalid, worst_gap, tight_at, passed = _reference_lower_bound(
+        phi, gamma, BATCHED_TRIALS, seed)
+    assert (report.trials, report.invalid_trials) == (BATCHED_TRIALS, invalid)
+    assert report.tight_at == tight_at
+    assert report.passed is passed
+    assert _close(report.worst_gap, worst_gap)
+
+
+def test_lower_bound_takes_a_scalar_only_custom_phi():
+    phi = custom_phi(lambda z: math.sqrt(z) + z)  # math.sqrt raises on an array
+    report = check_fdps_lower_bound(phi, 1.0, trials=300, seed=12)
+    invalid, worst_gap, tight_at, passed = _reference_lower_bound(phi, 1.0, 300, 12)
+    assert report.passed and passed
+    assert (report.invalid_trials, report.tight_at) == (invalid, tight_at)
+    assert _close(report.worst_gap, worst_gap)
+
+
+def test_lower_bound_raises_where_one_trial_leaves_float_range():
+    # phi is inf above 30: a trial with X and Y above 30 scores inf - inf,
+    # and the finite gaps of the other trials must not hide it
+    phi = custom_phi(lambda z: np.where(np.asarray(z, float) > 30.0, np.inf, z))
+    with pytest.raises(DomainError, match="leaves float range"):
+        check_fdps_lower_bound(phi, 1.0, trials=500, seed=3)
 
 
 def test_lower_bound_report_shape():

@@ -465,3 +465,20 @@ def test_compute_out_of_float_range_exits_3(tmp_path, capsys, flags, family):
     assert capsys.readouterr().err == (
         f"divkit: the {family} score leaves float range at gamma=1.0\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, family", [
+    # phi(X) overflows, so every gap would be NaN: no trial may pass silently
+    (["--theorem", "fdps-lower-bound", "--phi", "power:300"], "fdpd"),
+    # X**300 overflows in Python floats
+    (["--theorem", "jhhb-representation", "--zeta", "300"], "jhhb"),
+    # xi(X) = xi(Y) = inf: inf - inf is no error of 0
+    (["--theorem", "uv-consistency", "--xi", "power:300"], "xi_holder"),
+], ids=["fdps-lower-bound", "jhhb-representation", "uv-consistency"])
+def test_verify_out_of_float_range_exits_3(tmp_path, capsys, flags, family):
+    out = tmp_path / "r.json"
+    assert run(["verify", *flags, "--gamma", "1", "--trials", "10", "--seed", "1",
+                "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"divkit: the {family} score leaves float range at gamma=1.0\n")
+    assert not out.exists()

@@ -522,8 +522,72 @@ def test_empirical_gamma_zero_bracket():
     ([0.0, 0.0], "identically zero"),
     ([-0.0], "identically zero"),
     ([], "nonempty 1-D"),
-    ([[1.0]], "nonempty 1-D"),
+    ([[[1.0]]], "nonempty 1-D"),  # a 2-D array is a batch (see the batch tests)
 ])
 def test_density_validation_order(masses, message):
     with pytest.raises(DomainError, match=message):
         DiscreteDensity(masses)
+
+
+# ---------------------------------------------------------------------------
+# batches of discrete densities
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0])
+def test_batched_brackets_equal_the_row_brackets_bit_for_bit(gamma):
+    rng = np.random.default_rng(808)
+    g = rng.uniform(0.05, 3.0, (700, 8))
+    f = rng.uniform(0.05, 3.0, (700, 8))
+    g[rng.random(g.shape) < 0.1] = 0.0  # the gamma = 0 fields mask g = 0 row by row
+    g[:, 0] = 1.0
+    batch = bracket_integrals(DiscreteDensity(g), DiscreteDensity(f), gamma)
+    rows = [bracket_integrals(DiscreteDensity(gi), DiscreteDensity(fi), gamma)
+            for gi, fi in zip(g, f)]
+    assert batch.gamma == gamma
+    for name in ("X", "Y", "Z", "L", "cross"):
+        expected = [getattr(row, name) for row in rows]
+        if gamma > 0.0 and name in ("L", "cross"):
+            assert getattr(batch, name) is None and set(expected) == {None}
+        else:
+            assert getattr(batch, name).shape == (700,)
+            assert np.array_equal(getattr(batch, name), expected), name
+
+
+@pytest.mark.parametrize("row, message", [
+    ([1.0, math.nan], "finite"),
+    ([1.0, -1.0], "nonnegative"),
+    ([0.0, 0.0], "identically zero"),
+])
+def test_batch_validation_is_row_by_row(row, message):
+    with pytest.raises(DomainError, match=message):
+        DiscreteDensity([[0.5, 0.5], row, [2.0, 1.0]])
+
+
+def test_batches_must_share_a_shape():
+    two, three = DiscreteDensity(np.ones((2, 4))), DiscreteDensity(np.ones((3, 4)))
+    with pytest.raises(RepresentationError, match="batches differ"):
+        bracket_integrals(two, three, 1.0)
+    with pytest.raises(RepresentationError, match="batches differ"):
+        bracket_integrals(two, DiscreteDensity(np.ones(4)), 1.0)
+    with pytest.raises(RepresentationError, match="supports differ"):
+        bracket_integrals(two, DiscreteDensity(np.ones((2, 5))), 1.0)
+
+
+def test_a_batch_has_row_masses_and_no_file_form(tmp_path):
+    batch = DiscreteDensity([[0.5, 0.5], [1.0, 2.0]])
+    assert batch.size == 2
+    assert np.array_equal(batch.total_mass(), [1.0, 3.0])
+    with pytest.raises(RepresentationError, match="file form"):
+        write_density_csv(tmp_path / "batch.csv", batch)
+
+
+def test_a_batch_raises_where_one_row_leaves_float_range():
+    g = np.ones((3, 2))
+    g[1] = 1e200
+    with pytest.raises(DomainError, match="float range"):
+        bracket_integrals(DiscreteDensity(g), DiscreteDensity(g), 1.0)
+    support = np.ones((3, 2))
+    support[2, 1] = 0.0
+    with pytest.raises(SupportError):
+        bracket_integrals(DiscreteDensity(np.ones((3, 2))), DiscreteDensity(support), 0.0)

@@ -15,6 +15,7 @@ from divkit import (
     bracket_integrals,
     custom_eta,
     custom_phi,
+    custom_xi,
     divergence,
     dpd_eta,
     equivalent_transform,
@@ -382,3 +383,77 @@ def test_dispatch_out_of_float_range_raises_domain_error(spec):
         for evaluate in (score, divergence):
             with pytest.raises(DomainError, match="leaves float range at gamma=1.0"):
                 evaluate(b, spec)
+
+
+# ---------------------------------------------------------------------------
+# batches of brackets
+# ---------------------------------------------------------------------------
+
+
+def _batch_and_rows(gamma, trials=300, seed=44):
+    rng = np.random.default_rng(seed)
+    g, f = rng.uniform(0.05, 3.0, (2, trials, 8))
+    batch = bracket_integrals(DiscreteDensity(g), DiscreteDensity(f), gamma)
+    return batch, [bracket_integrals(DiscreteDensity(gi), DiscreteDensity(fi), gamma)
+                   for gi, fi in zip(g, f)]
+
+
+BATCH_FORMULAS = {
+    "holder-dpd": lambda b: holder_score(b, dpd_eta(1.0)),
+    "holder-jhhb-0.25": lambda b: holder_score(b, jhhb_eta(0.25, 1.0)),
+    "holder-scalar-only-custom": lambda b: holder_score(
+        b, custom_eta(lambda z: -math.pow(z, 2.0), 1.0)),
+    "holder-divergence-ps": lambda b: holder_divergence(b, ps_eta(1.0)),
+    "fdpd-power-0.5": lambda b: fdp_score(b, power_phi(0.5)),
+    "fdpd-divergence-log": lambda b: fdp_divergence(b, log_phi()),
+    "jhhb-0": lambda b: jhhb_score(b, 0.0),
+    "jhhb-0.25": lambda b: jhhb_score(b, 0.25),
+    "jhhb-divergence-2": lambda b: jhhb_divergence(b, 2.0),
+    "xi-holder": lambda b: xi_holder_score(b, dpd_eta(1.0), power_xi(0.5)),
+    "xi-holder-scalar-only-custom": lambda b: xi_holder_score(
+        b, dpd_eta(1.0), custom_xi(math.sqrt)),
+    "fdpd-scalar-only-custom": lambda b: fdp_score(b, custom_phi(math.log1p)),
+    "xi-holder-divergence": lambda b: xi_holder_divergence(b, ps_eta(1.0), power_xi(2.0)),
+    "signed-power-transform": lambda b: equivalent_transform(
+        holder_score(b, jhhb_eta(0.5, 1.0)), "signed_power", 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_FORMULAS))
+def test_a_batch_scores_each_row_bit_for_bit(name):
+    batch, rows = _batch_and_rows(1.0)
+    formula = BATCH_FORMULAS[name]
+    assert np.array_equal(formula(batch), [formula(row) for row in rows])
+
+
+@pytest.mark.parametrize("formula", [
+    lambda b: holder_score(b, None),
+    lambda b: holder_divergence(b, None),
+    lambda b: fdp_score(b, identity_phi()),
+    lambda b: fdp_divergence(b, log_phi()),
+    lambda b: jhhb_score(b, 0.0),
+    lambda b: jhhb_score(b, 0.5),
+    lambda b: jhhb_divergence(b, 0.5),
+], ids=["holder", "holder-divergence", "fdpd", "fdpd-divergence", "jhhb-0", "jhhb-0.5",
+        "jhhb-divergence"])
+def test_a_gamma_zero_batch_scores_each_row_bit_for_bit(formula):
+    batch, rows = _batch_and_rows(0.0)
+    assert np.array_equal(formula(batch), [formula(row) for row in rows])
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda b: fdp_score(b, power_phi(2.0)),  # inf - inf in numpy
+    lambda b: fdp_divergence(b, power_phi(2.0)),
+    lambda b: jhhb_score(b, 2.0),  # OverflowError in Python floats
+    lambda b: jhhb_divergence(b, 2.0),
+], ids=["fdpd", "fdpd-divergence", "jhhb", "jhhb-divergence"])
+def test_family_functions_called_directly_stay_in_the_codomain(evaluate):
+    # no np.errstate here: numpy's overflow warning, an error in this suite,
+    # is the same DomainError
+    with pytest.raises(DomainError, match="leaves float range at gamma=1.0"):
+        evaluate(BracketTriple(1e300, 1e300, 1e300, 1.0))
+    one_row_out = BracketTriple(np.array([1.0, 1e300]), np.array([1.0, 1e300]),
+                                np.array([1.0, 1e300]), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DomainError, match="leaves float range"):
+        evaluate(one_row_out)
