@@ -24,8 +24,12 @@ never as free triples, so Hoelder feasibility holds by construction.  The
 lower-bound and representation checks draw them BATCH_TRIALS trials at a time
 and evaluate each batch in one vectorized pass; the draws are those of
 :func:`random_discrete_pair` trial after trial, so a seed gives the same
-densities whatever the batch size.  A score or gap that leaves float range in
-any trial raises DomainError: such a trial is neither passed nor skipped.
+densities whatever the batch size.  The consistency check takes its
+densities as input, a list or one batch; ``divkit verify`` draws them as one
+batch whose rows are the draws of :func:`random_discrete_density` trial
+after trial, so a seed gives the same densities and report as a list.  A
+score or gap that leaves float range in any trial raises DomainError: such a
+trial is neither passed nor skipped.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from .generators import (
     validate_psi,
 )
 from .scores import (
+    _by_entry,
     equivalent_transform,
     fdp_divergence,
     fdp_score,
@@ -215,7 +220,8 @@ def check_affine_invariance(phi: GeneratorPhi, gamma: float, trials: int, seed: 
 
     phi in the power/log class uses the predicted h; any other phi is probed
     for a counterexample (two pairs under one transform implying different
-    scales).  Trials with numerically zero divergence are skipped and logged.
+    scales).  Trials with numerically zero divergence are skipped and logged;
+    the check fails when every trial is skipped.
     """
     if representation not in ("grid", "gaussian"):
         raise DomainError(f"unknown representation {representation!r}")
@@ -270,7 +276,8 @@ def check_affine_invariance(phi: GeneratorPhi, gamma: float, trials: int, seed: 
             predicted_at_worst = h
             worst = {"sigma": sigma_t, "mu": mu_t, "ratio": float(ratio)}
 
-    passed = worst_violation <= tolerance
+    # a check whose every trial was skipped has witnessed nothing
+    passed = skipped < trials and worst_violation <= tolerance
     return InvarianceReport(gamma, zeta, trials, skipped, seed,
                             float(worst_violation), predicted_at_worst, worst,
                             zeta is not None, passed)
@@ -435,32 +442,48 @@ class UvConsistencyReport(CheckReport):
 
 
 def check_uv_consistency(xi: GeneratorXi, gamma: float,
-                         densities: list[DensityObject],
+                         densities: list[DensityObject] | DiscreteDensity,
                          tolerance: float = 1e-12) -> UvConsistencyReport:
     """Verify xi(<g g**gamma>) = xi(<g**(1+gamma)>) and the assembled score.
 
     The first identity compares two code paths to the same integral; the
     second assembles eta(u(c X)/u(c Y)) u(c Y) with u = xi, c = 1 and checks
-    it against the xi-Hoelder score for the stock eta generators.
+    it against the xi-Hoelder score for the stock eta generators, on the
+    pairs (g_i, g_i+1) with the last density paired with the first.
+
+    ``densities`` is a list of densities of one representation, or a batch
+    of discrete densities whose rows are the trials; a batch gives the
+    report that the list of its rows gives.
     """
     if not gamma > 0.0:
         raise DomainError("the consistency check requires gamma > 0")
-    if not densities:
-        raise DomainError("the consistency check needs at least one density")
-    max_err = 0.0
-    for g in densities:
-        b = bracket_integrals(g, g, gamma)
-        max_err = max(max_err, abs(float(xi(b.X)) - float(xi(b.Y))))
-    etas = (dpd_eta(gamma), ps_eta(gamma))
-    c = 1.0
-    for g, f in zip(densities, densities[1:] + densities[:1]):
-        b = bracket_integrals(g, f, gamma)
-        for eta in etas:
-            u_x, u_y = float(xi(c * b.X)), float(xi(c * b.Y))
-            assembled = float(eta(u_x / u_y)) * u_y
-            max_err = max(max_err, abs(assembled - xi_holder_score(b, eta, xi)))
-    return UvConsistencyReport(gamma, xi.label(), len(densities), float(max_err),
+    # branch on the list form, not on DiscreteDensity: a tracer may replace that name
+    if isinstance(densities, (list, tuple)):
+        if not densities:
+            raise DomainError("the consistency check needs at least one density")
+        selves = _stacked([bracket_integrals(g, g, gamma) for g in densities])
+        pairs = _stacked([bracket_integrals(g, f, gamma) for g, f in
+                          zip(densities, densities[1:] + densities[:1])])
+    elif densities.masses.ndim == 2:  # a batch has at least one row
+        selves = bracket_integrals(densities, densities, gamma)
+        pairs = bracket_integrals(
+            densities, DiscreteDensity(np.roll(densities.masses, -1, axis=0)), gamma)
+    else:
+        raise DomainError("a batch of densities needs (trials, atoms) masses")
+    errors = [np.abs(xi(selves.X) - xi(selves.Y))]
+    for eta in (dpd_eta(gamma), ps_eta(gamma)):
+        reference = xi_holder_score(pairs, eta, xi)
+        u_x, u_y = xi(pairs.X), xi(pairs.Y)
+        errors.append(np.abs(_by_entry(eta, u_x / u_y) * u_y - reference))
+    max_err = float(np.max(errors))
+    return UvConsistencyReport(gamma, xi.label(), len(selves.X), max_err,
                                max_err <= tolerance)
+
+
+def _stacked(brackets: list[BracketTriple]) -> BracketTriple:
+    """The X and Y of float brackets as one batched bracket."""
+    return BracketTriple(np.array([b.X for b in brackets]), np.array([b.Y for b in brackets]),
+                         None, brackets[0].gamma)
 
 
 # ---------------------------------------------------------------------------

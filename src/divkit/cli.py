@@ -151,7 +151,10 @@ def cmd_verify(args) -> int:
     elif args.theorem == "uv-consistency":
         xi = parse_xi(args.xi or "identity")
         rng = np.random.default_rng(args.seed)
-        densities = [checks.random_discrete_density(rng) for _ in range(args.trials)]
+        # one batch, row i the draw of random_discrete_density at trial i;
+        # without trials the check reports that it needs a density
+        densities = [] if args.trials < 1 else DiscreteDensity(rng.uniform(
+            0.05, checks.RANDOM_MASS_HIGH, (args.trials, checks.RANDOM_ATOMS)))
         report = checks.check_uv_consistency(xi, args.gamma, densities, **tolerance)
     else:
         phi = parse_phi(args.phi or "log")

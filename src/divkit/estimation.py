@@ -16,10 +16,12 @@ Y = <f**(1+gamma)> and its partial are closed forms.  Setting the gradient to
 zero gives the weighted-moment estimating equations of Basu, Harris, Hjort &
 Jones (Biometrika 1998) and Fujisawa & Eguchi (J. Multivariate Anal. 2008).
 The partials of the family's outer map F come from central differences on
-that scalar map, so every family and custom generator is covered.  The fit
-restarts from perturbed initial points, descends once more around its result
-when that lies far from the initial point, and is deterministic given the
-sample and config.
+that scalar map, so every family and custom generator is covered; the eleven
+points of the difference stencil are scored in one batched call.  The fit
+restarts from perturbed initial points, descends again around its result
+while that lies far from the point the last descent started from (at most
+MAX_REDESCENTS times), and is deterministic given the sample and config.
+Its ``converged`` flag describes the descent whose point it returns.
 
 gamma = 0 estimation is only exposed for generators with constant
 derivative (plain likelihood scoring): for any other generator the gamma = 0
@@ -75,6 +77,8 @@ MAX_LOG_SIGMA = 700.0
 START_OFFSETS = [(0.5, 0.3), (-0.5, -0.3), (0.5, -0.3)]
 # sigma is held at or above this; a fit that ends on it is unconverged
 SIGMA_FLOOR = 1e-6
+# a fit descends again around its point at most this many times (see fit)
+MAX_REDESCENTS = 2
 
 
 @dataclass(frozen=True)
@@ -152,23 +156,28 @@ def empirical_score(samples, f: DensityObject, spec: DivergenceSpec) -> float:
 
 def _outer(spec: DivergenceSpec, x: float, y: float) -> tuple[float, ...]:
     """F(X, Y), its first partials X dF/dX, Y dF/dY and its second partials in
-    (log X, log Y), by central differences on the scalar map F."""
+    (log X, log Y), by central differences on the scalar map F.
+
+    The eleven points of the stencil go to ``score`` as one batched bracket;
+    each row is the value that a float bracket of that point gives.
+    """
     h = OUTER_STEP
     k = OUTER_CURVATURE_STEP
     up, down = math.exp(k), math.exp(-k)
-
-    def f(xv, yv):
-        return score(BracketTriple(xv, yv, None, spec.gamma), spec)
-
-    center = f(x, y)
+    x_up, x_down, y_up, y_down = x * up, x * down, y * up, y * down
+    xs = np.array([x, x_up, x_down, x, x, x_up, x_down, x * (1.0 + h), x * (1.0 - h), x, x])
+    ys = np.array([y, y, y, y_up, y_down, y_up, y_down, y, y, y * (1.0 + h), y * (1.0 - h)])
+    (center, f_x_up, f_x_down, f_y_up, f_y_down, f_up, f_down,
+     f_x_plus, f_x_minus, f_y_plus, f_y_minus) = score(
+        BracketTriple(xs, ys, None, spec.gamma), spec).tolist()
     twice = 2.0 * center
-    f_aa = (f(x * up, y) - twice + f(x * down, y)) / (k * k)
-    f_bb = (f(x, y * up) - twice + f(x, y * down)) / (k * k)
+    f_aa = (f_x_up - twice + f_x_down) / (k * k)
+    f_bb = (f_y_up - twice + f_y_down) / (k * k)
     # along the diagonal the second difference is f_aa + 2 f_ab + f_bb
-    f_ab = ((f(x * up, y * up) - twice + f(x * down, y * down)) / (k * k) - f_aa - f_bb) / 2.0
+    f_ab = ((f_up - twice + f_down) / (k * k) - f_aa - f_bb) / 2.0
     return (center,
-            (f(x * (1.0 + h), y) - f(x * (1.0 - h), y)) / (2.0 * h),
-            (f(x, y * (1.0 + h)) - f(x, y * (1.0 - h))) / (2.0 * h),
+            (f_x_plus - f_x_minus) / (2.0 * h),
+            (f_y_plus - f_y_minus) / (2.0 * h),
             f_aa, f_ab, f_bb)
 
 
@@ -325,8 +334,9 @@ def fit(problem: EstimationProblem) -> EstimationResult:
     gamma = 0 returns the closed-form minimizer.  gamma > 0 runs a Newton
     descent (:func:`minimize`) from the base initial point (sample median,
     scaled interquartile range) and from its START_OFFSETS perturbations, and
-    keeps the best minimum.  A fit whose sigma lands on SIGMA_FLOOR is
-    flagged unconverged.
+    keeps the best minimum.  The fit is converged when the descent whose
+    point it returns met the gradient tolerance and sigma did not land on
+    SIGMA_FLOOR.
     """
     samples = problem.samples
     spec = problem.spec
@@ -352,13 +362,14 @@ def fit(problem: EstimationProblem) -> EstimationResult:
     objective = gaussian_objective(samples, spec, SIGMA_FLOOR)
     runs = []
 
-    def descend(mu_ref: float, sigma_ref: float, offsets) -> tuple[float, float, float]:
+    def descend(mu_ref: float, sigma_ref: float, offsets) -> tuple[float, float, float, bool]:
         """Newton descents from (mu_ref + dt sigma_ref, sigma_ref e**du), one per offset.
 
         The search runs in (t, log sigma) with mu = mu_ref + sigma_ref t, on
         the score divided by its sensitivity |X dF/dX| + |Y dF/dY| at the
         reference point, so that one gradient tolerance serves every
-        location, scale and family.  Returns the best (mu, log sigma, score).
+        location, scale and family.  Returns the best (mu, log sigma, score)
+        and whether the descent that found it met the tolerance.
         """
         u_ref = math.log(sigma_ref)
         x, y = _gaussian_brackets(samples, spec.gamma, mu_ref, u_ref)[:2]
@@ -379,23 +390,26 @@ def fit(problem: EstimationProblem) -> EstimationResult:
         best = min(runs[-len(offsets):], key=lambda res: res.fun)
         return (mu_ref + sigma_ref * best.x[0],
                 min(max(best.x[1], log_floor), MAX_LOG_SIGMA),
-                best.fun * scale)
+                best.fun * scale, best.success)
 
     offsets = [(0.0, 0.0)] + START_OFFSETS
-    mu_hat, u_hat, value = descend(mu0, sigma0, offsets)
-    if abs(u_hat - math.log(sigma0)) > math.log(2.0):
-        # far from the initial point the normalization and the units of t
+    mu_hat, u_hat, value, succeeded = descend(mu0, sigma0, offsets)
+    sigma_ref = sigma0
+    for _ in range(MAX_REDESCENTS):
+        if abs(u_hat - math.log(sigma_ref)) <= math.log(2.0):
+            break
+        # far from the reference point the normalization and the units of t
         # no longer fit the score, and a descent may stop early or miss its
         # tolerance; descend once more around the point found
-        mu_hat, u_hat, value = descend(mu_hat, math.exp(u_hat), [(0.0, 0.0)])
+        sigma_ref = math.exp(u_hat)
+        mu_hat, u_hat, value, succeeded = descend(mu_hat, sigma_ref, [(0.0, 0.0)])
 
     sigma_hat = math.exp(u_hat)
     at_floor = sigma_hat <= SIGMA_FLOOR * (1.0 + 1e-9)
-    any_converged = any(res.success for res in runs)
     return EstimationResult(mu_hat, sigma_hat, value, sum(res.nit for res in runs),
-                            converged=any_converged and not at_floor,
+                            converged=succeeded and not at_floor,
                             sigma_at_floor=at_floor,
-                            optimizer_converged=any_converged,
+                            optimizer_converged=succeeded,
                             evaluations=tuple(res.nfev for res in runs))
 
 

@@ -76,7 +76,10 @@ def _call_vectorized(fn: Callable, z: np.ndarray) -> np.ndarray:
 
     A scalar-only fn (one built on ``math``, say) raises on an array, or,
     on numpy releases that deprecate an array's conversion to a scalar,
-    warns or returns one value; each of these takes the loop.
+    warns or returns one value; each of these takes the loop.  The loop
+    passes 0-d arrays, as a generator called on a float does (see _apply):
+    a ``**`` on a numpy scalar takes the C library's power, which can miss
+    numpy's in the last bit.
     """
     try:
         out = np.asarray(fn(z), dtype=float)
@@ -84,7 +87,7 @@ def _call_vectorized(fn: Callable, z: np.ndarray) -> np.ndarray:
             return out
     except (TypeError, ValueError, DeprecationWarning):
         pass
-    return np.array([float(fn(zi)) for zi in z])
+    return np.array([float(fn(np.asarray(zi))) for zi in z])
 
 
 def _apply(fn: Callable, z: np.ndarray) -> np.ndarray:

@@ -95,16 +95,19 @@ def _in_codomain(family: str, kind: str):
 
     +-inf passes.  A formula that raises ArithmeticError or returns NaN (in
     any entry, for a batch) leaves float range: an overflow raises in Python
-    floats, and gives an inf in numpy that inf - inf turns into NaN.  Under
-    warnings-as-errors numpy's RuntimeWarning is that overflow too.  The
-    wrapper takes fixed arguments: a fit calls it many times, and a
-    ``*args`` call costs about as much as the cheapest formula.
+    floats, and gives an inf in numpy that inf - inf turns into NaN.  The
+    formula runs with numpy's overflow and invalid warnings off, since the
+    guard reports them; a RuntimeWarning raised under warnings-as-errors
+    (a division by zero, say) is that overflow too.  The wrapper takes fixed
+    arguments: a fit calls it often, and a ``*args`` call costs about as
+    much as the cheapest formula.
     """
     def decorate(formula):
         @functools.wraps(formula)
         def guarded(b: BracketTriple, generator, xi=None):  # xi: the xi-Hoelder slot
             try:
-                value = formula(b, generator) if xi is None else formula(b, generator, xi)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    value = formula(b, generator) if xi is None else formula(b, generator, xi)
             except (ArithmeticError, RuntimeWarning):
                 value = math.nan
             if value == value if value.__class__ is float else not np.isnan(value).any():

@@ -9,7 +9,9 @@ from divkit import (
     GaussianDensity,
     affine_transform,
     bracket_integrals,
+    checks,
     custom_phi,
+    custom_xi,
     equivalent_transform,
     exp_minus_one_phi,
     fdp_divergence,
@@ -22,6 +24,7 @@ from divkit import (
     log_phi,
     power_phi,
     power_xi,
+    xi_holder_score,
 )
 from divkit.checks import (
     BATCH_TRIALS,
@@ -87,6 +90,15 @@ def test_invariance_report_shape():
     report = check_affine_invariance(log_phi(), 1.0, trials=5, seed=1).to_report()
     assert set(report) >= REPORT_KEYS
     assert report["seed"] == 1
+
+
+def test_invariance_fails_when_every_trial_is_skipped():
+    # (z**300 - 1)/300 is -1/300 at every Gaussian bracket, where z**300
+    # underflows, so every divergence is 0 and every trial is skipped
+    report = check_affine_invariance(power_phi(300.0), 1.0, trials=5, seed=1,
+                                     representation="gaussian")
+    assert (report.skipped, report.used) == (5, 0)
+    assert not report.passed
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +271,48 @@ def test_uv_consistency_mixed_representations(gaussian_pair):
     g, f = gaussian_pair
     report = check_uv_consistency(power_xi(2.0), 0.5, [g, f])
     assert report.passed
+
+
+@pytest.mark.parametrize("seed", [3, 11, 1005])
+@pytest.mark.parametrize("trials", [1, 2, 37])
+def test_uv_consistency_of_a_batch_is_that_of_its_rows(seed, trials):
+    # the rows of a batch are the densities that one draw per trial gives
+    batch = DiscreteDensity(np.random.default_rng(seed).uniform(0.05, 3.0, (trials, 8)))
+    rng = np.random.default_rng(seed)
+    rows = [random_discrete_density(rng) for _ in range(trials)]
+    assert np.array_equal(batch.masses, [row.masses for row in rows])
+    for xi, gamma in ((identity_xi(), 1.0), (power_xi(0.5), 1.0), (power_xi(2.0), 0.5),
+                      (custom_xi(lambda z: math.sqrt(z) * z**0.25), 2.0)):
+        from_batch = check_uv_consistency(xi, gamma, batch)
+        assert from_batch == check_uv_consistency(xi, gamma, rows)
+        assert from_batch.trials == trials
+
+
+def test_uv_consistency_pairs_each_density_with_the_next(monkeypatch):
+    # the assembled score repeats the xi-Hoelder formula, so the pairs show
+    # in the brackets the check scores, not in its error
+    scored = []
+
+    def recorded(b, eta, xi):
+        scored.append((b.X, b.Y))
+        return xi_holder_score(b, eta, xi)
+
+    monkeypatch.setattr(checks, "xi_holder_score", recorded)
+    batch = DiscreteDensity(np.random.default_rng(5).uniform(0.05, 3.0, (37, 8)))
+    rows = [DiscreteDensity(masses) for masses in batch.masses]
+    check_uv_consistency(identity_xi(), 1.0, batch)
+    check_uv_consistency(identity_xi(), 1.0, rows)
+    pairs = [bracket_integrals(g, f, 1.0) for g, f in zip(rows, rows[1:] + rows[:1])]
+    assert len(scored) == 4  # dpd and ps, for each form
+    for x, y in scored:
+        assert np.array_equal(x, [b.X for b in pairs]) and np.array_equal(y, [b.Y for b in pairs])
+
+
+def test_uv_consistency_rejects_a_density_that_is_no_batch():
+    with pytest.raises(DomainError, match=r"\(trials, atoms\) masses"):
+        check_uv_consistency(identity_xi(), 1.0, DiscreteDensity([0.5, 0.5]))
+    with pytest.raises(DomainError, match="at least one density"):
+        check_uv_consistency(identity_xi(), 1.0, [])
 
 
 def test_equality_probe_affine_lift_gives_zero(discrete_pair):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import divkit
-from divkit import DiscreteDensity, GaussianDensity, gaussian_grid, write_density_csv
+from divkit import DiscreteDensity, GaussianDensity, gaussian_grid, power_xi, write_density_csv
+from divkit.checks import check_uv_consistency, random_discrete_density
 from divkit.cli import main
 
 
@@ -181,6 +182,36 @@ def test_verify_uv_and_equality(tmp_path):
     assert abs(payload["worst_case"]["D_value"]) <= 1e-10
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_uv_consistency_without_trials_exits_3(capsys, trials):
+    assert run(["verify", "--theorem", "uv-consistency", "--gamma", "1",
+                "--trials", trials, "--seed", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "divkit: the consistency check needs at least one density\n")
+
+
+def test_verify_uv_consistency_checks_one_density_per_trial(tmp_path):
+    out = tmp_path / "uv.json"
+    assert run(["verify", "--theorem", "uv-consistency", "--xi", "power:0.5", "--gamma", "2",
+                "--trials", "37", "--seed", "9", "--out", str(out)]) == 0
+    rng = np.random.default_rng(9)
+    report = check_uv_consistency(power_xi(0.5), 2.0,
+                                  [random_discrete_density(rng) for _ in range(37)])
+    payload = json.loads(out.read_text())
+    assert payload["trials"] == 37
+    assert payload["worst_case"]["max_abs_error"] == report.max_abs_error
+
+
+def test_verify_affine_invariance_with_every_trial_skipped_exits_1(tmp_path):
+    out = tmp_path / "affine.json"
+    assert run(["verify", "--theorem", "affine-invariance", "--phi", "power:300",
+                "--gamma", "1", "--trials", "5", "--representation", "gaussian",
+                "--seed", "1", "--out", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert payload["worst_case"]["skipped"] == 5
+    assert payload["pass"] is False
+
+
 def test_verify_requires_seed():
     assert run(["verify", "--theorem", "jhhb-representation", "--zeta", "1",
                 "--gamma", "1", "--trials", "10"]) == 3
@@ -229,8 +260,23 @@ def test_estimate_degenerate_sample_exits_4(tmp_path, samples, gamma):
     result = json.loads(out.read_text())["result"]
     assert result["converged"] is False and result["sigma_at_floor"] is True
     assert result["mu_hat"] == pytest.approx(samples[0], abs=1e-12)
-    assert result["optimizer_converged"] is True
+    # gamma > 0: the descent that starts again on the floor finds no decrease
+    assert result["optimizer_converged"] is (gamma == "0")
     assert len(result["evaluations"]) == (0 if gamma == "0" else 5)
+
+
+@pytest.mark.parametrize("phi", ["bdpd:1:1", "exp-minus-one"])
+def test_estimate_exits_4_when_the_returned_descent_missed_the_tolerance(tmp_path, phi):
+    # F is noise-limited on this sample at gamma = 2: another start meets
+    # the tolerance, but not the one whose point the fit returns
+    samples_path = tmp_path / "s.csv"
+    write_samples(samples_path,
+                  1e4 * divkit.contaminated_sample(700, 0.1, 5.0, [3, 100000000]) - 3)
+    out = tmp_path / "fit.json"
+    assert run(["estimate", "--family", "fdpd", "--phi", phi, "--gamma", "2",
+                "--samples", str(samples_path), "--out", str(out)]) == 4
+    result = json.loads(out.read_text())["result"]
+    assert result["converged"] is False and result["optimizer_converged"] is False
 
 
 def test_estimate_improper_gamma_zero_exits_2(tmp_path):

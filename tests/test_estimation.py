@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from divkit import (
     BracketTriple,
     DivergenceSpec,
+    DivkitError,
     DomainError,
     EstimationProblem,
     GaussianDensity,
@@ -15,22 +18,30 @@ from divkit import (
     OptimizerConfig,
     contaminated_sample,
     contamination_sweep,
+    custom_eta,
     custom_phi,
+    custom_xi,
     dpd_eta,
     empirical_brackets,
     empirical_score,
+    estimation,
     fit,
     identity_phi,
     log_phi,
+    parse_generator,
     power_phi,
     power_xi,
     ps_eta,
     score,
 )
 from divkit.estimation import (
+    OUTER_CURVATURE_STEP,
+    OUTER_STEP,
     SIGMA_FLOOR,
     START_OFFSETS,
     SWEEP_HEADER,
+    _gaussian_brackets,
+    _outer,
     gaussian_objective,
     minimize,
 )
@@ -195,6 +206,102 @@ def test_objective_hessian_matches_differences_of_its_gradient(spec, mu, sigma):
     assert h_uu == pytest.approx((u_right - u_left) / (2 * h), rel=1e-5, abs=1e-6 * scale)
 
 
+def _outer_reference(spec, x, y):
+    """The stencil of _outer as eleven float-bracket score calls."""
+    h, k = OUTER_STEP, OUTER_CURVATURE_STEP
+    up, down = math.exp(k), math.exp(-k)
+
+    def f(xv, yv):
+        return score(BracketTriple(xv, yv, None, spec.gamma), spec)
+
+    center = f(x, y)
+    twice = 2.0 * center
+    f_aa = (f(x * up, y) - twice + f(x * down, y)) / (k * k)
+    f_bb = (f(x, y * up) - twice + f(x, y * down)) / (k * k)
+    f_ab = ((f(x * up, y * up) - twice + f(x * down, y * down)) / (k * k) - f_aa - f_bb) / 2.0
+    return (center,
+            (f(x * (1.0 + h), y) - f(x * (1.0 - h), y)) / (2.0 * h),
+            (f(x, y * (1.0 + h)) - f(x, y * (1.0 - h))) / (2.0 * h),
+            f_aa, f_ab, f_bb)
+
+
+@pytest.fixture(scope="module")
+def table_paths(tmp_path_factory):
+    """file: tables of phi(z) = z**2 and xi(z) = z, on a log-spaced z grid."""
+    z = np.geomspace(1e-9, 1e9, 3001).tolist()
+    directory = tmp_path_factory.mktemp("tables")
+    phi, xi = directory / "phi.csv", directory / "xi.csv"
+    phi.write_text("z,value\n" + "".join(f"{v!r},{v * v!r}\n" for v in z))
+    xi.write_text("z,value\n" + "".join(f"{v!r},{v!r}\n" for v in z))
+    return {"phi": str(phi), "xi": str(xi)}
+
+
+# (family, slots) with the generators given as flag texts; "scalar-only"
+# builds a generator from math functions, which take floats only
+OUTER_SPECS = {
+    "holder-dpd": ("holder", {"eta": "dpd"}),
+    "holder-ps": ("holder", {"eta": "ps"}),
+    "holder-bhd": ("holder", {"eta": "bhd:2"}),
+    "holder-jhhb": ("holder", {"eta": "jhhb:0.5"}),
+    "holder-scalar-only": ("holder", {"eta": "scalar-only"}),
+    "fdpd-identity": ("fdpd", {"phi": "identity"}),
+    "fdpd-log": ("fdpd", {"phi": "log"}),
+    "fdpd-power-0.5": ("fdpd", {"phi": "power:0.5"}),
+    "fdpd-power-2": ("fdpd", {"phi": "power:2"}),
+    "fdpd-bdpd": ("fdpd", {"phi": "bdpd:1:1"}),
+    "fdpd-exp-minus-one": ("fdpd", {"phi": "exp-minus-one"}),
+    "fdpd-scalar-only": ("fdpd", {"phi": "scalar-only"}),
+    "fdpd-file": ("fdpd", {"phi": "file"}),
+    "jhhb-0": ("jhhb", {"zeta": 0.0}),
+    "jhhb-0.25": ("jhhb", {"zeta": 0.25}),
+    "jhhb-0.5": ("jhhb", {"zeta": 0.5}),
+    "jhhb-1": ("jhhb", {"zeta": 1.0}),
+    "xi-holder-identity": ("xi_holder", {"eta": "dpd", "xi": "identity"}),
+    "xi-holder-power": ("xi_holder", {"eta": "ps", "xi": "power:0.5"}),
+    "xi-holder-scalar-only": ("xi_holder", {"eta": "dpd", "xi": "scalar-only"}),
+    "xi-holder-file": ("xi_holder", {"eta": "dpd", "xi": "file"}),
+}
+
+
+def _outer_spec(name, gamma, tables):
+    family, slots = OUTER_SPECS[name]
+    scalar_only = {
+        "eta": custom_eta(lambda z: math.fsum((gamma, -(1.0 + gamma) * z)), gamma),
+        "phi": custom_phi(lambda z: math.sqrt(z) + z**1.5),
+        "xi": custom_xi(lambda z: math.sqrt(z) * z**0.25),
+    }
+
+    def generator(slot, text):
+        if slot == "zeta":
+            return text
+        if text == "scalar-only":
+            return scalar_only[slot]
+        if text == "file":
+            text = "file:" + tables[slot]
+        return parse_generator(slot, text, *([gamma] if slot == "eta" else []))
+
+    return DivergenceSpec(family, gamma, **{slot: generator(slot, text)
+                                            for slot, text in slots.items()})
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("name", sorted(OUTER_SPECS))
+def test_outer_is_eleven_float_bracket_scores_bit_for_bit(name, gamma, table_paths):
+    spec = _outer_spec(name, gamma, table_paths)
+    samples = seeded_contaminated(n=300, eps=0.1)
+    points = [(0.3, 0.25), (2.0, 0.7), (1e-5, 3e-6), (sys.float_info.min, 1e-300)]
+    points += [_gaussian_brackets(samples, gamma, mu, u)[:2]
+               for mu, u in ((0.0, 0.0), (1.5, -2.0), (-30.0, 3.0))]
+    for x, y in points:
+        try:
+            expected = [v.hex() for v in _outer_reference(spec, x, y)]
+        except DivkitError as err:  # a point out of float range or xi's support
+            with pytest.raises(type(err), match=re.escape(str(err))):
+                _outer(spec, x, y)
+            continue
+        assert [v.hex() for v in _outer(spec, x, y)] == expected
+
+
 # ---------------------------------------------------------------------------
 # the Newton solver
 # ---------------------------------------------------------------------------
@@ -288,9 +395,10 @@ def test_degenerate_data_hits_sigma_floor():
                                                                  phi=identity_phi())))
     assert res.mu == pytest.approx(3.0, abs=1e-6)
     assert res.sigma == pytest.approx(SIGMA_FLOOR, rel=1e-9)
-    # the score falls as sigma shrinks, and a descent meets its tolerance on
-    # the floor, where the log sigma gradient is 0; the fit is still flagged
-    assert res.sigma_at_floor and res.optimizer_converged
+    # the score falls as sigma shrinks, so the descents end on the floor, far
+    # from the initial point; the descent that starts again there steps
+    # below the floor, where the score is held, and finds no decrease
+    assert res.sigma_at_floor and not res.optimizer_converged
     assert not res.converged
 
 
@@ -354,6 +462,28 @@ def test_fit_reports_evaluations_per_start():
     payload = res.to_dict()
     assert payload["evaluations"] == list(res.evaluations)
     assert payload["optimizer_converged"] is True
+
+
+@pytest.mark.parametrize("phi", ["bdpd:1:1", "exp-minus-one"])
+def test_converged_describes_the_descent_whose_point_is_returned(monkeypatch, phi):
+    # on this 1e4-scaled sample F at gamma = 2 is known to about 1e-7
+    # relative: the descent with the lowest value misses the tolerance, and
+    # another one meets it on a plateau of F
+    samples = 1e4 * contaminated_sample(700, 0.1, 5.0, [3, 100000000]) - 3
+    descents = []
+
+    def recorded(*args):
+        descents.append(minimize(*args))
+        return descents[-1]
+
+    monkeypatch.setattr(estimation, "minimize", recorded)
+    spec = DivergenceSpec("fdpd", 2.0, phi=parse_generator("phi", phi))
+    res = fit(EstimationProblem(samples, spec))
+    # a descent around the point found, when one runs, is the last and gives the point
+    returned = descents[-1] if len(descents) > 1 + len(START_OFFSETS) else min(
+        descents, key=lambda d: d.fun)
+    assert any(d.success for d in descents) and not returned.success
+    assert not res.converged and not res.optimizer_converged
 
 
 def test_contaminated_fit_bias_ordering():
