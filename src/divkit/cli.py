@@ -85,12 +85,18 @@ def build_spec(family: str, gamma: float, eta: str | None, phi: str | None,
 
 
 def load_density(path):
-    """Sniff the density kind from the CSV header (x,value vs index,mass)."""
-    with open(path, newline="") as handle:
-        header = handle.readline().strip().lower().replace(" ", "")
-    if header.startswith("x,"):
+    """Sniff the density kind from the CSV header (x,value vs index,mass).
+
+    The header is the first non-blank row, its cells stripped of quotes and
+    whitespace, as the readers take it.
+    """
+    with open(path) as handle:
+        header = next(filter(str.strip, handle), "")
+    cells = [cell.strip().strip('"').lower() for cell in header.split(",")]
+    kind = cells[0] if len(cells) > 1 else None
+    if kind == "x":
         return read_grid_csv(path)
-    if header.startswith("index,"):
+    if kind == "index":
         return read_discrete_csv(path)
     raise CliUsageError(f"{path!r}: expected header 'x,value' or 'index,mass'")
 

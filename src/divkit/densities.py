@@ -430,6 +430,9 @@ def read_samples_csv(path) -> np.ndarray:
     return samples
 
 
+_LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2}
+
+
 def read_columns(path, names) -> tuple[np.ndarray, ...]:
     """The numeric columns of a CSV file, one array per name in ``names``.
 
@@ -438,23 +441,35 @@ def read_columns(path, names) -> tuple[np.ndarray, ...]:
     skipped.  A header row with more cells than ``names``, a data row with a
     non-numeric or empty cell, a column count other than ``len(names)``, or a
     file without data rows raises :class:`RepresentationError`.
+
+    One Python pass reads the header rows; the data rows go to numpy's
+    chunked C reader, given the path.  That reader skips empty rows but not
+    whitespace-only ones, so a file with whitespace-only rows, or with a
+    format error, is read again row by row through Python, which skips the
+    former and names the file line of the latter.
     """
     expected = ",".join(names)
     with open(path) as handle:
-        rows = filter(str.strip, handle)  # skips blank and whitespace-only rows
-        for first in rows:
-            if _is_data(first):
+        for skip, row in enumerate(handle):
+            if not row.strip():
+                continue
+            if _is_data(row):
                 break
-            if len(first.split(",")) > len(names):
+            if len(row.split(",")) > len(names):
                 raise RepresentationError(
-                    f"{path!r}: expected columns {expected}, got header {first.strip()!r}")
+                    f"{path!r}: expected columns {expected}, got header {row.strip()!r}")
         else:  # checked here, since loadtxt warns on a file without data
             raise RepresentationError(f"{path!r}: expected columns {expected}, got no data row")
-        try:
-            data = np.loadtxt(itertools.chain([first], rows), delimiter=",",
-                              comments=None, quotechar='"', ndmin=2)
-        except ValueError as err:
-            raise RepresentationError(f"{path!r}: {_at_file_line(path, err)}") from None
+    try:
+        data = np.loadtxt(path, skiprows=skip, **_LOADTXT)
+    except ValueError:
+        with open(path) as handle:
+            try:
+                data = np.loadtxt(filter(str.strip, itertools.islice(handle, skip, None)),
+                                  **_LOADTXT)
+            except ValueError as err:
+                raise RepresentationError(
+                    f"{path!r}: {_at_file_line(path, skip, err)}") from None
     if data.shape[1] != len(names):
         raise RepresentationError(
             f"{path!r}: expected columns {expected}, got {data.shape[1]} per row")
@@ -475,11 +490,11 @@ def _is_data(row: str) -> bool:
 _NUMPY_ROW = re.compile(r" at row (\d+)(, column \d+)?")
 
 
-def _at_file_line(path, err: ValueError) -> str:
+def _at_file_line(path, skip: int, err: ValueError) -> str:
     """numpy's loadtxt message, with its data row given as a 1-based file line.
 
-    The file is read again to count its header and blank lines; this runs
-    on the error path only.
+    ``skip`` is the number of lines before the first data row.  The file
+    is read again to count its blank lines; this runs on the error path only.
     """
     text = str(err)
     match = _NUMPY_ROW.search(text)
@@ -487,9 +502,9 @@ def _at_file_line(path, err: ValueError) -> str:
         return text
     data_row = int(match[1]) - (match[2] is None)
     with open(path) as handle:
-        lines = ((number, row) for number, row in enumerate(handle, 1) if row.strip())
-        body = itertools.dropwhile(lambda line: not _is_data(line[1]), lines)
-        line = next(itertools.islice(body, data_row, None), None)
+        lines = ((number, row) for number, row in enumerate(handle, 1)
+                 if number > skip and row.strip())
+        line = next(itertools.islice(lines, data_row, None), None)
     if line is None:
         return text
     return f"{text[:match.start()]} at line {line[0]}{match[2] or ''}"

@@ -354,8 +354,11 @@ def fit(problem: EstimationProblem) -> EstimationResult:
     if cfg.initial is not None:
         mu0, sigma0 = cfg.initial
     else:
-        mu0 = float(np.median(samples))
-        q75, q25 = np.percentile(samples, [75.0, 25.0])
+        # both order statistics partition one scratch copy in place; their
+        # values do not depend on the order they leave behind
+        scratch = samples.copy()
+        mu0 = float(np.median(scratch, overwrite_input=True))
+        q75, q25 = np.percentile(scratch, [75.0, 25.0], overwrite_input=True)
         sigma0 = float((q75 - q25) / 1.349)
     sigma0 = max(sigma0, 1e-3)
 

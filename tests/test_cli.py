@@ -91,6 +91,38 @@ def test_compute_grid_densities(tmp_path):
     assert payload["divergence"] == pytest.approx(expected, rel=1e-5)
 
 
+@pytest.mark.parametrize("kind, plain, header", [
+    ("grid", "x,value\n", "\n  \nx,value\n"),
+    ("grid", "x,value\n", '"x","value"\n'),
+    ("grid", "x,value\n", ' "X" , value\n'),
+    ("discrete", "index,mass\n", '\n"index","mass"\n'),
+], ids=["grid-blank-first-rows", "grid-quoted", "grid-spaced", "discrete-blank-quoted"])
+def test_compute_sniffs_the_header_as_the_readers_take_it(tmp_path, capsys, kind, plain,
+                                                          header):
+    # the density kind comes from the first non-blank row, cells stripped of
+    # quotes and whitespace; the output equals the plain-header file's
+    g_body, f_body = {"grid": ("-1,0.25\n0,0.5\n1,0.25\n", "-1,0.2\n0,0.6\n1,0.2\n"),
+                      "discrete": ("0,0.5\n1,0.25\n2,0.25\n", "0,0.4\n1,0.4\n2,0.2\n")}[kind]
+    g, f = tmp_path / "g.csv", tmp_path / "f.csv"
+    f.write_text(plain + f_body)
+    args = ["compute", "--family", "fdpd", "--phi", "identity", "--gamma", "1",
+            "--g", str(g), "--f", str(f)]
+    outputs = []
+    for text in (plain, header):
+        g.write_text(text + g_body)
+        assert run(args) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[1] == outputs[0]
+
+
+def test_compute_without_a_known_header_exits_3(tmp_path, capsys):
+    g = tmp_path / "g.csv"
+    g.write_text("\n0,0.5\n1,0.5\n")
+    assert run(["compute", "--family", "fdpd", "--phi", "identity", "--gamma", "1",
+                "--g", str(g), "--f", str(g)]) == 3
+    assert "expected header 'x,value' or 'index,mass'" in capsys.readouterr().err
+
+
 def test_compute_gamma_zero_reports_kl_fields(density_files, tmp_path):
     g, f = density_files
     out = tmp_path / "r.json"

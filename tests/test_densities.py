@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 
 import numpy as np
@@ -411,6 +412,50 @@ def test_reader_errors_name_the_file_line(tmp_path, read, text, message):
     path.write_text(text)
     with pytest.raises(RepresentationError, match=message):
         read(path)
+
+
+def recorded_loadtxt(monkeypatch):
+    """The first arguments that ``np.loadtxt`` is given, in call order."""
+    calls, loadtxt = [], np.loadtxt
+
+    def record(source, *args, **kwargs):
+        calls.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", record)
+    return calls
+
+
+@pytest.mark.parametrize("read, text", [
+    (read_grid_csv, "# a grid\n\nx,value\n0,1\n\n1,2\n"),
+    (read_discrete_csv, '"index","mass"\n0,0.5\n1,0.5\n'),
+    (read_samples_csv, "0.5\n1.5\n"),
+], ids=["grid", "discrete", "samples"])
+def test_data_rows_go_to_numpy_as_a_path(tmp_path, monkeypatch, read, text):
+    # given a path, loadtxt reads the file in chunks in C; an iterator of
+    # rows would pass every row through Python first
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    calls = recorded_loadtxt(monkeypatch)
+    read(path)
+    assert len(calls) == 1
+    assert isinstance(calls[0], (str, os.PathLike))
+
+
+def test_whitespace_only_rows_keep_the_floats(tmp_path, monkeypatch):
+    values = np.random.default_rng(11).standard_normal((100_000, 2)) * [1.0, 1e-3]
+    rows = [f"{x!r},{y!r}\n" for x, y in values.tolist()]
+    plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+    plain.write_text("x,value\n" + "".join(rows))
+    for at, blank in ((0, " \n"), (17, "\t\n"), (50_000, "  \r\n"), (100_000, " \n")):
+        rows.insert(at, blank)
+    spaced.write_text("x,value\n" + "".join(rows))
+    calls = recorded_loadtxt(monkeypatch)
+    expected = read_columns(plain, ("x", "value"))
+    got = read_columns(spaced, ("x", "value"))
+    assert len(calls) == 3  # the plain file once; the spaced one, then its re-read
+    for column, want, exact in zip(got, expected, values.T):
+        assert column.tobytes() == want.tobytes() == exact.tobytes()
 
 
 def test_a_quoted_first_data_row_is_data(tmp_path):

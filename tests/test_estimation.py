@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divkit import (
     BracketTriple,
@@ -539,6 +541,38 @@ def test_affine_equivariance_of_the_fit():
         moved = fit(EstimationProblem(a * x + b, spec))
         assert moved.mu == pytest.approx(a * base.mu + b, abs=1e-3 * min(a, 1.0))
         assert moved.sigma == pytest.approx(a * base.sigma, abs=1e-3 * min(a, 1.0))
+
+
+PRESET_SPECS = {
+    "fdpd identity": lambda gamma: DivergenceSpec("fdpd", gamma, phi=identity_phi()),
+    "fdpd log": lambda gamma: DivergenceSpec("fdpd", gamma, phi=log_phi()),
+    "fdpd power:0.5": lambda gamma: DivergenceSpec("fdpd", gamma, phi=power_phi(0.5)),
+    "jhhb 0": lambda gamma: DivergenceSpec("jhhb", gamma, zeta=0.0),
+    "jhhb 1": lambda gamma: DivergenceSpec("jhhb", gamma, zeta=1.0),
+    "holder ps": lambda gamma: DivergenceSpec("holder", gamma, eta=ps_eta(gamma)),
+    "xi_holder dpd power:0.5": lambda gamma: DivergenceSpec(
+        "xi_holder", gamma, eta=dpd_eta(gamma), xi=power_xi(0.5)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(PRESET_SPECS)),
+       gamma=st.sampled_from([0.25, 0.5, 1.0]),
+       log_scale=st.floats(-4.0, 4.0),
+       shift=st.floats(-1e3, 1e3))
+def test_affine_equivariance_of_the_fit_over_decades(name, gamma, log_scale, shift):
+    # the fit of a x + b is (a mu + b, a sigma) for the fit (mu, sigma) of x.
+    # Both fits stop within about GRADIENT_TOLERANCE of their own scale, so
+    # beyond the existing test's bound, 1e-6 a allows for that at a > 1
+    # (jhhb zeta 1 at gamma 1 differs by 3e-7 a at a = 1e4)
+    spec = PRESET_SPECS[name](gamma)
+    x = np.random.default_rng(7).standard_normal(1500) + 0.3
+    a = 10.0**log_scale
+    tolerance = 1e-3 * min(a, 1.0) + 1e-6 * a
+    base = fit(EstimationProblem(x, spec))
+    moved = fit(EstimationProblem(a * x + shift, spec))
+    assert moved.mu == pytest.approx(a * base.mu + shift, abs=tolerance)
+    assert moved.sigma == pytest.approx(a * base.sigma, abs=tolerance)
 
 
 def test_problem_validation():
