@@ -60,7 +60,6 @@ from .generators import (
     validate_psi,
 )
 from .scores import (
-    _by_entry,
     equivalent_transform,
     fdp_divergence,
     fdp_score,
@@ -319,10 +318,8 @@ def verify_jhhb_holder_representation(zeta: float, gamma: float, trials: int,
     worst: dict = {}
     for b in _bracket_batches(rng, trials, gamma):
         s = holder_score(b, eta)
-        if zeta > 0.0:
-            via_holder = -equivalent_transform(-s, "signed_power", zeta)
-        else:  # math.log entry by entry, as each trial alone takes it
-            via_holder = -np.fromiter(map(math.log, (-s).tolist()), float, s.size)
+        via_holder = (-equivalent_transform(-s, "signed_power", zeta) if zeta > 0.0
+                      else -np.log(-s))
         err = _no_nan(np.abs(via_holder - jhhb_score(b, zeta)),
                       "representation error", gamma)
         i = int(np.argmax(err))
@@ -474,7 +471,7 @@ def check_uv_consistency(xi: GeneratorXi, gamma: float,
     for eta in (dpd_eta(gamma), ps_eta(gamma)):
         reference = xi_holder_score(pairs, eta, xi)
         u_x, u_y = xi(pairs.X), xi(pairs.Y)
-        errors.append(np.abs(_by_entry(eta, u_x / u_y) * u_y - reference))
+        errors.append(np.abs(eta(u_x / u_y) * u_y - reference))
     max_err = float(np.max(errors))
     return UvConsistencyReport(gamma, xi.label(), len(selves.X), max_err,
                                max_err <= tolerance)

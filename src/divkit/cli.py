@@ -90,7 +90,7 @@ def load_density(path):
     The header is the first non-blank row, its cells stripped of quotes and
     whitespace, as the readers take it.
     """
-    with open(path) as handle:
+    with open(path, errors="backslashreplace") as handle:
         header = next(filter(str.strip, handle), "")
     cells = [cell.strip().strip('"').lower() for cell in header.split(",")]
     kind = cells[0] if len(cells) > 1 else None

@@ -440,7 +440,8 @@ def read_columns(path, names) -> tuple[np.ndarray, ...]:
     cell, stripped of quotes and whitespace, is a number.  Blank rows are
     skipped.  A header row with more cells than ``names``, a data row with a
     non-numeric or empty cell, a column count other than ``len(names)``, or a
-    file without data rows raises :class:`RepresentationError`.
+    file without data rows raises :class:`RepresentationError`.  A byte that
+    does not decode reads as its ``\\xNN`` escape, a non-numeric cell.
 
     One Python pass reads the header rows; the data rows go to numpy's
     chunked C reader, given the path.  That reader skips empty rows but not
@@ -449,7 +450,7 @@ def read_columns(path, names) -> tuple[np.ndarray, ...]:
     former and names the file line of the latter.
     """
     expected = ",".join(names)
-    with open(path) as handle:
+    with open(path, errors="backslashreplace") as handle:
         for skip, row in enumerate(handle):
             if not row.strip():
                 continue
@@ -463,7 +464,7 @@ def read_columns(path, names) -> tuple[np.ndarray, ...]:
     try:
         data = np.loadtxt(path, skiprows=skip, **_LOADTXT)
     except ValueError:
-        with open(path) as handle:
+        with open(path, errors="backslashreplace") as handle:
             try:
                 data = np.loadtxt(filter(str.strip, itertools.islice(handle, skip, None)),
                                   **_LOADTXT)
@@ -501,7 +502,7 @@ def _at_file_line(path, skip: int, err: ValueError) -> str:
     if match is None:
         return text
     data_row = int(match[1]) - (match[2] is None)
-    with open(path) as handle:
+    with open(path, errors="backslashreplace") as handle:
         lines = ((number, row) for number, row in enumerate(handle, 1)
                  if number > skip and row.strip())
         line = next(itertools.islice(lines, data_row, None), None)

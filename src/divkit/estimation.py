@@ -328,6 +328,10 @@ def minimize(objective: Callable, x0: tuple[float, float], max_iterations: int) 
     return Minimum(x, value, nfev, nit, True)
 
 
+def _on_floor(sigma: float) -> bool:
+    return sigma <= SIGMA_FLOOR * (1.0 + 1e-9)
+
+
 def fit(problem: EstimationProblem) -> EstimationResult:
     """Minimize the empirical score over (mu, log sigma).
 
@@ -347,7 +351,7 @@ def fit(problem: EstimationProblem) -> EstimationResult:
         mu_hat = float(np.mean(samples))
         sigma_hat = max(float(np.std(samples)), SIGMA_FLOOR)
         value = empirical_score(samples, GaussianDensity(mu_hat, sigma_hat, 1.0), spec)
-        at_floor = sigma_hat <= SIGMA_FLOOR * (1.0 + 1e-9)
+        at_floor = _on_floor(sigma_hat)
         return EstimationResult(mu_hat, sigma_hat, value, 0, converged=not at_floor,
                                 sigma_at_floor=at_floor)
 
@@ -399,7 +403,8 @@ def fit(problem: EstimationProblem) -> EstimationResult:
     mu_hat, u_hat, value, succeeded = descend(mu0, sigma0, offsets)
     sigma_ref = sigma0
     for _ in range(MAX_REDESCENTS):
-        if abs(u_hat - math.log(sigma_ref)) <= math.log(2.0):
+        # every step from a point on the floor goes below it, where the score is held
+        if abs(u_hat - math.log(sigma_ref)) <= math.log(2.0) or _on_floor(math.exp(u_hat)):
             break
         # far from the reference point the normalization and the units of t
         # no longer fit the score, and a descent may stop early or miss its
@@ -408,7 +413,7 @@ def fit(problem: EstimationProblem) -> EstimationResult:
         mu_hat, u_hat, value, succeeded = descend(mu_hat, sigma_ref, [(0.0, 0.0)])
 
     sigma_hat = math.exp(u_hat)
-    at_floor = sigma_hat <= SIGMA_FLOOR * (1.0 + 1e-9)
+    at_floor = _on_floor(sigma_hat)
     return EstimationResult(mu_hat, sigma_hat, value, sum(res.nit for res in runs),
                             converged=succeeded and not at_floor,
                             sigma_at_floor=at_floor,

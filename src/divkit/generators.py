@@ -67,7 +67,7 @@ def signed_power(w, exponent):
     appears; sign(0) = 0.
     """
     w = np.asarray(w, dtype=float)
-    out = np.sign(w) * np.abs(w) ** exponent
+    out = np.sign(w) * np.power(np.abs(w), exponent)
     return out if out.ndim else float(out)
 
 
@@ -148,7 +148,8 @@ class GeneratorEta(_Labelled):
     """A scalar generator eta bound to a power parameter gamma.
 
     ``kind`` is one of ``dpd``, ``ps``, ``bhd``, ``jhhb``, ``custom``; the
-    parameter fields that do not apply to a kind stay None.
+    parameter fields that do not apply to a kind stay None.  A custom ``fn``
+    is called through _apply, as phi and xi call theirs.
     """
 
     slot: ClassVar[str] = "eta"
@@ -159,20 +160,17 @@ class GeneratorEta(_Labelled):
     fn: Callable | None = None
 
     def __call__(self, z):
-        g = self.gamma
+        g, z = self.gamma, np.asarray(z, dtype=float)
         if self.kind == "dpd":
-            return g - (1.0 + g) * np.asarray(z, dtype=float)
-        if self.kind == "ps":
-            return -np.asarray(z, dtype=float) ** (1.0 + g)
+            return g - (1.0 + g) * z
+        if self.kind == "ps" or self.kind == "jhhb" and self.zeta == 0.0:
+            return -z ** (1.0 + g)
         if self.kind == "bhd":
             k = self.kappa
-            return -signed_power(k * np.asarray(z, dtype=float) - k + 1.0, (1.0 + g) / k)
+            return -signed_power(k * z - k + 1.0, (1.0 + g) / k)
         if self.kind == "jhhb":
-            zt = self.zeta
-            if zt == 0.0:
-                return -np.asarray(z, dtype=float) ** (1.0 + g)
-            return -signed_power((1.0 + g) * np.asarray(z, dtype=float) ** zt - g, 1.0 / zt)
-        return self.fn(z)
+            return -signed_power((1.0 + g) * z**self.zeta - g, 1.0 / self.zeta)
+        return _apply(self.fn, z)
 
 
 def dpd_eta(gamma: float) -> GeneratorEta:

@@ -17,17 +17,17 @@ Values follow the extended codomain: log-like generators return -inf at 0
 and divergences through them become +inf rather than raising.  Every family
 function raises DomainError where its value leaves float range.
 
-Each family function also takes the brackets of a batch of discrete
-densities, whose fields are arrays, and returns one value per row.  A float
-bracket stays on Python floats and ``math``, which a fit calls many times.
+Each family function runs one formula on a float bracket and on the
+brackets of a batch of discrete densities, whose array fields give one value
+per row.  Every power and log is a numpy ufunc, which gives a value the same
+bits alone and inside an array, so each row equals its float call bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -54,64 +54,31 @@ FAMILY_SLOTS = {
 FAMILIES = tuple(FAMILY_SLOTS)
 
 
-# A batch of brackets must give each row the bits of its scalar value: the
-# jhhb check reports its worst trial, and the errors it compares are rounding
-# noise.  On a float bracket some powers and logs come from the C library (in
-# Python floats, and in signed_power, where |w|**p is a numpy scalar), and
-# numpy's SIMD loops can miss those results by the last bit.  So a batch
-# takes those steps entry by entry, in Python floats, through the helpers
-# below.
-
-
-def _by_entry(fn, z: np.ndarray, *args) -> np.ndarray:
-    """fn(entry, *args) for each entry of z, as a Python float."""
-    return np.fromiter(map(fn, z.tolist(), *map(itertools.repeat, args)), float, z.size)
-
-
-def _in_python_floats(formula, b: BracketTriple, zeta: float) -> np.ndarray:
-    """formula on a batch, its arithmetic and ``**`` run as Python runs them.
-
-    The bracket's arrays become object arrays of Python floats, on which
-    numpy applies each operator as Python does to each float.
-    """
-    fields = {name: getattr(b, name).astype(object) for name in ("X", "Y", "Z", "L", "cross")
-              if getattr(b, name) is not None}
-    return np.asarray(formula(replace(b, **fields), zeta), dtype=float)
-
-
-def _log(x):
-    """log x, -inf at 0, by math.log; for an array, entry by entry."""
-    if x.__class__ is float and x > 0.0:  # first, and not isinstance: a fit's hot path
-        return math.log(x)
-    if x.__class__ is np.ndarray:
-        return _by_entry(_log, x)
-    if x < 0.0:
-        raise DomainError(f"log of negative bracket value {x}")
-    return -math.inf if x == 0.0 else math.log(x)
-
-
 def _in_codomain(family: str, kind: str):
     """Raise DomainError where the family function's value leaves float range.
 
-    +-inf passes.  A formula that raises ArithmeticError or returns NaN (in
-    any entry, for a batch) leaves float range: an overflow raises in Python
-    floats, and gives an inf in numpy that inf - inf turns into NaN.  The
-    formula runs with numpy's overflow and invalid warnings off, since the
-    guard reports them; a RuntimeWarning raised under warnings-as-errors
-    (a division by zero, say) is that overflow too.  The wrapper takes fixed
-    arguments: a fit calls it often, and a ``*args`` call costs about as
-    much as the cheapest formula.
+    +-inf passes: log 0, or an overflow that meets no other infinity.  A
+    formula that raises ArithmeticError, or a RuntimeWarning under
+    warnings-as-errors, or returns NaN in any entry (inf - inf, the log of a
+    negative bracket) leaves float range.  numpy's overflow, invalid and
+    divide warnings are off, since the guard reports what they would.  A
+    float bracket's value is returned as a Python float.  The wrapper takes
+    fixed arguments: a ``*args`` call costs about as much as the cheapest
+    formula.
     """
     def decorate(formula):
         @functools.wraps(formula)
         def guarded(b: BracketTriple, generator, xi=None):  # xi: the xi-Hoelder slot
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     value = formula(b, generator) if xi is None else formula(b, generator, xi)
             except (ArithmeticError, RuntimeWarning):
                 value = math.nan
-            if value == value if value.__class__ is float else not np.isnan(value).any():
-                return value
+            if value.__class__ is np.ndarray and value.ndim:  # a batch: one value per row
+                if not np.isnan(value).any():
+                    return value
+            elif value == value:
+                return float(value)
             raise DomainError(f"the {family} {kind} leaves float range at gamma={b.gamma}")
         return guarded
     return decorate
@@ -126,11 +93,9 @@ def _in_codomain(family: str, kind: str):
 def holder_score(b: BracketTriple, eta: GeneratorEta) -> float:
     """eta(X/Y) * Y for gamma > 0; -<g log f> + <f> at gamma = 0."""
     if b.gamma > 0.0:
-        y = b.Y
-        batch = y.__class__ is np.ndarray
-        if (y <= 0.0).any() if batch else y <= 0.0:
+        if np.count_nonzero(b.Y <= 0.0):
             raise DegenerateModelError("holder score undefined: <f**(1+gamma)> = 0")
-        return _by_entry(eta, b.X / y) * y if batch else float(eta(b.X / y) * y)
+        return eta(b.X / b.Y) * b.Y
     return -b.require_cross() + b.Y
 
 
@@ -171,36 +136,33 @@ def fdp_divergence(b: BracketTriple, phi: GeneratorPhi) -> float:
 @_in_codomain("jhhb", "score")
 def jhhb_score(b: BracketTriple, zeta: float) -> float:
     """The score of the (gamma, zeta) family; zeta = 0 is the log branch."""
-    if not 0.0 <= zeta < math.inf:  # _check_zeta, inline on this hot path
-        raise DomainError(f"zeta must be finite and >= 0, got {zeta}")
-    if b.X.__class__ is np.ndarray and b.X.dtype != object:
-        return _in_python_floats(jhhb_score.__wrapped__, b, zeta)
+    _check_zeta(zeta)
     g = b.gamma
     if g > 0.0:
         if zeta > 0.0:
-            return (g * b.Y**zeta - (1.0 + g) * b.X**zeta + 1.0) / zeta
-        return g * _log(b.Y) - (1.0 + g) * _log(b.X)
+            return (g * np.power(b.Y, zeta) - (1.0 + g) * np.power(b.X, zeta) + 1.0) / zeta
+        return g * np.log(b.Y) - (1.0 + g) * np.log(b.X)
     cross = b.require_cross()
     if zeta > 0.0:
-        return -(b.X ** (zeta - 1.0)) * cross + (b.Y**zeta - 1.0) / zeta
-    return -cross / b.X + _log(b.Y)
+        return -np.power(b.X, zeta - 1.0) * cross + (np.power(b.Y, zeta) - 1.0) / zeta
+    return -cross / b.X + np.log(b.Y)
 
 
 @_in_codomain("jhhb", "divergence")
 def jhhb_divergence(b: BracketTriple, zeta: float) -> float:
     _check_zeta(zeta)
-    if b.X.__class__ is np.ndarray and b.X.dtype != object:
-        return _in_python_floats(jhhb_divergence.__wrapped__, b, zeta)
     g = b.gamma
     if g > 0.0:
         z_int = b.require_z()
         if zeta > 0.0:
-            return (z_int**zeta / g - (1.0 + g) * b.X**zeta / g + b.Y**zeta) / zeta
-        return _log(z_int) / g - (1.0 + g) * _log(b.X) / g + _log(b.Y)
+            return (np.power(z_int, zeta) / g - (1.0 + g) * np.power(b.X, zeta) / g
+                    + np.power(b.Y, zeta)) / zeta
+        return np.log(z_int) / g - (1.0 + g) * np.log(b.X) / g + np.log(b.Y)
     ll = b.require_l()
     if zeta > 0.0:
-        return b.X ** (zeta - 1.0) * ll - b.X**zeta / zeta + b.Y**zeta / zeta
-    return ll / b.X - _log(b.X) + _log(b.Y)
+        return (np.power(b.X, zeta - 1.0) * ll - np.power(b.X, zeta) / zeta
+                + np.power(b.Y, zeta) / zeta)
+    return ll / b.X - np.log(b.X) + np.log(b.Y)
 
 
 def _check_zeta(zeta: float) -> None:
@@ -219,12 +181,9 @@ def xi_holder_score(b: BracketTriple, eta: GeneratorEta, xi: GeneratorXi) -> flo
     if not b.gamma > 0.0:
         raise DomainError("xi-Hoelder scores require gamma > 0")
     xi_y = xi(b.Y)
-    batch = xi_y.__class__ is np.ndarray
-    if (xi_y <= 0.0).any() if batch else xi_y <= 0.0:
+    if np.count_nonzero(xi_y <= 0.0):
         raise DegenerateModelError("xi-Hoelder score undefined: xi(<f**(1+gamma)>) = 0")
-    if batch:
-        return _by_entry(eta, xi(b.X) / xi_y) * xi_y
-    return float(eta(xi(b.X) / xi_y) * xi_y)
+    return eta(xi(b.X) / xi_y) * xi_y
 
 
 @_in_codomain("xi_holder", "divergence")
@@ -247,8 +206,6 @@ def equivalent_transform(s: float, tau: str, zeta: float | None = None) -> float
     if tau == "signed_power":
         if zeta is None or not 0.0 < zeta < math.inf:
             raise DomainError(f"signed_power transform needs finite zeta > 0, got {zeta}")
-        if s.__class__ is np.ndarray:
-            return (_by_entry(signed_power, s, zeta) - 1.0) / zeta
         return (signed_power(s, zeta) - 1.0) / zeta
     if tau == "neg_exp_neg":
         return -math.exp(-s)

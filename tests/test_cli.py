@@ -123,6 +123,24 @@ def test_compute_without_a_known_header_exits_3(tmp_path, capsys):
     assert "expected header 'x,value' or 'index,mass'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text", [
+    (["compute", "--family", "fdpd", "--phi", "identity", "--gamma", "1",
+      "--g", "{bad}", "--f", "{bad}"], b"x,value\n0,1\n1,\xff\n"),
+    (["estimate", "--family", "fdpd", "--phi", "identity", "--gamma", "1",
+      "--samples", "{bad}"], b"x\n0.5\n\xff\n"),
+    (["compute", "--family", "fdpd", "--phi", "file:{bad}", "--gamma", "1",
+      "--g", "{good}", "--f", "{good}"], b"z,value\n0,0\n1,\xff\n"),
+], ids=["compute", "estimate", "phi-table"])
+def test_a_file_that_is_not_utf8_exits_3_naming_it(tmp_path, capsys, density_files,
+                                                    command, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(text)
+    assert run([arg.format(bad=bad, good=density_files[0]) for arg in command]) == 3
+    err = capsys.readouterr().err
+    # the byte reads as its escape, a cell that is not a number
+    assert err.startswith(f"divkit: {str(bad)!r}: ") and "xff" in err and "at line 3" in err
+
+
 def test_compute_gamma_zero_reports_kl_fields(density_files, tmp_path):
     g, f = density_files
     out = tmp_path / "r.json"
@@ -292,9 +310,9 @@ def test_estimate_degenerate_sample_exits_4(tmp_path, samples, gamma):
     result = json.loads(out.read_text())["result"]
     assert result["converged"] is False and result["sigma_at_floor"] is True
     assert result["mu_hat"] == pytest.approx(samples[0], abs=1e-12)
-    # gamma > 0: the descent that starts again on the floor finds no decrease
-    assert result["optimizer_converged"] is (gamma == "0")
-    assert len(result["evaluations"]) == (0 if gamma == "0" else 5)
+    # gamma > 0: the four descents end on the floor, and none starts again there
+    assert result["optimizer_converged"] is True
+    assert len(result["evaluations"]) == (0 if gamma == "0" else 4)
 
 
 @pytest.mark.parametrize("phi", ["bdpd:1:1", "exp-minus-one"])

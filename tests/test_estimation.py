@@ -398,9 +398,10 @@ def test_degenerate_data_hits_sigma_floor():
     assert res.mu == pytest.approx(3.0, abs=1e-6)
     assert res.sigma == pytest.approx(SIGMA_FLOOR, rel=1e-9)
     # the score falls as sigma shrinks, so the descents end on the floor, far
-    # from the initial point; the descent that starts again there steps
-    # below the floor, where the score is held, and finds no decrease
-    assert res.sigma_at_floor and not res.optimizer_converged
+    # from the initial point; no descent starts again there, since every
+    # step from the floor goes below it, where the score is held
+    assert res.sigma_at_floor and res.optimizer_converged
+    assert len(res.evaluations) == 4
     assert not res.converged
 
 

@@ -13,6 +13,7 @@ from divkit import (
     DivergenceSpec,
     DomainError,
     GeneratorValidityError,
+    bhd_eta,
     bracket_integrals,
     custom_eta,
     custom_phi,
@@ -375,7 +376,7 @@ def test_dispatch_keeps_infinite_values():
 
 
 @pytest.mark.parametrize("spec", [
-    DivergenceSpec("jhhb", 1.0, zeta=2.0),  # OverflowError in Python floats
+    DivergenceSpec("jhhb", 1.0, zeta=2.0),
     DivergenceSpec("fdpd", 1.0, phi=power_phi(2.0)),  # inf - inf in numpy
 ], ids=["jhhb-zeta-2", "fdpd-power-2"])
 def test_dispatch_out_of_float_range_raises_domain_error(spec):
@@ -405,12 +406,15 @@ BATCH_FORMULAS = {
     "holder-scalar-only-custom": lambda b: holder_score(
         b, custom_eta(lambda z: -math.pow(z, 2.0), 1.0)),
     "holder-divergence-ps": lambda b: holder_divergence(b, ps_eta(1.0)),
+    "holder-bhd-1.5": lambda b: holder_score(b, bhd_eta(1.5, 1.0)),  # through signed_power
     "fdpd-power-0.5": lambda b: fdp_score(b, power_phi(0.5)),
     "fdpd-divergence-log": lambda b: fdp_divergence(b, log_phi()),
     "jhhb-0": lambda b: jhhb_score(b, 0.0),
     "jhhb-0.25": lambda b: jhhb_score(b, 0.25),
     "jhhb-divergence-2": lambda b: jhhb_divergence(b, 2.0),
+    "jhhb-divergence-0": lambda b: jhhb_divergence(b, 0.0),
     "xi-holder": lambda b: xi_holder_score(b, dpd_eta(1.0), power_xi(0.5)),
+    "xi-holder-jhhb-0.25": lambda b: xi_holder_score(b, jhhb_eta(0.25, 1.0), power_xi(0.5)),
     "xi-holder-scalar-only-custom": lambda b: xi_holder_score(
         b, dpd_eta(1.0), custom_xi(math.sqrt)),
     "fdpd-scalar-only-custom": lambda b: fdp_score(b, custom_phi(math.log1p)),
@@ -438,17 +442,45 @@ def test_a_batch_scores_each_row_bit_for_bit(name):
     lambda b: jhhb_score(b, 0.0),
     lambda b: jhhb_score(b, 0.5),
     lambda b: jhhb_divergence(b, 0.5),
+    lambda b: jhhb_divergence(b, 0.0),
 ], ids=["holder", "holder-divergence", "fdpd", "fdpd-divergence", "jhhb-0", "jhhb-0.5",
-        "jhhb-divergence"])
+        "jhhb-divergence", "jhhb-divergence-0"])
 def test_a_gamma_zero_batch_scores_each_row_bit_for_bit(formula):
     batch, rows = _batch_and_rows(0.0)
     assert np.array_equal(formula(batch), [formula(row) for row in rows])
 
 
+def test_a_float_bracket_gives_python_floats(b, discrete_pair):
+    b0 = bracket_integrals(*discrete_pair, 0.0)
+    square = custom_eta(lambda z: -z**2.0, 1.0)
+    specs = [DivergenceSpec("holder", 1.0, eta=bhd_eta(1.5, 1.0)),
+             DivergenceSpec("fdpd", 1.0, phi=power_phi(0.5)),
+             DivergenceSpec("jhhb", 1.0, zeta=0.25),
+             DivergenceSpec("xi_holder", 1.0, eta=square, xi=custom_xi(math.sqrt)),
+             DivergenceSpec("fdpd", 0.0, phi=identity_phi()),
+             DivergenceSpec("jhhb", 0.0, zeta=0.0)]
+    values = [holder_score(b, square), holder_divergence(b, dpd_eta(1.0)),
+              fdp_score(b, custom_phi(math.log1p)), fdp_divergence(b, log_phi()),
+              jhhb_score(b, 0.0), jhhb_divergence(b, 0.5),
+              xi_holder_score(b, jhhb_eta(0.25, 1.0), power_xi(0.5)),
+              xi_holder_divergence(b, ps_eta(1.0), identity_xi()),
+              holder_score(b0, None), holder_divergence(b0, None),
+              fdp_score(b0, log_phi()), fdp_divergence(b0, power_phi(0.5)),
+              jhhb_score(b0, 0.5), jhhb_divergence(b0, 0.0),
+              *(evaluate(b0 if spec.gamma == 0.0 else b, spec)
+                for spec in specs for evaluate in (score, divergence))]
+    # the zeta = 0 log branch at a zero bracket: log X = -inf
+    disjoint = BracketTriple(0.0, 1.0, 1.0, 1.0)
+    infinite = [jhhb_score(disjoint, 0.0), jhhb_divergence(disjoint, 0.0)]
+    assert [type(v) for v in values + infinite] == [float] * (len(values) + 2)
+    assert all(math.isfinite(v) for v in values)
+    assert infinite == [math.inf, math.inf]
+
+
 @pytest.mark.parametrize("evaluate", [
     lambda b: fdp_score(b, power_phi(2.0)),  # inf - inf in numpy
     lambda b: fdp_divergence(b, power_phi(2.0)),
-    lambda b: jhhb_score(b, 2.0),  # OverflowError in Python floats
+    lambda b: jhhb_score(b, 2.0),
     lambda b: jhhb_divergence(b, 2.0),
 ], ids=["fdpd", "fdpd-divergence", "jhhb", "jhhb-divergence"])
 def test_family_functions_called_directly_stay_in_the_codomain(evaluate):
