@@ -330,7 +330,8 @@ def affine_transform(f: DensityObject, sigma: float, mu: float) -> DensityObject
     if isinstance(f, GaussianDensity):
         return GaussianDensity((f.mu - mu) / sigma, f.sigma / abs(sigma), f.mass)
     if isinstance(f, GridDensity):
-        scaled = abs(sigma) * f.values
+        with np.errstate(over="ignore"):  # an infinite value fails the grid's own check
+            scaled = abs(sigma) * f.values
         if sigma > 0.0:
             return GridDensity((f.x0 - mu) / sigma, f.dx / sigma, scaled)
         x_last = f.x0 + f.dx * (f.values.size - 1)
@@ -344,9 +345,11 @@ def scale_values(f: DensityObject, factor: float) -> DensityObject:
         raise DomainError(f"scale factor must be > 0, got {factor}")
     if isinstance(f, GaussianDensity):
         return replace(f, mass=factor * f.mass)
+    with np.errstate(over="ignore"):  # an infinite value fails the density's own check
+        scaled = factor * (f.values if isinstance(f, GridDensity) else f.masses)
     if isinstance(f, GridDensity):
-        return GridDensity(f.x0, f.dx, factor * f.values)
-    return DiscreteDensity(factor * f.masses)
+        return GridDensity(f.x0, f.dx, scaled)
+    return DiscreteDensity(scaled)
 
 
 def density_value(f: DensityObject, x) -> np.ndarray | float:

@@ -332,6 +332,9 @@ def _on_floor(sigma: float) -> bool:
     return sigma <= SIGMA_FLOOR * (1.0 + 1e-9)
 
 
+# an overflow or an invalid operation gives inf or NaN, which the range
+# checks and the descent's tests catch
+@np.errstate(over="ignore", invalid="ignore")
 def fit(problem: EstimationProblem) -> EstimationResult:
     """Minimize the empirical score over (mu, log sigma).
 
@@ -348,8 +351,14 @@ def fit(problem: EstimationProblem) -> EstimationResult:
     log_floor = math.log(SIGMA_FLOOR)
 
     if spec.gamma == 0.0:
-        mu_hat = float(np.mean(samples))
-        sigma_hat = max(float(np.std(samples)), SIGMA_FLOOR)
+        mu_hat, sigma_hat = float(np.mean(samples)), float(np.std(samples))
+        if not (math.isfinite(mu_hat) and math.isfinite(sigma_hat)):
+            # the sum or the squares overflow: take both on the samples
+            # divided by their largest magnitude, and scale back
+            top = float(np.max(np.abs(samples)))
+            mu_hat, sigma_hat = (top * float(np.mean(samples / top)),
+                                 top * float(np.std(samples / top)))
+        sigma_hat = max(sigma_hat, SIGMA_FLOOR)
         value = empirical_score(samples, GaussianDensity(mu_hat, sigma_hat, 1.0), spec)
         at_floor = _on_floor(sigma_hat)
         return EstimationResult(mu_hat, sigma_hat, value, 0, converged=not at_floor,

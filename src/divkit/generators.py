@@ -272,8 +272,8 @@ class GeneratorPhi(_Labelled):
     ``phi_prime`` is analytic for the presets and a centered finite
     difference for custom generators unless a derivative is supplied.
     log-like kinds return -inf at argument 0 (extended codomain) instead of
-    raising.  ``exp-minus-one`` and ``custom`` evaluate ``fn`` and ``dfn``,
-    on an array element by element where they take scalars only.
+    raising.  ``custom`` evaluates ``fn`` and ``dfn``, on an array element
+    by element where they take scalars only.
     """
 
     slot: ClassVar[str] = "phi"
@@ -296,6 +296,8 @@ class GeneratorPhi(_Labelled):
         elif self.kind == "bdpd":
             with np.errstate(divide="ignore"):
                 out = np.log(self.lam1 + self.lam2 * z) / self.lam2
+        elif self.kind == "exp-minus-one":
+            out = np.exp(z) - 1.0
         else:
             out = _apply(self.fn, z)
         return out if out.ndim else float(out)
@@ -313,6 +315,8 @@ class GeneratorPhi(_Labelled):
             out = z ** (self.zeta - 1.0)
         elif self.kind == "bdpd":
             out = 1.0 / (self.lam1 + self.lam2 * z)
+        elif self.kind == "exp-minus-one":
+            out = np.exp(z)
         elif self.dfn is not None:
             out = _apply(self.dfn, z)
         else:
@@ -356,20 +360,12 @@ def phi_from_table(path) -> GeneratorPhi:
     return custom_phi(tabulated(path))
 
 
-def _exp_minus_one(z):
-    return np.exp(np.asarray(z, dtype=float)) - 1.0
-
-
-def _exp(z):
-    return np.exp(np.asarray(z, dtype=float))
-
-
 def exp_minus_one_phi() -> GeneratorPhi:
     """phi(z) = exp(z) - 1: a valid generator that is not scale-compatible.
 
     Useful as the stock counterexample in affine-invariance checks.
     """
-    return GeneratorPhi("exp-minus-one", fn=_exp_minus_one, dfn=_exp)
+    return GeneratorPhi("exp-minus-one")
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ def holder_score(b: BracketTriple, eta: GeneratorEta) -> float:
 @_in_codomain("holder", "divergence")
 def holder_divergence(b: BracketTriple, eta: GeneratorEta) -> float:
     if b.gamma > 0.0:
-        return holder_score(b, eta) + b.require_z()
+        return holder_score.__wrapped__(b, eta) + b.require_z()
     return b.require_l() - b.X + b.Y
 
 
@@ -188,7 +188,7 @@ def xi_holder_score(b: BracketTriple, eta: GeneratorEta, xi: GeneratorXi) -> flo
 
 @_in_codomain("xi_holder", "divergence")
 def xi_holder_divergence(b: BracketTriple, eta: GeneratorEta, xi: GeneratorXi) -> float:
-    return xi_holder_score(b, eta, xi) + xi(b.require_z())
+    return xi_holder_score.__wrapped__(b, eta, xi) + xi(b.require_z())
 
 
 # ---------------------------------------------------------------------------

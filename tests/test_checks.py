@@ -1,15 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from divkit import (
     DiscreteDensity,
+    DivkitError,
     DomainError,
     GaussianDensity,
     affine_transform,
     bracket_integrals,
-    checks,
     custom_phi,
     custom_xi,
     equivalent_transform,
@@ -24,7 +25,6 @@ from divkit import (
     log_phi,
     power_phi,
     power_xi,
-    xi_holder_score,
 )
 from divkit.checks import (
     BATCH_TRIALS,
@@ -259,60 +259,41 @@ def test_lower_bound_report_shape():
 # ---------------------------------------------------------------------------
 
 
-def test_uv_consistency(rng):
-    densities = [random_discrete_density(rng) for _ in range(25)]
+def test_uv_consistency():
     for xi in (identity_xi(), power_xi(0.5)):
-        report = check_uv_consistency(xi, 1.0, densities)
+        report = check_uv_consistency(xi, 1.0, trials=25, seed=20240817)
         assert report.passed
         assert report.max_abs_error <= 1e-12
-
-
-def test_uv_consistency_mixed_representations(gaussian_pair):
-    g, f = gaussian_pair
-    report = check_uv_consistency(power_xi(2.0), 0.5, [g, f])
-    assert report.passed
+        assert (report.trials, report.seed) == (25, 20240817)
 
 
 @pytest.mark.parametrize("seed", [3, 11, 1005])
 @pytest.mark.parametrize("trials", [1, 2, 37])
-def test_uv_consistency_of_a_batch_is_that_of_its_rows(seed, trials):
-    # the rows of a batch are the densities that one draw per trial gives
-    batch = DiscreteDensity(np.random.default_rng(seed).uniform(0.05, 3.0, (trials, 8)))
+def test_uv_consistency_checks_the_draws_of_random_discrete_density(seed, trials):
+    # the reference: one density per trial, drawn and bracketed on its own
     rng = np.random.default_rng(seed)
     rows = [random_discrete_density(rng) for _ in range(trials)]
-    assert np.array_equal(batch.masses, [row.masses for row in rows])
     for xi, gamma in ((identity_xi(), 1.0), (power_xi(0.5), 1.0), (power_xi(2.0), 0.5),
                       (custom_xi(lambda z: math.sqrt(z) * z**0.25), 2.0)):
-        from_batch = check_uv_consistency(xi, gamma, batch)
-        assert from_batch == check_uv_consistency(xi, gamma, rows)
-        assert from_batch.trials == trials
+        selves = [bracket_integrals(g, g, gamma) for g in rows]
+        reference = max(abs(xi(b.X) - xi(b.Y)) for b in selves)
+        report = check_uv_consistency(xi, gamma, trials, seed)
+        assert report.max_abs_error.hex() == reference.hex()
+        assert (report.trials, report.seed) == (trials, seed)
 
 
-def test_uv_consistency_pairs_each_density_with_the_next(monkeypatch):
-    # the assembled score repeats the xi-Hoelder formula, so the pairs show
-    # in the brackets the check scores, not in its error
-    scored = []
-
-    def recorded(b, eta, xi):
-        scored.append((b.X, b.Y))
-        return xi_holder_score(b, eta, xi)
-
-    monkeypatch.setattr(checks, "xi_holder_score", recorded)
-    batch = DiscreteDensity(np.random.default_rng(5).uniform(0.05, 3.0, (37, 8)))
-    rows = [DiscreteDensity(masses) for masses in batch.masses]
-    check_uv_consistency(identity_xi(), 1.0, batch)
-    check_uv_consistency(identity_xi(), 1.0, rows)
-    pairs = [bracket_integrals(g, f, 1.0) for g, f in zip(rows, rows[1:] + rows[:1])]
-    assert len(scored) == 4  # dpd and ps, for each form
-    for x, y in scored:
-        assert np.array_equal(x, [b.X for b in pairs]) and np.array_equal(y, [b.Y for b in pairs])
+def test_uv_consistency_rejects_no_trials_and_gamma_zero():
+    with pytest.raises(DomainError, match=r"^trials must be >= 1, got 0$"):
+        check_uv_consistency(identity_xi(), 1.0, 0, 1)
+    with pytest.raises(DomainError, match="requires gamma > 0"):
+        check_uv_consistency(identity_xi(), 0.0, 5, 1)
 
 
-def test_uv_consistency_rejects_a_density_that_is_no_batch():
-    with pytest.raises(DomainError, match=r"\(trials, atoms\) masses"):
-        check_uv_consistency(identity_xi(), 1.0, DiscreteDensity([0.5, 0.5]))
-    with pytest.raises(DomainError, match="at least one density"):
-        check_uv_consistency(identity_xi(), 1.0, [])
+def test_uv_consistency_out_of_float_range_raises_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivkitError, match="the xi value leaves float range at gamma=1.0"):
+            check_uv_consistency(power_xi(300.0), 1.0, 5, 1)
 
 
 def test_equality_probe_affine_lift_gives_zero(discrete_pair):
@@ -366,9 +347,7 @@ REPORTS = {
         0.5, 1.0, trials=20, seed=4),
     "fdps-lower-bound": lambda: check_fdps_lower_bound(
         custom_phi(lambda z: np.asarray(z, float) - 20.0), 0.5, trials=50, seed=5),
-    "uv-consistency": lambda: check_uv_consistency(
-        identity_xi(), 1.0, [random_discrete_density(np.random.default_rng(6))
-                             for _ in range(4)]),
+    "uv-consistency": lambda: check_uv_consistency(identity_xi(), 1.0, trials=4, seed=6),
     "equality-conditions": lambda: equality_condition_probe(
         log_phi(), 1.0, DiscreteDensity([0.8, 0.2]), c=2.0),
 }

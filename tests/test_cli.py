@@ -9,8 +9,15 @@ import numpy as np
 import pytest
 
 import divkit
-from divkit import DiscreteDensity, GaussianDensity, gaussian_grid, power_xi, write_density_csv
-from divkit.checks import check_uv_consistency, random_discrete_density
+from divkit import (
+    DiscreteDensity,
+    GaussianDensity,
+    bracket_integrals,
+    gaussian_grid,
+    power_xi,
+    write_density_csv,
+)
+from divkit.checks import random_discrete_density
 from divkit.cli import main
 
 
@@ -232,12 +239,20 @@ def test_verify_uv_and_equality(tmp_path):
     assert abs(payload["worst_case"]["D_value"]) <= 1e-10
 
 
+def test_verify_equality_conditions_out_of_float_range_exits_3(tmp_path, capsys):
+    # c**(1/2) = 1e150 times a mass of 1e300 overflows the scaled density
+    path = tmp_path / "big.csv"
+    path.write_text("index,mass\n0,1e300\n1,1\n")
+    assert run(["verify", "--theorem", "equality-conditions", "--gamma", "1",
+                "--c", "1e300", "--f", str(path), "--seed", "1"]) == 3
+    assert capsys.readouterr().err == "divkit: masses must be finite\n"
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_verify_uv_consistency_without_trials_exits_3(capsys, trials):
     assert run(["verify", "--theorem", "uv-consistency", "--gamma", "1",
                 "--trials", trials, "--seed", "1"]) == 3
-    assert capsys.readouterr().err == (
-        "divkit: the consistency check needs at least one density\n")
+    assert capsys.readouterr().err == f"divkit: trials must be >= 1, got {trials}\n"
 
 
 def test_verify_uv_consistency_checks_one_density_per_trial(tmp_path):
@@ -245,11 +260,13 @@ def test_verify_uv_consistency_checks_one_density_per_trial(tmp_path):
     assert run(["verify", "--theorem", "uv-consistency", "--xi", "power:0.5", "--gamma", "2",
                 "--trials", "37", "--seed", "9", "--out", str(out)]) == 0
     rng = np.random.default_rng(9)
-    report = check_uv_consistency(power_xi(0.5), 2.0,
-                                  [random_discrete_density(rng) for _ in range(37)])
+    xi = power_xi(0.5)
+    selves = [bracket_integrals(g, g, 2.0) for g in
+              (random_discrete_density(rng) for _ in range(37))]
     payload = json.loads(out.read_text())
-    assert payload["trials"] == 37
-    assert payload["worst_case"]["max_abs_error"] == report.max_abs_error
+    assert (payload["trials"], payload["seed"]) == (37, 9)
+    assert payload["worst_case"]["max_abs_error"].hex() == max(
+        abs(xi(b.X) - xi(b.Y)) for b in selves).hex()
 
 
 def test_verify_affine_invariance_with_every_trial_skipped_exits_1(tmp_path):
@@ -335,6 +352,18 @@ def test_estimate_improper_gamma_zero_exits_2(tmp_path):
     code = run(["estimate", "--family", "fdpd", "--phi", "log", "--gamma", "0",
                 "--samples", str(samples_path)])
     assert code == 2
+
+
+def test_estimate_gamma_zero_mle_near_the_top_of_float_range(tmp_path):
+    # the squares of the samples overflow; the MLE sigma, 1e300, does not
+    samples_path = tmp_path / "s.csv"
+    write_samples(samples_path, [1e300, -1e300])
+    out = tmp_path / "fit.json"
+    assert run(["estimate", "--family", "fdpd", "--phi", "identity", "--gamma", "0",
+                "--samples", str(samples_path), "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert (result["mu_hat"], result["sigma_hat"]) == (0.0, 1e300)
+    assert result["converged"] is True
 
 
 def test_sweep_table(tmp_path):
@@ -563,18 +592,18 @@ def test_compute_out_of_float_range_exits_3(tmp_path, capsys, flags, family):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags, family", [
+@pytest.mark.parametrize("flags, what", [
     # phi(X) overflows, so every gap would be NaN: no trial may pass silently
-    (["--theorem", "fdps-lower-bound", "--phi", "power:300"], "fdpd"),
+    (["--theorem", "fdps-lower-bound", "--phi", "power:300"], "fdpd score"),
     # X**300 overflows in Python floats
-    (["--theorem", "jhhb-representation", "--zeta", "300"], "jhhb"),
+    (["--theorem", "jhhb-representation", "--zeta", "300"], "jhhb score"),
     # xi(X) = xi(Y) = inf: inf - inf is no error of 0
-    (["--theorem", "uv-consistency", "--xi", "power:300"], "xi_holder"),
+    (["--theorem", "uv-consistency", "--xi", "power:300"], "xi value"),
 ], ids=["fdps-lower-bound", "jhhb-representation", "uv-consistency"])
-def test_verify_out_of_float_range_exits_3(tmp_path, capsys, flags, family):
+def test_verify_out_of_float_range_exits_3(tmp_path, capsys, flags, what):
     out = tmp_path / "r.json"
     assert run(["verify", *flags, "--gamma", "1", "--trials", "10", "--seed", "1",
                 "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
-        f"divkit: the {family} score leaves float range at gamma=1.0\n")
+        f"divkit: the {what} leaves float range at gamma=1.0\n")
     assert not out.exists()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from divkit import (
     DiscreteDensity,
+    DivkitError,
     DomainError,
     GaussianDensity,
     GridDensity,
@@ -227,6 +228,18 @@ def test_scale_values_scales_mass():
     assert scale_values(f, 2.0).total_mass() == pytest.approx(2.0)
     g = GaussianDensity(0, 1, 1.0)
     assert scale_values(g, 3.0).mass == 3.0
+
+
+@pytest.mark.parametrize("transform, f, message", [
+    (lambda f: scale_values(f, 1e10), GridDensity(0.0, 1.0, [1e300, 1e300]), "values"),
+    (lambda f: scale_values(f, 1e10), DiscreteDensity([1e300, 1e300]), "masses"),
+    (lambda f: affine_transform(f, 1e10, 0.0), GridDensity(0.0, 1.0, [1e300, 1e300]), "values"),
+], ids=["scale_values-grid", "scale_values-discrete", "affine_transform"])
+def test_a_transform_that_overflows_raises_without_a_warning(transform, f, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivkitError, match=f"{message} must be finite"):
+            transform(f)
 
 
 # ---------------------------------------------------------------------------

@@ -424,6 +424,19 @@ def test_gamma_zero_fit_is_the_sample_mean_and_std(spec):
     assert res.converged and res.evaluations == ()
 
 
+@pytest.mark.parametrize("samples, mu, sigma", [
+    ([1e300, -1e300], 0.0, 1e300),  # the squares overflow
+    ([1.5e308, 1e308], 1.25e308, 0.25e308),  # the sum overflows too
+])
+def test_gamma_zero_fit_near_the_top_of_float_range(samples, mu, sigma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fit(EstimationProblem(samples, MLE))
+    assert res.mu == pytest.approx(mu, rel=1e-15, abs=0.0)
+    assert res.sigma == pytest.approx(sigma, rel=1e-15)
+    assert res.converged
+
+
 def test_gamma_zero_fit_rejects_improper_generators():
     with pytest.raises(GeneratorValidityError):
         fit(EstimationProblem(seeded_contaminated(n=50), DivergenceSpec("jhhb", 0.0, zeta=0.0)))
@@ -456,6 +469,14 @@ def test_fit_emits_no_warning():
         warnings.simplefilter("error")
         for spec in [MLE, DPD_HALF, GDIV_HALF] + OBJECTIVE_SPECS:
             fit(EstimationProblem(samples, spec))
+
+
+def test_fit_on_samples_near_the_top_of_float_range_emits_no_warning():
+    # the squared distances of the two outliers overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fit(EstimationProblem([1e300, -1e300, 0.0, 0.0, 0.0, 0.0, 0.0], DPD_HALF))
+    assert math.isfinite(res.score)
 
 
 def test_fit_reports_evaluations_per_start():
