@@ -48,6 +48,7 @@ from .densities import (
     bracket_integrals,
     density_value,
     scale_values,
+    seeded_rng,
 )
 from .errors import DomainError, EvaluationError
 from .generators import GeneratorPhi, GeneratorXi, jhhb_eta, validate_psi
@@ -116,9 +117,19 @@ def _no_nan(values: np.ndarray, what: str, gamma: float) -> np.ndarray:
     return values
 
 
-def _require_trials(trials: int) -> None:
+def _require_tolerance(tolerance: float) -> None:
+    # written so that NaN fails
+    if not 0.0 <= tolerance < math.inf:
+        raise DomainError(f"tolerance must be a finite number >= 0, got {tolerance}")
+
+
+def _trial_rng(trials: int, seed, tolerance: float) -> np.random.Generator:
+    """The random stream of a randomized check, once its trials, seed and
+    tolerance are valid."""
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    _require_tolerance(tolerance)
+    return seeded_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -214,7 +225,7 @@ def check_affine_invariance(phi: GeneratorPhi, gamma: float, trials: int, seed: 
         raise DomainError(f"unknown representation {representation!r}")
     if representation == "grid" and grid_points < 2:
         raise DomainError(f"a grid needs at least 2 points, got {grid_points}")
-    _require_trials(trials)
+    rng = _trial_rng(trials, seed, tolerance)
     if phi.kind == "power":
         zeta: float | None = phi.zeta
     elif phi.kind == "log":
@@ -222,7 +233,6 @@ def check_affine_invariance(phi: GeneratorPhi, gamma: float, trials: int, seed: 
     else:
         zeta = None
 
-    rng = np.random.default_rng(seed)
     worst = {"sigma": None, "mu": None, "ratio": None}
     worst_violation = -1.0
     predicted_at_worst = None
@@ -299,9 +309,8 @@ def verify_jhhb_holder_representation(zeta: float, gamma: float, trials: int,
     routes are independent formula paths and serve as each other's oracle.
     The worst trial is the first with the largest error.
     """
-    _require_trials(trials)
+    rng = _trial_rng(trials, seed, tolerance)
     eta = jhhb_eta(zeta, gamma)
-    rng = np.random.default_rng(seed)
     max_err = -1.0
     worst: dict = {}
     for b in _bracket_batches(rng, trials, gamma):
@@ -363,8 +372,7 @@ def check_fdps_lower_bound(phi: GeneratorPhi, gamma: float, trials: int, seed: i
     """
     if not gamma > 0.0:
         raise DomainError("the lower-bound check requires gamma > 0")
-    _require_trials(trials)
-    rng = np.random.default_rng(seed)
+    rng = _trial_rng(trials, seed, tolerance)
     worst_gap = math.inf
     tight_gap = math.inf
     tight_at = None
@@ -439,8 +447,8 @@ def check_uv_consistency(xi: GeneratorXi, gamma: float, trials: int, seed: int,
     """
     if not gamma > 0.0:
         raise DomainError("the consistency check requires gamma > 0")
-    _require_trials(trials)
-    masses = np.random.default_rng(seed).uniform(0.05, RANDOM_MASS_HIGH, (trials, RANDOM_ATOMS))
+    rng = _trial_rng(trials, seed, tolerance)
+    masses = rng.uniform(0.05, RANDOM_MASS_HIGH, (trials, RANDOM_ATOMS))
     g = DiscreteDensity(masses)
     selves = bracket_integrals(g, g, gamma)
     xi_x, xi_y = xi(selves.X), xi(selves.Y)
@@ -487,6 +495,7 @@ def equality_condition_probe(phi: GeneratorPhi, gamma: float, f: DensityObject,
         raise DomainError(f"the scaling constant must be > 0, got {c}")
     if not gamma > 0.0:
         raise DomainError("the equality probe requires gamma > 0")
+    _require_tolerance(tolerance)
     g = scale_values(f, c ** (1.0 / (1.0 + gamma)))
     b = bracket_integrals(g, f, gamma)
     d_value = fdp_divergence(b, phi)

@@ -398,6 +398,14 @@ def gaussian_grid(d: GaussianDensity, half_width_sigmas: float = 12.0,
     return GridDensity(lo, float(xs[1] - xs[0]), np.asarray(density_value(d, xs)))
 
 
+def seeded_rng(seed) -> np.random.Generator:
+    """numpy's generator for a seed (a nonnegative integer or a list of them)."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise DomainError(f"seeds must be nonnegative integers, got {seed!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------

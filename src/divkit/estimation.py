@@ -16,12 +16,13 @@ Y = <f**(1+gamma)> and its partial are closed forms.  Setting the gradient to
 zero gives the weighted-moment estimating equations of Basu, Harris, Hjort &
 Jones (Biometrika 1998) and Fujisawa & Eguchi (J. Multivariate Anal. 2008).
 The partials of the family's outer map F come from central differences on
-that scalar map, so every family and custom generator is covered; the eleven
-points of the difference stencil are scored in one batched call.  The fit
-restarts from perturbed initial points, descends again around its result
-while that lies far from the point the last descent started from (at most
-MAX_REDESCENTS times), and is deterministic given the sample and config.
-Its ``converged`` flag describes the descent whose point it returns.
+that scalar map, so every family and custom generator is covered; the seven
+points of the stencil, at one step in log X and log Y, are scored in one
+batched call.  The fit restarts from perturbed initial points, descends again
+around its result while that lies far from the point the last descent started
+from (at most MAX_REDESCENTS times), and is deterministic given the sample
+and config.  Its ``converged`` flag describes the descent whose point it
+returns.
 
 gamma = 0 estimation is only exposed for generators with constant
 derivative (plain likelihood scoring): for any other generator the gamma = 0
@@ -40,7 +41,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .densities import BracketTriple, DensityObject, GaussianDensity, empirical_brackets
+from .densities import (BracketTriple, DensityObject, GaussianDensity, empirical_brackets,
+                        seeded_rng)
 from .errors import DomainError, GeneratorValidityError
 from .scores import DivergenceSpec, score
 
@@ -51,11 +53,8 @@ from .scores import fdp_score, holder_score, jhhb_score, xi_holder_score  # noqa
 # a descent stops when every component of the gradient of the normalized
 # score (see fit) is below this; tighter tolerances run into rounding error
 GRADIENT_TOLERANCE = 1e-7
-# relative step of the central difference of F in X and in Y
-OUTER_STEP = 1e-6
-# step in log X and log Y of the central second differences of F: larger than
-# OUTER_STEP, because a second difference divides rounding error by its square
-OUTER_CURVATURE_STEP = 1e-4
+# step in log X and log Y of the central first and second differences of F
+OUTER_STEP = 1e-4
 # a Newton step divides by the Hessian's eigenvalues taken in absolute value
 # and raised to at least this, so every step descends
 CURVATURE_FLOOR = 1e-8
@@ -158,27 +157,33 @@ def _outer(spec: DivergenceSpec, x: float, y: float) -> tuple[float, ...]:
     """F(X, Y), its first partials X dF/dX, Y dF/dY and its second partials in
     (log X, log Y), by central differences on the scalar map F.
 
-    The eleven points of the stencil go to ``score`` as one batched bracket;
+    The seven points of the stencil, the center and its neighbours along
+    log X, log Y and the diagonal, go to ``score`` as one batched bracket;
     each row is the value that a float bracket of that point gives.
     """
-    h = OUTER_STEP
-    k = OUTER_CURVATURE_STEP
+    k = OUTER_STEP
     up, down = math.exp(k), math.exp(-k)
     x_up, x_down, y_up, y_down = x * up, x * down, y * up, y * down
-    xs = np.array([x, x_up, x_down, x, x, x_up, x_down, x * (1.0 + h), x * (1.0 - h), x, x])
-    ys = np.array([y, y, y, y_up, y_down, y_up, y_down, y, y, y * (1.0 + h), y * (1.0 - h)])
-    (center, f_x_up, f_x_down, f_y_up, f_y_down, f_up, f_down,
-     f_x_plus, f_x_minus, f_y_plus, f_y_minus) = score(
+    xs = np.array([x, x_up, x_down, x, x, x_up, x_down])
+    ys = np.array([y, y, y, y_up, y_down, y_up, y_down])
+    center, f_x_up, f_x_down, f_y_up, f_y_down, f_up, f_down = score(
         BracketTriple(xs, ys, None, spec.gamma), spec).tolist()
     twice = 2.0 * center
     f_aa = (f_x_up - twice + f_x_down) / (k * k)
     f_bb = (f_y_up - twice + f_y_down) / (k * k)
     # along the diagonal the second difference is f_aa + 2 f_ab + f_bb
     f_ab = ((f_up - twice + f_down) / (k * k) - f_aa - f_bb) / 2.0
-    return (center,
-            (f_x_plus - f_x_minus) / (2.0 * h),
-            (f_y_plus - f_y_minus) / (2.0 * h),
+    return (center, (f_x_up - f_x_down) / (2.0 * k), (f_y_up - f_y_down) / (2.0 * k),
             f_aa, f_ab, f_bb)
+
+
+def _weighted_sums(e: np.ndarray, r: np.ndarray, r2: np.ndarray) -> tuple[float, ...]:
+    """The sums of e_i r_i**k, k = 0..4; multiplies e by r2 in place."""
+    # einsum rather than a BLAS dot, whose threads stall on a busy machine
+    s0, s1 = float(e.sum()), float(np.einsum("i,i", e, r))
+    e *= r2
+    return (s0, s1, float(e.sum()), float(np.einsum("i,i", e, r)),
+            float(np.einsum("i,i", e, r2)))
 
 
 def _gaussian_brackets(samples: np.ndarray, gamma: float, mu: float, log_sigma: float,
@@ -211,10 +216,15 @@ def _gaussian_brackets(samples: np.ndarray, gamma: float, mu: float, log_sigma: 
     np.subtract(r2, shift, out=e)
     e *= -0.5 * gamma
     np.exp(e, out=e)
-    # einsum rather than a BLAS dot, whose threads stall on a busy machine
-    s0, s1 = float(e.sum()), float(np.einsum("i,i", e, r))
-    e *= r2
-    s2, s3, s4 = float(e.sum()), float(np.einsum("i,i", e, r)), float(np.einsum("i,i", e, r2))
+    sums = _weighted_sums(e, r, r2)
+    if not math.isfinite(sum(sums)) and math.isfinite(shift):
+        # r^2 = inf for a sample beyond sqrt(float max) sigma: its weight is
+        # 0, and 0 * inf is NaN, so the sums go over the other samples (when
+        # every r^2 is inf, the NaN stays and a line search rejects the point)
+        near = np.isfinite(r2)
+        r, r2 = r[near], r2[near]
+        sums = _weighted_sums(np.exp(-0.5 * gamma * (r2 - shift)), r, r2)
+    s0, s1, s2, s3, s4 = sums
     m1, m2, m3, m4 = s1 / s0, s2 / s0, s3 / s0, s4 / s0
     log_front = -gamma * (0.5 * LOG_TWO_PI + log_sigma)
     log_x = log_front - 0.5 * gamma * shift + math.log(s0 / samples.size)
@@ -464,7 +474,7 @@ def contaminated_sample(n: int, epsilon: float, outlier_location: float,
         raise DomainError(f"a sample needs n >= 1, got {n}")
     if not 0.0 <= epsilon <= 0.45:
         raise DomainError(f"epsilon must lie in [0, 0.45], got {epsilon}")
-    rng = np.random.default_rng(seed_key)
+    rng = seeded_rng(seed_key)
     n_out = int(round(epsilon * n))
     clean = rng.standard_normal(n - n_out)
     return np.concatenate([clean, np.full(n_out, float(outlier_location))])

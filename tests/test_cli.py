@@ -334,8 +334,9 @@ def test_estimate_degenerate_sample_exits_4(tmp_path, samples, gamma):
 
 @pytest.mark.parametrize("phi", ["bdpd:1:1", "exp-minus-one"])
 def test_estimate_exits_4_when_the_returned_descent_missed_the_tolerance(tmp_path, phi):
-    # F is noise-limited on this sample at gamma = 2: another start meets
-    # the tolerance, but not the one whose point the fit returns
+    # F is noise-limited on this sample at gamma = 2: log(1 + z) and
+    # e**z - 1 near z = 0 lose about 9 digits, and no descent meets the
+    # tolerance
     samples_path = tmp_path / "s.csv"
     write_samples(samples_path,
                   1e4 * divkit.contaminated_sample(700, 0.1, 5.0, [3, 100000000]) - 3)
@@ -498,6 +499,37 @@ def test_verify_without_trials_exits_3(flags, capsys, tmp_path):
     out = tmp_path / "r.json"
     assert run(["verify", *flags, "--gamma", "0.5", "--seed", "1", "--out", str(out)]) == 3
     assert "trials must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--theorem", "affine-invariance", "--gamma", "1", "--trials", "3"],
+    ["verify", "--theorem", "jhhb-representation", "--zeta", "0.5", "--gamma", "1",
+     "--trials", "10"],
+    ["verify", "--theorem", "fdps-lower-bound", "--phi", "log", "--gamma", "1",
+     "--trials", "3"],
+    ["verify", "--theorem", "uv-consistency", "--gamma", "1", "--trials", "3"],
+    ["sweep", "--epsilons", "0", "--outlier", "8", "--n", "50",
+     "--spec", "family=fdpd,phi=identity,gamma=0.5"],
+], ids=["affine-invariance", "jhhb-representation", "fdps-lower-bound", "uv-consistency",
+        "sweep"])
+def test_a_negative_seed_exits_3(args, capsys, tmp_path):
+    out = tmp_path / "r.out"
+    assert run(args + ["--seed", "-1", "--out", str(out)]) == 3
+    assert "seeds must be nonnegative integers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("theorem", [theorem for theorem, _ in VERIFY_CHECKS])
+def test_verify_with_a_tolerance_that_is_no_finite_number_ge_0_exits_3(theorem, tolerance,
+                                                                        capsys, tmp_path):
+    # exit 1 would report a counterexample
+    out = tmp_path / "r.json"
+    assert run(["verify", "--theorem", theorem, "--gamma", "1", "--zeta", "0.5",
+                "--trials", "5", "--seed", "1", "--tolerance", tolerance,
+                "--out", str(out)]) == 3
+    assert "tolerance must be a finite number >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -37,11 +37,11 @@ from divkit import (
     score,
 )
 from divkit.estimation import (
-    OUTER_CURVATURE_STEP,
     OUTER_STEP,
     SIGMA_FLOOR,
     START_OFFSETS,
     SWEEP_HEADER,
+    Minimum,
     _gaussian_brackets,
     _outer,
     gaussian_objective,
@@ -209,8 +209,8 @@ def test_objective_hessian_matches_differences_of_its_gradient(spec, mu, sigma):
 
 
 def _outer_reference(spec, x, y):
-    """The stencil of _outer as eleven float-bracket score calls."""
-    h, k = OUTER_STEP, OUTER_CURVATURE_STEP
+    """The stencil of _outer as seven float-bracket score calls."""
+    k = OUTER_STEP
     up, down = math.exp(k), math.exp(-k)
 
     def f(xv, yv):
@@ -218,12 +218,11 @@ def _outer_reference(spec, x, y):
 
     center = f(x, y)
     twice = 2.0 * center
-    f_aa = (f(x * up, y) - twice + f(x * down, y)) / (k * k)
-    f_bb = (f(x, y * up) - twice + f(x, y * down)) / (k * k)
+    f_x_up, f_x_down, f_y_up, f_y_down = f(x * up, y), f(x * down, y), f(x, y * up), f(x, y * down)
+    f_aa = (f_x_up - twice + f_x_down) / (k * k)
+    f_bb = (f_y_up - twice + f_y_down) / (k * k)
     f_ab = ((f(x * up, y * up) - twice + f(x * down, y * down)) / (k * k) - f_aa - f_bb) / 2.0
-    return (center,
-            (f(x * (1.0 + h), y) - f(x * (1.0 - h), y)) / (2.0 * h),
-            (f(x, y * (1.0 + h)) - f(x, y * (1.0 - h))) / (2.0 * h),
+    return (center, (f_x_up - f_x_down) / (2.0 * k), (f_y_up - f_y_down) / (2.0 * k),
             f_aa, f_ab, f_bb)
 
 
@@ -288,7 +287,7 @@ def _outer_spec(name, gamma, tables):
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("name", sorted(OUTER_SPECS))
-def test_outer_is_eleven_float_bracket_scores_bit_for_bit(name, gamma, table_paths):
+def test_outer_is_seven_float_bracket_scores_bit_for_bit(name, gamma, table_paths):
     spec = _outer_spec(name, gamma, table_paths)
     samples = seeded_contaminated(n=300, eps=0.1)
     points = [(0.3, 0.25), (2.0, 0.7), (1e-5, 3e-6), (sys.float_info.min, 1e-300)]
@@ -479,6 +478,19 @@ def test_fit_on_samples_near_the_top_of_float_range_emits_no_warning():
     assert math.isfinite(res.score)
 
 
+@pytest.mark.parametrize("far", [[1e200], [1e300, -1e300]])
+def test_a_sample_whose_squared_distance_overflows_gets_weight_zero(far):
+    # r^2 = inf for the far samples; their weight is 0, not NaN
+    draws = np.random.default_rng(1).standard_normal(200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        near = fit(EstimationProblem(draws, DPD_HALF))
+        res = fit(EstimationProblem(np.r_[draws, far], DPD_HALF))
+    assert res.converged
+    assert res.mu == pytest.approx(near.mu, abs=1e-2)
+    assert res.sigma == pytest.approx(near.sigma, abs=1e-2)
+
+
 def test_fit_reports_evaluations_per_start():
     res = fit(EstimationProblem(seeded_contaminated(), DPD_HALF))
     assert len(res.evaluations) == 4 and all(k > 0 for k in res.evaluations)
@@ -488,26 +500,44 @@ def test_fit_reports_evaluations_per_start():
     assert payload["optimizer_converged"] is True
 
 
-@pytest.mark.parametrize("phi", ["bdpd:1:1", "exp-minus-one"])
-def test_converged_describes_the_descent_whose_point_is_returned(monkeypatch, phi):
-    # on this 1e4-scaled sample F at gamma = 2 is known to about 1e-7
-    # relative: the descent with the lowest value misses the tolerance, and
-    # another one meets it on a plateau of F
+@pytest.mark.parametrize("descents, converged", [
+    ([(-1.0, True), (-2.0, False), (-1.5, True), (-1.0, True)], False),
+    ([(-1.0, False), (-2.0, True), (-1.5, False), (-1.0, False)], True),
+], ids=["lowest-failed", "lowest-converged"])
+def test_converged_describes_the_descent_whose_point_is_returned(monkeypatch, descents,
+                                                                 converged):
+    # canned descents, one per start, each ending where it started: the
+    # second, from START_OFFSETS[0], has the lowest value
+    canned = iter(descents)
+
+    def minimize_canned(objective, x0, max_iterations):
+        fun, success = next(canned)
+        return Minimum(x0, fun, 3, 2, success)
+
+    monkeypatch.setattr(estimation, "minimize", minimize_canned)
+    problem = EstimationProblem(seeded_contaminated(n=200), DPD_HALF,
+                                OptimizerConfig(initial=(0.0, 1.0)))
+    res = fit(problem)
+    dt, du = START_OFFSETS[0]
+    assert (res.mu, res.sigma) == (dt, math.exp(du))
+    assert res.converged is converged and res.optimizer_converged is converged
+    assert res.evaluations == (3, 3, 3, 3)
+
+
+# fits whose F(X, Y) varies by 1e-5..1e-7 of its value on the 1e4-scaled
+# sample: their first partials are taken at the step of the second partials
+@pytest.mark.parametrize("family, generator, gamma", [
+    ("fdpd", "bdpd:1:1", 1.0),
+    ("fdpd", "exp-minus-one", 1.0),
+    ("jhhb", 1.0, 1.0),
+    ("fdpd", "power:0.5", 2.0),
+    ("jhhb", 0.5, 2.0),
+])
+def test_fit_converges_where_f_cancels(family, generator, gamma):
     samples = 1e4 * contaminated_sample(700, 0.1, 5.0, [3, 100000000]) - 3
-    descents = []
-
-    def recorded(*args):
-        descents.append(minimize(*args))
-        return descents[-1]
-
-    monkeypatch.setattr(estimation, "minimize", recorded)
-    spec = DivergenceSpec("fdpd", 2.0, phi=parse_generator("phi", phi))
-    res = fit(EstimationProblem(samples, spec))
-    # a descent around the point found, when one runs, is the last and gives the point
-    returned = descents[-1] if len(descents) > 1 + len(START_OFFSETS) else min(
-        descents, key=lambda d: d.fun)
-    assert any(d.success for d in descents) and not returned.success
-    assert not res.converged and not res.optimizer_converged
+    spec = (DivergenceSpec("jhhb", gamma, zeta=generator) if family == "jhhb" else
+            DivergenceSpec("fdpd", gamma, phi=parse_generator("phi", generator)))
+    assert fit(EstimationProblem(samples, spec)).converged
 
 
 def test_contaminated_fit_bias_ordering():
@@ -686,6 +716,12 @@ def test_bias_is_monotone_in_gamma():
 def test_sweep_rejects_out_of_range_epsilon():
     with pytest.raises(DomainError):
         contamination_sweep([0.6], 8.0, [MLE], n=100, seed=1)
+
+
+@pytest.mark.parametrize("seed_key", [-1, [3, -1], 0.5])
+def test_contaminated_sample_rejects_a_seed_numpy_rejects(seed_key):
+    with pytest.raises(DomainError, match="seeds must be nonnegative integers"):
+        contaminated_sample(10, 0.1, 5.0, seed_key)
 
 
 def test_sweep_csv_row_shape():
