@@ -21,14 +21,13 @@ report) and measures the worst deviation from an identity or inequality:
 
 Random brackets are always generated from genuine random discrete densities,
 never as free triples, so Hoelder feasibility holds by construction.  The
-lower-bound and representation checks draw them BATCH_TRIALS trials at a time
-and evaluate each batch in one vectorized pass; the draws are those of
-:func:`random_discrete_pair` trial after trial, so a seed gives the same
-densities whatever the batch size.  The consistency check draws its
-densities as one batch whose rows are the draws of
-:func:`random_discrete_density` trial after trial.  A score, gap or
-generator value that leaves float range in any trial raises DomainError:
-such a trial is neither passed nor skipped.
+lower-bound, representation and consistency checks draw them BATCH_TRIALS
+trials at a time and evaluate each batch in one vectorized pass; the draws
+are those of :func:`random_discrete_pair` (of :func:`random_discrete_density`
+in the consistency check) trial after trial, so a seed gives the same
+densities whatever the batch size.  A score, gap or generator value that
+leaves float range in any trial raises DomainError: such a trial is neither
+passed nor skipped.
 """
 
 from __future__ import annotations
@@ -51,11 +50,9 @@ from .densities import (
     seeded_rng,
 )
 from .errors import DomainError, EvaluationError
-from .generators import GeneratorPhi, GeneratorXi, jhhb_eta, validate_psi
-from .scores import equivalent_transform, fdp_divergence, fdp_score, holder_score, jhhb_score
-
-# bench/tracing.py wraps this name in this module; it must stay importable here
-from .scores import xi_holder_score  # noqa: F401
+from .generators import GeneratorPhi, GeneratorXi, custom_xi, jhhb_eta, ps_eta, validate_psi
+from .scores import (equivalent_transform, fdp_divergence, fdp_score, holder_score, jhhb_score,
+                     xi_holder_score)
 
 STRICT_CONVEXITY_TOL = 1e-11
 # every random discrete density has RANDOM_ATOMS masses drawn from [low, RANDOM_MASS_HIGH)
@@ -90,6 +87,13 @@ def random_brackets(rng: np.random.Generator, gamma: float,
     return bracket_integrals(g, f, gamma)
 
 
+def _mass_batches(rng: np.random.Generator, trials: int, low: float, *shape: int):
+    """The masses of ``trials`` random trials, BATCH_TRIALS trials per batch,
+    each trial of the given shape, drawn trial after trial."""
+    for start in range(0, trials, BATCH_TRIALS):
+        yield rng.uniform(low, RANDOM_MASS_HIGH, (min(BATCH_TRIALS, trials - start), *shape))
+
+
 def _bracket_batches(rng: np.random.Generator, trials: int, gamma: float,
                      low: float = 0.05):
     """The brackets of ``trials`` random pairs, BATCH_TRIALS pairs per batch.
@@ -98,9 +102,7 @@ def _bracket_batches(rng: np.random.Generator, trials: int, gamma: float,
     :func:`random_discrete_pair` draws them, so batch i holds the brackets
     that :func:`random_brackets` would give at trials i*BATCH_TRIALS on.
     """
-    for start in range(0, trials, BATCH_TRIALS):
-        masses = rng.uniform(low, RANDOM_MASS_HIGH,
-                             (min(BATCH_TRIALS, trials - start), 2, RANDOM_ATOMS))
+    for masses in _mass_batches(rng, trials, low, 2, RANDOM_ATOMS):
         yield bracket_integrals(DiscreteDensity(masses[:, 0]),
                                 DiscreteDensity(masses[:, 1]), gamma)
 
@@ -363,16 +365,18 @@ def check_fdps_lower_bound(phi: GeneratorPhi, gamma: float, trials: int, seed: i
                            tolerance: float = 1e-12) -> LowerBoundReport:
     """Check gamma phi(Y) - (1+gamma) phi(X) >= -phi(X)**(1+gamma)/phi(Y)**gamma.
 
+    The bound is the xi-Hoelder score of the ps generator with xi = phi.
     Trials where phi is nonpositive at a bracket (so log phi is undefined)
     are counted invalid and skipped; masses drawn from [0.8, 3.0) keep
     brackets above 1 so power-kind generators stay positive.  The tight
     trial is the first with the smallest |gap|.  The report also states
-    whether the bound is itself a valid score, i.e. whether log phi(e^z)
-    passes the psi certificate.
+    whether the bound is itself a valid score, i.e. whether log phi(e^z),
+    the lift of phi taken as a xi generator, passes the psi certificate.
     """
     if not gamma > 0.0:
         raise DomainError("the lower-bound check requires gamma > 0")
     rng = _trial_rng(trials, seed, tolerance)
+    eta, xi = ps_eta(gamma), custom_xi(phi)
     worst_gap = math.inf
     tight_gap = math.inf
     tight_at = None
@@ -385,10 +389,8 @@ def check_fdps_lower_bound(phi: GeneratorPhi, gamma: float, trials: int, seed: i
             continue
         if not valid.all():  # score the valid trials only
             b = BracketTriple(b.X[valid], b.Y[valid], b.Z[valid], gamma)
-            phi_x, phi_y = phi_x[valid], phi_y[valid]
-        lhs = fdp_score(b, phi)
-        rhs = -np.exp(-(gamma * np.log(phi_y) - (1.0 + gamma) * np.log(phi_x)))
-        gap = _no_nan(lhs - rhs, "lower-bound gap", gamma)
+        gap = _no_nan(fdp_score(b, phi) - xi_holder_score(b, eta, xi), "lower-bound gap",
+                      gamma)
         worst_gap = min(worst_gap, float(gap.min()))
         abs_gap = np.abs(gap)
         i = int(np.argmin(abs_gap))
@@ -396,12 +398,8 @@ def check_fdps_lower_bound(phi: GeneratorPhi, gamma: float, trials: int, seed: i
             tight_gap = float(abs_gap[i])
             tight_at = _bracket_dict(b, i)
 
-    def psi_star(t):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(phi.psi(t))
-
     try:
-        bound_is_fdps = bool(validate_psi(psi_star))
+        bound_is_fdps = bool(validate_psi(xi.psi))
     except EvaluationError:
         bound_is_fdps = False
 
@@ -448,13 +446,14 @@ def check_uv_consistency(xi: GeneratorXi, gamma: float, trials: int, seed: int,
     if not gamma > 0.0:
         raise DomainError("the consistency check requires gamma > 0")
     rng = _trial_rng(trials, seed, tolerance)
-    masses = rng.uniform(0.05, RANDOM_MASS_HIGH, (trials, RANDOM_ATOMS))
-    g = DiscreteDensity(masses)
-    selves = bracket_integrals(g, g, gamma)
-    xi_x, xi_y = xi(selves.X), xi(selves.Y)
-    if not (np.isfinite(xi_x).all() and np.isfinite(xi_y).all()):
-        raise DomainError(f"the xi value leaves float range at gamma={gamma}")
-    max_err = float(np.max(np.abs(xi_x - xi_y)))
+    max_err = 0.0
+    for masses in _mass_batches(rng, trials, 0.05, RANDOM_ATOMS):
+        g = DiscreteDensity(masses)
+        selves = bracket_integrals(g, g, gamma)
+        xi_x, xi_y = xi(selves.X), xi(selves.Y)
+        if not (np.isfinite(xi_x).all() and np.isfinite(xi_y).all()):
+            raise DomainError(f"the xi value leaves float range at gamma={gamma}")
+        max_err = max(max_err, float(np.max(np.abs(xi_x - xi_y))))
     return UvConsistencyReport(gamma, xi.label(), trials, seed, max_err,
                                max_err <= tolerance)
 

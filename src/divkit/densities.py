@@ -74,8 +74,10 @@ class GridDensity:
     values: np.ndarray
 
     def __post_init__(self):
-        if not self.dx > 0.0:
-            raise DomainError(f"grid spacing must be > 0, got {self.dx}")
+        if not math.isfinite(self.x0):
+            raise DomainError(f"grid origin must be finite, got {self.x0}")
+        if not 0.0 < self.dx < math.inf:
+            raise DomainError(f"grid spacing must be finite and > 0, got {self.dx}")
         object.__setattr__(self, "values", _freeze(self.values))
         _check_nonnegative(self.values, "values")
 
@@ -96,9 +98,10 @@ class GaussianDensity:
     mass: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu) and self.sigma > 0.0 and self.mass > 0.0):
+        if not (np.isfinite(self.mu) and 0.0 < self.sigma < math.inf
+                and 0.0 < self.mass < math.inf):
             raise DomainError(
-                f"gaussian needs finite mu, sigma > 0, mass > 0; got "
+                f"gaussian needs finite mu, sigma > 0 and mass > 0; got "
                 f"({self.mu}, {self.sigma}, {self.mass})")
 
     def total_mass(self) -> float:
@@ -392,6 +395,8 @@ def gaussian_grid(d: GaussianDensity, half_width_sigmas: float = 12.0,
                   points: int = 4096, x_min: float | None = None,
                   x_max: float | None = None) -> GridDensity:
     """Render a Gaussian on a uniform grid (default: +/- 12 sigma)."""
+    if points < 2:
+        raise DomainError(f"a grid needs at least 2 points, got {points}")
     lo = d.mu - half_width_sigmas * d.sigma if x_min is None else x_min
     hi = d.mu + half_width_sigmas * d.sigma if x_max is None else x_max
     xs = np.linspace(lo, hi, points)
@@ -412,10 +417,12 @@ def seeded_rng(seed) -> np.random.Generator:
 
 
 def read_grid_csv(path) -> GridDensity:
-    """Grid density file: header ``x,value``, equally spaced increasing x."""
+    """Grid density file: header ``x,value``, finite, equally spaced increasing x."""
     xs, values = read_columns(path, ("x", "value"))
     if xs.size < 2:
         raise RepresentationError(f"{path!r}: a grid needs at least two rows")
+    if not np.isfinite(xs).all():
+        raise RepresentationError(f"{path!r}: x must be finite")
     steps = np.diff(xs)
     if np.any(steps <= 0.0):
         raise RepresentationError(f"{path!r}: x must be strictly increasing")

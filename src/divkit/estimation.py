@@ -18,11 +18,12 @@ Jones (Biometrika 1998) and Fujisawa & Eguchi (J. Multivariate Anal. 2008).
 The partials of the family's outer map F come from central differences on
 that scalar map, so every family and custom generator is covered; the seven
 points of the stencil, at one step in log X and log Y, are scored in one
-batched call.  The fit restarts from perturbed initial points, descends again
-around its result while that lies far from the point the last descent started
-from (at most MAX_REDESCENTS times), and is deterministic given the sample
-and config.  Its ``converged`` flag describes the descent whose point it
-returns.
+batched call.  Each descent runs on the score normalized around a reference
+point (see :func:`gaussian_objective`).  The fit restarts from perturbed
+initial points, descends again around its result while that lies far from
+the point the last descent started from (at most MAX_REDESCENTS times), and
+is deterministic given the sample and config.  Its ``converged`` flag
+describes the descent whose point it returns.
 
 gamma = 0 estimation is only exposed for generators with constant
 derivative (plain likelihood scoring): for any other generator the gamma = 0
@@ -50,8 +51,8 @@ from .scores import DivergenceSpec, score
 from .densities import density_value  # noqa: F401
 from .scores import fdp_score, holder_score, jhhb_score, xi_holder_score  # noqa: F401
 
-# a descent stops when every component of the gradient of the normalized
-# score (see fit) is below this; tighter tolerances run into rounding error
+# a descent stops when every component of its normalized gradient (see
+# gaussian_objective) is below this; tighter tolerances run into rounding error
 GRADIENT_TOLERANCE = 1e-7
 # step in log X and log Y of the central first and second differences of F
 OUTER_STEP = 1e-4
@@ -100,8 +101,8 @@ class EstimationProblem:
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
-        if samples.size == 0:
-            raise DomainError("estimation needs a nonempty sample list")
+        if samples.ndim != 1 or samples.size == 0:
+            raise DomainError("estimation needs a nonempty 1-D array of samples")
         if not np.all(np.isfinite(samples)):
             raise DomainError("samples must be finite")
         object.__setattr__(self, "samples", samples)
@@ -187,7 +188,7 @@ def _weighted_sums(e: np.ndarray, r: np.ndarray, r2: np.ndarray) -> tuple[float,
 
 
 def _gaussian_brackets(samples: np.ndarray, gamma: float, mu: float, log_sigma: float,
-                       work: np.ndarray | None = None) -> tuple[float, ...]:
+                       work: np.ndarray) -> tuple[float, ...]:
     """X, Y of N(mu, e^log_sigma) on the samples, and the gradient and Hessian
     of log X in (mu, log sigma): d/dmu, d/dlog sigma, then the second
     partials in mu mu, mu log sigma and log sigma log sigma.
@@ -201,12 +202,9 @@ def _gaussian_brackets(samples: np.ndarray, gamma: float, mu: float, log_sigma: 
 
     The exponent is shifted by the smallest r^2, so the sums stay positive
     when every f(x_i) underflows.  The pass writes into ``work``, a (3, n)
-    array: a caller that passes the same one to every call allocates
-    nothing per call, which at n = 10^5 saves about as much time as the
-    pass itself takes, in page faults on fresh memory.
+    array that the fit allocates once: at n = 10^5 a fresh one per call
+    would cost about as much time as the pass itself, in page faults.
     """
-    if work is None:
-        work = np.empty((3, samples.size))
     r, r2, e = work
     sigma = math.exp(log_sigma)
     np.subtract(samples, mu, out=r)
@@ -236,35 +234,49 @@ def _gaussian_brackets(samples: np.ndarray, gamma: float, mu: float, log_sigma: 
             gamma * (gamma * (m4 - m2 * m2) - 2.0 * m2))
 
 
-def gaussian_objective(samples: np.ndarray, spec: DivergenceSpec,
-                       sigma_floor: float):
-    """The plug-in score of N(mu, sigma), its gradient and its Hessian in
-    (mu, log sigma).
+def gaussian_objective(samples: np.ndarray, spec: DivergenceSpec, mu_ref: float,
+                       sigma_ref: float, work: np.ndarray):
+    """A descent's objective around N(mu_ref, sigma_ref), for gamma > 0, and
+    its scale.
 
-    Returns ``objective(mu, log_sigma) -> (score, (d/dmu, d/dlog sigma),
-    hessian)`` for gamma > 0, with the Hessian as a pair of rows.  Outside
-    [sigma_floor, e**MAX_LOG_SIGMA] sigma is held at the bound, and the
-    log sigma component of the gradient and the log sigma row and column of
-    the Hessian are 0.
+    ``objective((t, log sigma))`` returns the plug-in score of
+    N(mu_ref + sigma_ref t, sigma) divided by ``scale``, its gradient and its
+    Hessian (a pair of rows) in (t, log sigma).  ``scale`` is the sensitivity
+    |X dF/dX| + |Y dF/dY| at the reference (1 where that is 0 or not
+    finite), so that one gradient tolerance serves every location, scale and
+    family.  Outside [SIGMA_FLOOR, e**MAX_LOG_SIGMA] sigma is held at the
+    bound, and the log sigma component of the gradient and the log sigma row
+    and column of the Hessian are 0.  Every pass over the samples writes
+    into ``work`` (see :func:`_gaussian_brackets`).
     """
     gamma = spec.gamma
-    log_floor = math.log(sigma_floor)
-    work = np.empty((3, samples.size))
+    log_floor = math.log(SIGMA_FLOOR)
+    x, y = _gaussian_brackets(samples, gamma, mu_ref, math.log(sigma_ref), work)[:2]
+    ex, ey = _outer(spec, x, y)[1:3]
+    scale = abs(ex) + abs(ey)
+    if not (math.isfinite(scale) and scale > 0.0):
+        scale = 1.0
 
-    def objective(mu: float, log_sigma: float):
+    def objective(params):
+        t, log_sigma = params
         held = min(max(log_sigma, log_floor), MAX_LOG_SIGMA)
+        mu = mu_ref + sigma_ref * t
         x, y, a_m, a_u, a_mm, a_mu, a_uu = _gaussian_brackets(samples, gamma, mu, held, work)
         value, ex, ey, f_aa, f_ab, f_bb = _outer(spec, x, y)
         # F(log X, log Y) with d log Y / dlog sigma = -gamma the only
-        # nonzero partial of log Y
-        h_mm = f_aa * a_m * a_m + ex * a_mm
+        # nonzero partial of log Y; d/dt = sigma_ref d/dmu
+        d_mu, h_mm = ex * a_m, f_aa * a_m * a_m + ex * a_mm
         if held != log_sigma:
-            return value, (ex * a_m, 0.0), ((h_mm, 0.0), (0.0, 0.0))
-        h_mu = (f_aa * a_u - gamma * f_ab) * a_m + ex * a_mu
-        h_uu = (f_aa * a_u - 2.0 * gamma * f_ab) * a_u + gamma * gamma * f_bb + ex * a_uu
-        return value, (ex * a_m, ex * a_u - gamma * ey), ((h_mm, h_mu), (h_mu, h_uu))
+            d_u = h_mu = h_uu = 0.0
+        else:
+            d_u = ex * a_u - gamma * ey
+            h_mu = (f_aa * a_u - gamma * f_ab) * a_m + ex * a_mu
+            h_uu = (f_aa * a_u - 2.0 * gamma * f_ab) * a_u + gamma * gamma * f_bb + ex * a_uu
+        h_mu *= sigma_ref / scale
+        return (value / scale, (sigma_ref * d_mu / scale, d_u / scale),
+                ((sigma_ref * sigma_ref * h_mm / scale, h_mu), (h_mu, h_uu / scale)))
 
-    return objective
+    return objective, scale
 
 
 class Minimum(NamedTuple):
@@ -385,34 +397,19 @@ def fit(problem: EstimationProblem) -> EstimationResult:
         sigma0 = float((q75 - q25) / 1.349)
     sigma0 = max(sigma0, 1e-3)
 
-    objective = gaussian_objective(samples, spec, SIGMA_FLOOR)
+    work = np.empty((3, samples.size))
     runs = []
 
     def descend(mu_ref: float, sigma_ref: float, offsets) -> tuple[float, float, float, bool]:
-        """Newton descents from (mu_ref + dt sigma_ref, sigma_ref e**du), one per offset.
-
-        The search runs in (t, log sigma) with mu = mu_ref + sigma_ref t, on
-        the score divided by its sensitivity |X dF/dX| + |Y dF/dY| at the
-        reference point, so that one gradient tolerance serves every
-        location, scale and family.  Returns the best (mu, log sigma, score)
-        and whether the descent that found it met the tolerance.
+        """Newton descents of :func:`gaussian_objective` around (mu_ref,
+        sigma_ref) from (t, log sigma) = (dt, log sigma_ref + du), one per
+        offset.  Returns the best (mu, log sigma, score) and whether the
+        descent that found it met the tolerance.
         """
+        objective, scale = gaussian_objective(samples, spec, mu_ref, sigma_ref, work)
         u_ref = math.log(sigma_ref)
-        x, y = _gaussian_brackets(samples, spec.gamma, mu_ref, u_ref)[:2]
-        ex, ey = _outer(spec, x, y)[1:3]
-        scale = abs(ex) + abs(ey)
-        if not (math.isfinite(scale) and scale > 0.0):
-            scale = 1.0
-
-        def normalized(params):
-            value, (d_mu, d_u), ((h_mm, h_mu), (_, h_uu)) = objective(
-                mu_ref + sigma_ref * params[0], params[1])
-            h_mu *= sigma_ref / scale
-            return (value / scale, (sigma_ref * d_mu / scale, d_u / scale),
-                    ((sigma_ref * sigma_ref * h_mm / scale, h_mu), (h_mu, h_uu / scale)))
-
         for dt, du in offsets:
-            runs.append(minimize(normalized, (dt, u_ref + du), cfg.max_iterations))
+            runs.append(minimize(objective, (dt, u_ref + du), cfg.max_iterations))
         best = min(runs[-len(offsets):], key=lambda res: res.fun)
         return (mu_ref + sigma_ref * best.x[0],
                 min(max(best.x[1], log_floor), MAX_LOG_SIGMA),

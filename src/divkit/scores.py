@@ -196,20 +196,25 @@ def xi_holder_divergence(b: BracketTriple, eta: GeneratorEta, xi: GeneratorXi) -
 # ---------------------------------------------------------------------------
 
 
-def equivalent_transform(s: float, tau: str, zeta: float | None = None) -> float:
+def equivalent_transform(s, tau: str, zeta: float | None = None):
     """Strictly increasing reparameterizations of a score (both tau kinds).
 
-    ``signed_power``: (sign(s)|s|**zeta - 1)/zeta, the odd power map, which
-    also maps an array of scores entry by entry;
-    ``neg_exp_neg``:  -exp(-s).
+    ``signed_power``: (sign(s)|s|**zeta - 1)/zeta, the odd power map;
+    ``neg_exp_neg``:  -exp(-s).  An array of scores maps entry by entry.
+    Values follow the extended codomain: an overflow gives +-inf, and a NaN
+    in any entry raises DomainError.
     """
     if tau == "signed_power":
         if zeta is None or not 0.0 < zeta < math.inf:
             raise DomainError(f"signed_power transform needs finite zeta > 0, got {zeta}")
-        return (signed_power(s, zeta) - 1.0) / zeta
-    if tau == "neg_exp_neg":
-        return -math.exp(-s)
-    raise DomainError(f"unknown transform {tau!r}")
+    elif tau != "neg_exp_neg":
+        raise DomainError(f"unknown transform {tau!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.asarray(s, dtype=float)
+        out = (signed_power(s, zeta) - 1.0) / zeta if tau == "signed_power" else -np.exp(-s)
+    if np.isnan(out).any():
+        raise DomainError(f"the {tau} transform leaves float range")
+    return out if np.ndim(out) else float(out)
 
 
 # ---------------------------------------------------------------------------

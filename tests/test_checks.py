@@ -26,6 +26,7 @@ from divkit import (
     power_phi,
     power_xi,
 )
+from divkit import checks
 from divkit.checks import (
     BATCH_TRIALS,
     check_affine_invariance,
@@ -280,6 +281,21 @@ def test_uv_consistency_checks_the_draws_of_random_discrete_density(seed, trials
         report = check_uv_consistency(xi, gamma, trials, seed)
         assert report.max_abs_error.hex() == reference.hex()
         assert (report.trials, report.seed) == (trials, seed)
+
+
+def test_uv_consistency_draws_batch_trials_densities_at_a_time(monkeypatch):
+    whole = check_uv_consistency(power_xi(0.5), 1.0, 11, 4)
+    built = []
+
+    def recording(masses):
+        built.append(np.shape(masses)[0])
+        return DiscreteDensity(masses)
+
+    monkeypatch.setattr(checks, "BATCH_TRIALS", 4)
+    monkeypatch.setattr(checks, "DiscreteDensity", recording)
+    batched = check_uv_consistency(power_xi(0.5), 1.0, 11, 4)
+    assert built == [4, 4, 3]
+    assert batched.max_abs_error.hex() == whole.max_abs_error.hex()
 
 
 def test_uv_consistency_rejects_no_trials_and_gamma_zero():

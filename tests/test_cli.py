@@ -130,6 +130,14 @@ def test_compute_without_a_known_header_exits_3(tmp_path, capsys):
     assert "expected header 'x,value' or 'index,mass'" in capsys.readouterr().err
 
 
+def test_compute_on_a_grid_with_a_nan_x_exits_3_naming_it(tmp_path, capsys):
+    g = tmp_path / "g.csv"
+    g.write_text("x,value\n0,0.2\nnan,0.5\n2,0.3\n")
+    assert run(["compute", "--family", "fdpd", "--phi", "identity", "--gamma", "1",
+                "--g", str(g), "--f", str(g)]) == 3
+    assert capsys.readouterr().err.startswith(f"divkit: {str(g)!r}: x must be finite")
+
+
 @pytest.mark.parametrize("command, text", [
     (["compute", "--family", "fdpd", "--phi", "identity", "--gamma", "1",
       "--g", "{bad}", "--f", "{bad}"], b"x,value\n0,1\n1,\xff\n"),

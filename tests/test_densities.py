@@ -223,6 +223,16 @@ def test_affine_rejects_singular_and_discrete():
         affine_transform(DiscreteDensity([1.0]), 1.0, 0.0)
 
 
+@pytest.mark.parametrize("f, sigma, mu", [
+    (gaussian_grid(GaussianDensity(0.0, 1.0), points=16), 1.0, math.nan),
+    (gaussian_grid(GaussianDensity(0.0, 1.0), points=16), 1e-320, 0.0),
+    (GaussianDensity(0.0, 1.0), 1e-320, 0.0),
+], ids=["grid-nan-shift", "grid-tiny-sigma", "gaussian-tiny-sigma"])
+def test_affine_rejects_an_image_off_the_float_line(f, sigma, mu):
+    with pytest.raises(DomainError, match="finite"):
+        affine_transform(f, sigma, mu)
+
+
 def test_scale_values_scales_mass():
     f = DiscreteDensity([0.8, 0.2])
     assert scale_values(f, 2.0).total_mass() == pytest.approx(2.0)
@@ -308,6 +318,25 @@ def test_constructor_validation():
         GridDensity(0.0, -0.1, np.ones(3))
     with pytest.raises(DomainError):
         GaussianDensity(0.0, 0.0)
+
+
+@pytest.mark.parametrize("x0, dx", [(math.nan, 0.1), (math.inf, 0.1), (0.0, math.inf),
+                                    (0.0, math.nan)])
+def test_grid_rejects_a_non_finite_origin_or_spacing(x0, dx):
+    with pytest.raises(DomainError, match="finite"):
+        GridDensity(x0, dx, np.ones(3))
+
+
+@pytest.mark.parametrize("sigma, mass", [(math.inf, 1.0), (1.0, math.inf)])
+def test_gaussian_rejects_an_infinite_sigma_or_mass(sigma, mass):
+    with pytest.raises(DomainError, match="finite mu, sigma > 0 and mass > 0"):
+        GaussianDensity(0.0, sigma, mass)
+
+
+@pytest.mark.parametrize("points", [1, 0])
+def test_gaussian_grid_needs_two_points(points):
+    with pytest.raises(DomainError, match="at least 2 points"):
+        gaussian_grid(GaussianDensity(0.0, 1.0), points=points)
 
 
 def test_grid_csv_roundtrip(tmp_path):
@@ -487,6 +516,14 @@ def test_a_file_without_data_rows_raises_without_a_warning(tmp_path, text):
         warnings.simplefilter("error")
         with pytest.raises(RepresentationError, match="got no data row"):
             read_grid_csv(path)
+
+
+@pytest.mark.parametrize("x", ["nan", "inf"])
+def test_grid_csv_rejects_a_non_finite_x(tmp_path, x):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x,value\n0,0.2\n{x},0.5\n2,0.3\n")
+    with pytest.raises(RepresentationError, match="x must be finite"):
+        read_grid_csv(path)
 
 
 def test_grid_csv_rejects_uneven_spacing(tmp_path):

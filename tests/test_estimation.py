@@ -153,32 +153,48 @@ OBJECTIVE_SPECS = [
 ]
 
 
+def objective_around(samples, spec, mu_ref, sigma_ref):
+    """gaussian_objective around (mu_ref, sigma_ref), its scale, and the
+    plug-in score it normalizes, as a function of (t, log sigma)."""
+    objective, scale = gaussian_objective(samples, spec, mu_ref, sigma_ref,
+                                          np.empty((3, samples.size)))
+
+    def reference(t, u):
+        model = GaussianDensity(mu_ref + sigma_ref * t, math.exp(u))
+        return empirical_score(samples, model, spec) / scale
+
+    return objective, scale, reference
+
+
 @pytest.mark.parametrize("spec", OBJECTIVE_SPECS, ids=lambda s: str(s.describe()))
 @pytest.mark.parametrize("mu, sigma", [(0.3, 1.2), (1.5, 0.6)])
 def test_objective_matches_the_empirical_score(spec, mu, sigma):
     samples = seeded_contaminated(n=500)
-    objective = gaussian_objective(samples, spec, 1e-6)
+    mu_ref, sigma_ref = 0.2, 0.8
+    objective, scale, reference = objective_around(samples, spec, mu_ref, sigma_ref)
+    # the scale is the sensitivity of F at the reference point
+    b = empirical_brackets(samples, GaussianDensity(mu_ref, sigma_ref), spec.gamma)
+    sensitivity = abs(elasticity(spec, b, 1, 0)) + abs(elasticity(spec, b, 0, 1))
+    assert scale == pytest.approx(sensitivity, rel=1e-6)
 
-    def reference(m, u):
-        return empirical_score(samples, GaussianDensity(m, math.exp(u)), spec)
-
-    u, h = math.log(sigma), 1e-5
-    value, (d_mu, d_u), _ = objective(mu, u)
-    assert value == pytest.approx(reference(mu, u), rel=1e-12, abs=1e-14)
-    fd_mu = (reference(mu + h, u) - reference(mu - h, u)) / (2 * h)
-    fd_u = (reference(mu, u + h) - reference(mu, u - h)) / (2 * h)
-    scale = abs(value) + 1.0
-    assert d_mu == pytest.approx(fd_mu, rel=1e-6, abs=1e-8 * scale)
-    assert d_u == pytest.approx(fd_u, rel=1e-6, abs=1e-8 * scale)
+    t, u, h = (mu - mu_ref) / sigma_ref, math.log(sigma), 1e-5
+    value, (d_t, d_u), _ = objective((t, u))
+    assert value == pytest.approx(reference(t, u), rel=1e-12, abs=1e-14)
+    fd_t = (reference(t + h, u) - reference(t - h, u)) / (2 * h)
+    fd_u = (reference(t, u + h) - reference(t, u - h)) / (2 * h)
+    tolerance = abs(value) + 1.0
+    assert d_t == pytest.approx(fd_t, rel=1e-6, abs=1e-8 * tolerance)
+    assert d_u == pytest.approx(fd_u, rel=1e-6, abs=1e-8 * tolerance)
 
 
 def test_objective_is_flat_in_log_sigma_below_the_floor():
     samples = seeded_contaminated(n=200)
-    objective = gaussian_objective(samples, DPD_HALF, 1e-3)
-    value, (d_mu, d_u), ((h_mm, h_mu), (h_um, h_uu)) = objective(0.1, math.log(1e-5))
-    at_floor = objective(0.1, math.log(1e-3))
-    assert d_u == h_mu == h_um == h_uu == 0.0
-    assert (value, d_mu, h_mm) == (at_floor[0], at_floor[1][0], at_floor[2][0][0])
+    objective = objective_around(samples, DPD_HALF, 0.1, 1.0)[0]
+    below = objective((0.05, math.log(SIGMA_FLOOR / 100)))
+    value, (d_t, d_u), ((h_tt, h_tu), (h_ut, h_uu)) = below
+    at_floor = objective((0.05, math.log(SIGMA_FLOOR)))
+    assert d_u == h_tu == h_ut == h_uu == 0.0
+    assert (value, d_t, h_tt) == (at_floor[0], at_floor[1][0], at_floor[2][0][0])
 
 
 def test_objective_stays_finite_far_from_the_data():
@@ -186,25 +202,30 @@ def test_objective_stays_finite_far_from_the_data():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for spec in OBJECTIVE_SPECS:
-            value, grad, hess = gaussian_objective(samples, spec, 1e-6)(1e6, math.log(0.01))
-            assert all(math.isfinite(v) for v in (value, *grad, *hess[0], *hess[1]))
+            # a point far from a reference near the data, and a point at a
+            # reference far from it
+            for mu_ref, sigma_ref, t in ((0.0, 1.0, 1e6), (1e6, 0.01, 0.0)):
+                objective, scale, _ = objective_around(samples, spec, mu_ref, sigma_ref)
+                value, grad, hess = objective((t, math.log(0.01)))
+                assert all(math.isfinite(v) for v in (scale, value, *grad, *hess[0], *hess[1]))
 
 
 @pytest.mark.parametrize("spec", OBJECTIVE_SPECS, ids=lambda s: str(s.describe()))
 @pytest.mark.parametrize("mu, sigma", [(0.3, 1.2), (1.5, 0.6)])
 def test_objective_hessian_matches_differences_of_its_gradient(spec, mu, sigma):
     samples = seeded_contaminated(n=500)
-    objective = gaussian_objective(samples, spec, 1e-6)
+    mu_ref, sigma_ref = 0.2, 0.8
+    objective = objective_around(samples, spec, mu_ref, sigma_ref)[0]
     # the gradient carries the rounding of its own central differences in
     # F, so a step much below 1e-3 amplifies it
-    u, h = math.log(sigma), 1e-3
-    _, _, ((h_mm, h_mu), (h_um, h_uu)) = objective(mu, u)
-    assert h_mu == h_um
-    (mu_up, u_up), (mu_down, u_down) = objective(mu + h, u)[1], objective(mu - h, u)[1]
-    (mu_right, u_right), (_, u_left) = objective(mu, u + h)[1], objective(mu, u - h)[1]
-    scale = max(abs(h_mm), abs(h_mu), abs(h_uu))
-    assert h_mm == pytest.approx((mu_up - mu_down) / (2 * h), rel=1e-5, abs=1e-6 * scale)
-    assert h_mu == pytest.approx((u_up - u_down) / (2 * h), rel=1e-5, abs=1e-6 * scale)
+    t, u, h = (mu - mu_ref) / sigma_ref, math.log(sigma), 1e-3
+    _, _, ((h_tt, h_tu), (h_ut, h_uu)) = objective((t, u))
+    assert h_tu == h_ut
+    (t_up, u_up), (t_down, u_down) = objective((t + h, u))[1], objective((t - h, u))[1]
+    (t_right, u_right), (_, u_left) = objective((t, u + h))[1], objective((t, u - h))[1]
+    scale = max(abs(h_tt), abs(h_tu), abs(h_uu))
+    assert h_tt == pytest.approx((t_up - t_down) / (2 * h), rel=1e-5, abs=1e-6 * scale)
+    assert h_tu == pytest.approx((u_up - u_down) / (2 * h), rel=1e-5, abs=1e-6 * scale)
     assert h_uu == pytest.approx((u_right - u_left) / (2 * h), rel=1e-5, abs=1e-6 * scale)
 
 
@@ -291,7 +312,8 @@ def test_outer_is_seven_float_bracket_scores_bit_for_bit(name, gamma, table_path
     spec = _outer_spec(name, gamma, table_paths)
     samples = seeded_contaminated(n=300, eps=0.1)
     points = [(0.3, 0.25), (2.0, 0.7), (1e-5, 3e-6), (sys.float_info.min, 1e-300)]
-    points += [_gaussian_brackets(samples, gamma, mu, u)[:2]
+    work = np.empty((3, samples.size))
+    points += [_gaussian_brackets(samples, gamma, mu, u, work)[:2]
                for mu, u in ((0.0, 0.0), (1.5, -2.0), (-30.0, 3.0))]
     for x, y in points:
         try:
@@ -632,6 +654,12 @@ def test_problem_validation():
         EstimationProblem(np.array([]), MLE)
     with pytest.raises(DomainError):
         EstimationProblem(np.array([np.nan]), MLE)
+
+
+@pytest.mark.parametrize("spec", [MLE, DPD_HALF], ids=["gamma-0", "gamma-0.5"])
+def test_problem_rejects_a_sample_that_is_not_one_dimensional(spec):
+    with pytest.raises(DomainError, match="1-D"):
+        EstimationProblem(np.ones((20, 2)), spec)
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,30 @@ def test_signed_power_links_holder_to_jhhb(rng):
         assert via == pytest.approx(jhhb_score(b, zeta), abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau, zeta, s, expected", [
+    ("neg_exp_neg", None, -1000.0, -math.inf),
+    ("neg_exp_neg", None, math.inf, -0.0),
+    ("signed_power", 2.0, 1e300, math.inf),
+    ("signed_power", 2.0, -1e300, -math.inf),
+], ids=["exp-overflow", "exp-of-minus-inf", "power-overflow", "negative-power-overflow"])
+def test_transform_gives_inf_where_it_overflows(tau, zeta, s, expected):
+    out = equivalent_transform(s, tau, zeta)
+    assert out == expected and type(out) is float
+    # an array maps entry by entry, each as its float call
+    batch = equivalent_transform(np.array([s, 0.5]), tau, zeta)
+    assert batch.tolist() == [expected, equivalent_transform(0.5, tau, zeta)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau, zeta", [("neg_exp_neg", None), ("signed_power", 0.5)])
+def test_transform_of_a_nan_raises_domain_error(tau, zeta):
+    with pytest.raises(DomainError, match="float range"):
+        equivalent_transform(math.nan, tau, zeta)
+    with pytest.raises(DomainError, match="float range"):
+        equivalent_transform(np.array([1.0, math.nan]), tau, zeta)
+
+
 def test_transform_rejects_bad_zeta():
     with pytest.raises(DomainError):
         equivalent_transform(1.0, "signed_power", 0.0)
