@@ -18,12 +18,14 @@ Jones (Biometrika 1998) and Fujisawa & Eguchi (J. Multivariate Anal. 2008).
 The partials of the family's outer map F come from central differences on
 that scalar map, so every family and custom generator is covered; the seven
 points of the stencil, at one step in log X and log Y, are scored in one
-batched call.  Each descent runs on the score normalized around a reference
-point (see :func:`gaussian_objective`).  The fit restarts from perturbed
-initial points, descends again around its result while that lies far from
-the point the last descent started from (at most MAX_REDESCENTS times), and
-is deterministic given the sample and config.  Its ``converged`` flag
-describes the descent whose point it returns.
+batched call.  Each descent measures every point in that point's own units:
+mu in its sigma, and the partials of F divided by its sensitivity (see
+:func:`gaussian_objective`); a Newton step takes mu in units of at least the
+fit's initial sigma (see :func:`minimize`).  So the fit of a x + b takes the
+steps of the fit of x.  The fit descends from the initial point and from
+perturbations of it, keeps the lowest score, and is deterministic given the
+sample and config.  Its ``converged`` flag describes the descent whose point
+it returns.
 
 gamma = 0 estimation is only exposed for generators with constant
 derivative (plain likelihood scoring): for any other generator the gamma = 0
@@ -64,8 +66,9 @@ CURVATURE_FLOOR = 1e-8
 # MAX_HALVINGS times
 ARMIJO_SHARE = 1e-4
 MAX_HALVINGS = 30
-# a Newton step moves no coordinate by more than this (sigmas in t, e-folds
-# in log sigma), so that a region of small curvature is not jumped across
+# a Newton step moves no coordinate by more than this (t in its units, see
+# minimize; e-folds in log sigma), so that a region of small curvature is not
+# jumped across
 MAX_STEP = 2.0
 # X and Y are kept at or above the smallest normal float, so that F stays
 # finite where the model density underflows at every sample
@@ -77,8 +80,6 @@ MAX_LOG_SIGMA = 700.0
 START_OFFSETS = [(0.5, 0.3), (-0.5, -0.3), (0.5, -0.3)]
 # sigma is held at or above this; a fit that ends on it is unconverged
 SIGMA_FLOOR = 1e-6
-# a fit descends again around its point at most this many times (see fit)
-MAX_REDESCENTS = 2
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,12 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise DomainError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if self.initial is not None:
+            mu, sigma = self.initial
+            if not math.isfinite(mu):
+                raise DomainError(f"the initial mu must be finite, got {mu}")
+            if not (math.isfinite(sigma) and sigma > 0.0):
+                raise DomainError(f"the initial sigma must be finite and > 0, got {sigma}")
 
 
 @dataclass(frozen=True)
@@ -190,14 +197,17 @@ def _weighted_sums(e: np.ndarray, r: np.ndarray, r2: np.ndarray) -> tuple[float,
 def _gaussian_brackets(samples: np.ndarray, gamma: float, mu: float, log_sigma: float,
                        work: np.ndarray) -> tuple[float, ...]:
     """X, Y of N(mu, e^log_sigma) on the samples, and the gradient and Hessian
-    of log X in (mu, log sigma): d/dmu, d/dlog sigma, then the second
-    partials in mu mu, mu log sigma and log sigma log sigma.
+    of log X in (t, log sigma), with t = (mu' - mu) / sigma in units of this
+    sigma: d/dt, d/dlog sigma, then the second partials in t t, t log sigma
+    and log sigma log sigma.
 
     One pass over the samples gives the sums s_k of e_i r_i**k, k = 0..4.
     With m_k = s_k / s0, the moments of r under the weights e_i,
 
-        d2 log X / dmu2            = gamma / sigma^2 (gamma (m2 - m1^2) - 1)
-        d2 log X / dmu dlog sigma  = gamma / sigma (gamma (m3 - m1 m2) - 2 m1)
+        d log X / dt               = gamma m1
+        d log X / dlog sigma       = gamma (m2 - 1)
+        d2 log X / dt2             = gamma (gamma (m2 - m1^2) - 1)
+        d2 log X / dt dlog sigma   = gamma (gamma (m3 - m1 m2) - 2 m1)
         d2 log X / dlog sigma2     = gamma (gamma (m4 - m2^2) - 2 m2)
 
     The exponent is shifted by the smallest r^2, so the sums stay positive
@@ -228,55 +238,50 @@ def _gaussian_brackets(samples: np.ndarray, gamma: float, mu: float, log_sigma: 
     log_x = log_front - 0.5 * gamma * shift + math.log(s0 / samples.size)
     log_y = log_front - 0.5 * math.log1p(gamma)
     return (math.exp(max(log_x, LOG_TINY)), math.exp(max(log_y, LOG_TINY)),
-            gamma * m1 / sigma, gamma * (m2 - 1.0),
-            gamma / (sigma * sigma) * (gamma * (m2 - m1 * m1) - 1.0),
-            gamma / sigma * (gamma * (m3 - m1 * m2) - 2.0 * m1),
+            gamma * m1, gamma * (m2 - 1.0),
+            gamma * (gamma * (m2 - m1 * m1) - 1.0),
+            gamma * (gamma * (m3 - m1 * m2) - 2.0 * m1),
             gamma * (gamma * (m4 - m2 * m2) - 2.0 * m2))
 
 
-def gaussian_objective(samples: np.ndarray, spec: DivergenceSpec, mu_ref: float,
-                       sigma_ref: float, work: np.ndarray):
-    """A descent's objective around N(mu_ref, sigma_ref), for gamma > 0, and
-    its scale.
+def gaussian_objective(samples: np.ndarray, spec: DivergenceSpec, work: np.ndarray):
+    """The plug-in score of N(mu, sigma) over (mu, log sigma), for gamma > 0.
 
-    ``objective((t, log sigma))`` returns the plug-in score of
-    N(mu_ref + sigma_ref t, sigma) divided by ``scale``, its gradient and its
-    Hessian (a pair of rows) in (t, log sigma).  ``scale`` is the sensitivity
-    |X dF/dX| + |Y dF/dY| at the reference (1 where that is 0 or not
-    finite), so that one gradient tolerance serves every location, scale and
-    family.  Outside [SIGMA_FLOOR, e**MAX_LOG_SIGMA] sigma is held at the
-    bound, and the log sigma component of the gradient and the log sigma row
-    and column of the Hessian are 0.  Every pass over the samples writes
+    ``objective((mu, log sigma))`` returns five things: the score F; its
+    gradient and its Hessian (a pair of rows) in (t, log sigma), with t in
+    units of that point's sigma, both divided by that point's sensitivity
+    |X dF/dX| + |Y dF/dY|; the sensitivity; and sigma.  The division lets one
+    gradient tolerance serve every location, scale and family; where both
+    first partials of F are 0 the gradient is NaN, so a descent stops there
+    unconverged.  Outside [SIGMA_FLOOR, e**MAX_LOG_SIGMA] sigma is held at
+    the bound, and the log sigma component of the gradient and the log sigma
+    row and column of the Hessian are 0.  Every pass over the samples writes
     into ``work`` (see :func:`_gaussian_brackets`).
     """
     gamma = spec.gamma
     log_floor = math.log(SIGMA_FLOOR)
-    x, y = _gaussian_brackets(samples, gamma, mu_ref, math.log(sigma_ref), work)[:2]
-    ex, ey = _outer(spec, x, y)[1:3]
-    scale = abs(ex) + abs(ey)
-    if not (math.isfinite(scale) and scale > 0.0):
-        scale = 1.0
 
     def objective(params):
-        t, log_sigma = params
+        mu, log_sigma = params
         held = min(max(log_sigma, log_floor), MAX_LOG_SIGMA)
-        mu = mu_ref + sigma_ref * t
-        x, y, a_m, a_u, a_mm, a_mu, a_uu = _gaussian_brackets(samples, gamma, mu, held, work)
+        x, y, a_t, a_u, a_tt, a_tu, a_uu = _gaussian_brackets(samples, gamma, mu, held, work)
         value, ex, ey, f_aa, f_ab, f_bb = _outer(spec, x, y)
         # F(log X, log Y) with d log Y / dlog sigma = -gamma the only
-        # nonzero partial of log Y; d/dt = sigma_ref d/dmu
-        d_mu, h_mm = ex * a_m, f_aa * a_m * a_m + ex * a_mm
+        # nonzero partial of log Y
+        d_t, h_tt = ex * a_t, f_aa * a_t * a_t + ex * a_tt
         if held != log_sigma:
-            d_u = h_mu = h_uu = 0.0
+            d_u = h_tu = h_uu = 0.0
         else:
             d_u = ex * a_u - gamma * ey
-            h_mu = (f_aa * a_u - gamma * f_ab) * a_m + ex * a_mu
+            h_tu = (f_aa * a_u - gamma * f_ab) * a_t + ex * a_tu
             h_uu = (f_aa * a_u - 2.0 * gamma * f_ab) * a_u + gamma * gamma * f_bb + ex * a_uu
-        h_mu *= sigma_ref / scale
-        return (value / scale, (sigma_ref * d_mu / scale, d_u / scale),
-                ((sigma_ref * sigma_ref * h_mm / scale, h_mu), (h_mu, h_uu / scale)))
+        sensitivity = abs(ex) + abs(ey)
+        norm = sensitivity or math.nan
+        h_tu /= norm
+        return (value, (d_t / norm, d_u / norm), ((h_tt / norm, h_tu), (h_tu, h_uu / norm)),
+                sensitivity, math.exp(held))
 
-    return objective, scale
+    return objective
 
 
 class Minimum(NamedTuple):
@@ -309,44 +314,58 @@ def _largest(pair) -> float:
     return max(abs(pair[0]), abs(pair[1]))
 
 
-def minimize(objective: Callable, x0: tuple[float, float], max_iterations: int) -> Minimum:
-    """Safeguarded Newton descent of a smooth function of two variables.
+def minimize(objective: Callable, x0: tuple[float, float], max_iterations: int,
+             min_unit: float) -> Minimum:
+    """Safeguarded Newton descent over (mu, log sigma).
 
-    ``objective(x)`` returns ``(value, gradient, hessian)``, the gradient as
-    a pair and the Hessian as a pair of rows.  Each step is the Newton step
-    of the eigenvalue-floored Hessian (see :func:`_newton_step`), so it
-    descends also where the curvature is negative.  Armijo backtracking
-    halves it until the value falls by ARMIJO_SHARE of the first-order
-    prediction.  The descent succeeds when every gradient component is below
-    GRADIENT_TOLERANCE; it fails after ``max_iterations`` steps, when
-    MAX_HALVINGS halvings find no decrease, or when the step is not a
-    descent direction (a NaN gradient or Hessian).
+    ``objective(x)`` returns ``(value, gradient, hessian, sensitivity,
+    sigma)`` as :func:`gaussian_objective` does: the gradient as a pair and
+    the Hessian as a pair of rows, in (t, log sigma) with t in units of
+    ``sigma``, both divided by ``sensitivity``.  The descent succeeds when
+    every gradient component is below GRADIENT_TOLERANCE.  Each step is the
+    Newton step of the eigenvalue-floored Hessian (see :func:`_newton_step`),
+    so it descends also where the curvature is negative, taken with t in
+    units of max(sigma, ``min_unit``).  Where the curvature is negative the
+    step depends on its units; in sigma alone, the descents of a fit on a
+    heavily contaminated sample more often end in a higher minimum or on
+    SIGMA_FLOOR than in units of at least the fit's initial sigma.  Armijo
+    backtracking halves the step until the value falls by ARMIJO_SHARE of
+    the first-order prediction, the slope times the sensitivity.  The
+    descent fails after ``max_iterations`` steps, when MAX_HALVINGS halvings
+    find no decrease, or when the step is not a descent direction (a NaN
+    gradient or Hessian).
     """
     x = x0
-    value, grad, hess = objective(x)
+    value, grad, hess, sensitivity, sigma = objective(x)
     nfev, nit = 1, 0
     # written so that a NaN component never passes
     while not (abs(grad[0]) < GRADIENT_TOLERANCE and abs(grad[1]) < GRADIENT_TOLERANCE):
-        step = _newton_step(grad, hess)
+        # the gradient and Hessian with t in units of ``unit``
+        unit = max(sigma, min_unit)
+        k = unit / sigma
+        (h_tt, h_tu), (_, h_uu) = hess
+        g, h = (grad[0] * k, grad[1]), ((h_tt * k * k, h_tu * k), (h_tu * k, h_uu))
+        step = _newton_step(g, h)
         longest = _largest(step)
         if longest > MAX_STEP:
             step = (step[0] * MAX_STEP / longest, step[1] * MAX_STEP / longest)
-        slope = grad[0] * step[0] + grad[1] * step[1]
+        slope = g[0] * step[0] + g[1] * step[1]
         if nit == max_iterations or not slope < 0.0:
             return Minimum(x, value, nfev, nit, False)
         nit += 1
+        drop = ARMIJO_SHARE * slope * sensitivity
         length = 1.0
         for _ in range(MAX_HALVINGS + 1):
-            trial = (x[0] + length * step[0], x[1] + length * step[1])
+            trial = (x[0] + length * step[0] * unit, x[1] + length * step[1])
             found = objective(trial)
             nfev += 1
             # strict: a step whose gain rounds away is no progress
-            if found[0] < value + ARMIJO_SHARE * length * slope:
+            if found[0] < value + length * drop:
                 break
             length *= 0.5
         else:
             return Minimum(x, value, nfev, nit, False)
-        x, (value, grad, hess) = trial, found
+        x, (value, grad, hess, sensitivity, sigma) = trial, found
     return Minimum(x, value, nfev, nit, True)
 
 
@@ -363,7 +382,7 @@ def fit(problem: EstimationProblem) -> EstimationResult:
     gamma = 0 returns the closed-form minimizer.  gamma > 0 runs a Newton
     descent (:func:`minimize`) from the base initial point (sample median,
     scaled interquartile range) and from its START_OFFSETS perturbations, and
-    keeps the best minimum.  The fit is converged when the descent whose
+    keeps the lowest score.  The fit is converged when the descent whose
     point it returns met the gradient tolerance and sigma did not land on
     SIGMA_FLOOR.
     """
@@ -397,43 +416,17 @@ def fit(problem: EstimationProblem) -> EstimationResult:
         sigma0 = float((q75 - q25) / 1.349)
     sigma0 = max(sigma0, 1e-3)
 
-    work = np.empty((3, samples.size))
-    runs = []
-
-    def descend(mu_ref: float, sigma_ref: float, offsets) -> tuple[float, float, float, bool]:
-        """Newton descents of :func:`gaussian_objective` around (mu_ref,
-        sigma_ref) from (t, log sigma) = (dt, log sigma_ref + du), one per
-        offset.  Returns the best (mu, log sigma, score) and whether the
-        descent that found it met the tolerance.
-        """
-        objective, scale = gaussian_objective(samples, spec, mu_ref, sigma_ref, work)
-        u_ref = math.log(sigma_ref)
-        for dt, du in offsets:
-            runs.append(minimize(objective, (dt, u_ref + du), cfg.max_iterations))
-        best = min(runs[-len(offsets):], key=lambda res: res.fun)
-        return (mu_ref + sigma_ref * best.x[0],
-                min(max(best.x[1], log_floor), MAX_LOG_SIGMA),
-                best.fun * scale, best.success)
-
-    offsets = [(0.0, 0.0)] + START_OFFSETS
-    mu_hat, u_hat, value, succeeded = descend(mu0, sigma0, offsets)
-    sigma_ref = sigma0
-    for _ in range(MAX_REDESCENTS):
-        # every step from a point on the floor goes below it, where the score is held
-        if abs(u_hat - math.log(sigma_ref)) <= math.log(2.0) or _on_floor(math.exp(u_hat)):
-            break
-        # far from the reference point the normalization and the units of t
-        # no longer fit the score, and a descent may stop early or miss its
-        # tolerance; descend once more around the point found
-        sigma_ref = math.exp(u_hat)
-        mu_hat, u_hat, value, succeeded = descend(mu_hat, sigma_ref, [(0.0, 0.0)])
-
-    sigma_hat = math.exp(u_hat)
+    objective = gaussian_objective(samples, spec, np.empty((3, samples.size)))
+    u0 = math.log(sigma0)
+    runs = [minimize(objective, (mu0 + sigma0 * dt, u0 + du), cfg.max_iterations, sigma0)
+            for dt, du in [(0.0, 0.0)] + START_OFFSETS]
+    best = min(runs, key=lambda res: res.fun)
+    sigma_hat = math.exp(min(max(best.x[1], log_floor), MAX_LOG_SIGMA))
     at_floor = _on_floor(sigma_hat)
-    return EstimationResult(mu_hat, sigma_hat, value, sum(res.nit for res in runs),
-                            converged=succeeded and not at_floor,
+    return EstimationResult(best.x[0], sigma_hat, best.fun, sum(res.nit for res in runs),
+                            converged=best.success and not at_floor,
                             sigma_at_floor=at_floor,
-                            optimizer_converged=succeeded,
+                            optimizer_converged=best.success,
                             evaluations=tuple(res.nfev for res in runs))
 
 

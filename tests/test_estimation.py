@@ -153,48 +153,54 @@ OBJECTIVE_SPECS = [
 ]
 
 
-def objective_around(samples, spec, mu_ref, sigma_ref):
-    """gaussian_objective around (mu_ref, sigma_ref), its scale, and the
-    plug-in score it normalizes, as a function of (t, log sigma)."""
-    objective, scale = gaussian_objective(samples, spec, mu_ref, sigma_ref,
-                                          np.empty((3, samples.size)))
+def objective_and_score(samples, spec):
+    """gaussian_objective on the samples, and the plug-in score it evaluates,
+    as a function of (mu, log sigma)."""
+    objective = gaussian_objective(samples, spec, np.empty((3, samples.size)))
 
-    def reference(t, u):
-        model = GaussianDensity(mu_ref + sigma_ref * t, math.exp(u))
-        return empirical_score(samples, model, spec) / scale
+    def reference(mu, u):
+        return empirical_score(samples, GaussianDensity(mu, math.exp(u)), spec)
 
-    return objective, scale, reference
+    return objective, reference
+
+
+def raw_gradient(objective, mu, u):
+    """dF/dmu and dF/dlog sigma, from the objective's gradient in its own units."""
+    _, (d_t, d_u), _, sensitivity, sigma = objective((mu, u))
+    return d_t * sensitivity / sigma, d_u * sensitivity
 
 
 @pytest.mark.parametrize("spec", OBJECTIVE_SPECS, ids=lambda s: str(s.describe()))
 @pytest.mark.parametrize("mu, sigma", [(0.3, 1.2), (1.5, 0.6)])
 def test_objective_matches_the_empirical_score(spec, mu, sigma):
     samples = seeded_contaminated(n=500)
-    mu_ref, sigma_ref = 0.2, 0.8
-    objective, scale, reference = objective_around(samples, spec, mu_ref, sigma_ref)
-    # the scale is the sensitivity of F at the reference point
-    b = empirical_brackets(samples, GaussianDensity(mu_ref, sigma_ref), spec.gamma)
-    sensitivity = abs(elasticity(spec, b, 1, 0)) + abs(elasticity(spec, b, 0, 1))
-    assert scale == pytest.approx(sensitivity, rel=1e-6)
-
-    t, u, h = (mu - mu_ref) / sigma_ref, math.log(sigma), 1e-5
-    value, (d_t, d_u), _ = objective((t, u))
-    assert value == pytest.approx(reference(t, u), rel=1e-12, abs=1e-14)
-    fd_t = (reference(t + h, u) - reference(t - h, u)) / (2 * h)
-    fd_u = (reference(t, u + h) - reference(t, u - h)) / (2 * h)
-    tolerance = abs(value) + 1.0
+    objective, reference = objective_and_score(samples, spec)
+    u, h = math.log(sigma), 1e-5
+    value, (d_t, d_u), _, sensitivity, held = objective((mu, u))
+    assert value == pytest.approx(reference(mu, u), rel=1e-12, abs=1e-14)
+    assert held == pytest.approx(sigma, rel=1e-15)
+    # the gradient is divided by the sensitivity of F at the point
+    b = empirical_brackets(samples, GaussianDensity(mu, sigma), spec.gamma)
+    expected = abs(elasticity(spec, b, 1, 0)) + abs(elasticity(spec, b, 0, 1))
+    assert sensitivity == pytest.approx(expected, rel=1e-6)
+    # t is in units of the point's sigma
+    fd_t = (reference(mu + h * held, u) - reference(mu - h * held, u)) / (2 * h * sensitivity)
+    fd_u = (reference(mu, u + h) - reference(mu, u - h)) / (2 * h * sensitivity)
+    tolerance = abs(value) / sensitivity + 1.0
     assert d_t == pytest.approx(fd_t, rel=1e-6, abs=1e-8 * tolerance)
     assert d_u == pytest.approx(fd_u, rel=1e-6, abs=1e-8 * tolerance)
 
 
 def test_objective_is_flat_in_log_sigma_below_the_floor():
     samples = seeded_contaminated(n=200)
-    objective = objective_around(samples, DPD_HALF, 0.1, 1.0)[0]
-    below = objective((0.05, math.log(SIGMA_FLOOR / 100)))
-    value, (d_t, d_u), ((h_tt, h_tu), (h_ut, h_uu)) = below
-    at_floor = objective((0.05, math.log(SIGMA_FLOOR)))
+    objective = objective_and_score(samples, DPD_HALF)[0]
+    below = objective((0.15, math.log(SIGMA_FLOOR / 100)))
+    value, (d_t, d_u), ((h_tt, h_tu), (h_ut, h_uu)), sensitivity, sigma = below
+    at_floor = objective((0.15, math.log(SIGMA_FLOOR)))
     assert d_u == h_tu == h_ut == h_uu == 0.0
-    assert (value, d_t, h_tt) == (at_floor[0], at_floor[1][0], at_floor[2][0][0])
+    assert (value, d_t, h_tt, sensitivity, sigma) == (at_floor[0], at_floor[1][0],
+                                                      at_floor[2][0][0], *at_floor[3:])
+    assert sigma == pytest.approx(SIGMA_FLOOR, rel=1e-15)
 
 
 def test_objective_stays_finite_far_from_the_data():
@@ -202,31 +208,40 @@ def test_objective_stays_finite_far_from_the_data():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for spec in OBJECTIVE_SPECS:
-            # a point far from a reference near the data, and a point at a
-            # reference far from it
-            for mu_ref, sigma_ref, t in ((0.0, 1.0, 1e6), (1e6, 0.01, 0.0)):
-                objective, scale, _ = objective_around(samples, spec, mu_ref, sigma_ref)
-                value, grad, hess = objective((t, math.log(0.01)))
-                assert all(math.isfinite(v) for v in (scale, value, *grad, *hess[0], *hess[1]))
+            objective = objective_and_score(samples, spec)[0]
+            for mu in (1e6, -1e6):
+                value, grad, hess, sensitivity, sigma = objective((mu, math.log(0.01)))
+                assert all(math.isfinite(v) for v in (value, sensitivity, sigma))
+                # X is held at the smallest normal float there; where F does
+                # not move at all (holder ps: F = -X^2/Y rounds to -0.0), the
+                # partials are NaN, so that a descent stops unconverged
+                partials = (*grad, *hess[0], *hess[1])
+                finite = [math.isfinite(v) for v in partials]
+                assert all(finite) if sensitivity > 0.0 else not any(finite)
 
 
 @pytest.mark.parametrize("spec", OBJECTIVE_SPECS, ids=lambda s: str(s.describe()))
 @pytest.mark.parametrize("mu, sigma", [(0.3, 1.2), (1.5, 0.6)])
 def test_objective_hessian_matches_differences_of_its_gradient(spec, mu, sigma):
     samples = seeded_contaminated(n=500)
-    mu_ref, sigma_ref = 0.2, 0.8
-    objective = objective_around(samples, spec, mu_ref, sigma_ref)[0]
+    objective = objective_and_score(samples, spec)[0]
     # the gradient carries the rounding of its own central differences in
     # F, so a step much below 1e-3 amplifies it
-    t, u, h = (mu - mu_ref) / sigma_ref, math.log(sigma), 1e-3
-    _, _, ((h_tt, h_tu), (h_ut, h_uu)) = objective((t, u))
+    u, h = math.log(sigma), 1e-3
+    _, _, ((h_tt, h_tu), (h_ut, h_uu)), sensitivity, held = objective((mu, u))
     assert h_tu == h_ut
-    (t_up, u_up), (t_down, u_down) = objective((t + h, u))[1], objective((t - h, u))[1]
-    (t_right, u_right), (_, u_left) = objective((t, u + h))[1], objective((t, u - h))[1]
+    # each neighbour's gradient is in its own units: compare in (mu, log sigma)
+    (m_up, u_up), (m_down, u_down) = (raw_gradient(objective, mu + h * held, u),
+                                      raw_gradient(objective, mu - h * held, u))
+    (_, u_right), (_, u_left) = (raw_gradient(objective, mu, u + h),
+                                 raw_gradient(objective, mu, u - h))
     scale = max(abs(h_tt), abs(h_tu), abs(h_uu))
-    assert h_tt == pytest.approx((t_up - t_down) / (2 * h), rel=1e-5, abs=1e-6 * scale)
-    assert h_tu == pytest.approx((u_up - u_down) / (2 * h), rel=1e-5, abs=1e-6 * scale)
-    assert h_uu == pytest.approx((u_right - u_left) / (2 * h), rel=1e-5, abs=1e-6 * scale)
+    assert h_tt == pytest.approx(held * (m_up - m_down) / (2 * h * sensitivity),
+                                 rel=1e-5, abs=1e-6 * scale)
+    assert h_tu == pytest.approx((u_up - u_down) / (2 * h * sensitivity), rel=1e-5,
+                                 abs=1e-6 * scale)
+    assert h_uu == pytest.approx((u_right - u_left) / (2 * h * sensitivity), rel=1e-5,
+                                 abs=1e-6 * scale)
 
 
 def _outer_reference(spec, x, y):
@@ -341,10 +356,14 @@ def counted(objective):
     return wrapped, calls
 
 
+# the test objectives below have sensitivity 1 and sigma 1, so that their
+# gradient and Hessian are those of the plain function of (x0, x1)
+
+
 def quartic(x):
     # minima at (+-1, 0); negative curvature in x0 for |x0| < 1/sqrt(3)
     return (x[0] ** 4 / 4 - x[0] ** 2 / 2 + x[1] ** 2 / 2, (x[0] ** 3 - x[0], x[1]),
-            ((3 * x[0] ** 2 - 1, 0.0), (0.0, 1.0)))
+            ((3 * x[0] ** 2 - 1, 0.0), (0.0, 1.0)), 1.0, 1.0)
 
 
 def test_minimize_solves_a_quadratic_in_one_newton_step():
@@ -352,9 +371,9 @@ def test_minimize_solves_a_quadratic_in_one_newton_step():
     def quadratic(x):
         g = (3 * x[0] + x[1] - 1, x[0] + 2 * x[1] + 1)
         return (0.5 * (x[0] * (g[0] - 1) + x[1] * (g[1] + 1)) - x[0] + x[1], g,
-                ((3.0, 1.0), (1.0, 2.0)))
+                ((3.0, 1.0), (1.0, 2.0)), 1.0, 1.0)
 
-    res = minimize(quadratic, (0.5, 0.2), 100)
+    res = minimize(quadratic, (0.5, 0.2), 100, 0.0)
     assert res.success and res.nit == 1 and res.nfev == 2
     assert res.x == pytest.approx((0.6, -0.8), abs=1e-12)
 
@@ -363,7 +382,7 @@ def test_minimize_descends_from_negative_curvature():
     objective, calls = counted(quartic)
     start = (0.1, 1.0)
     assert quartic(start)[2][0][0] < 0.0
-    res = minimize(objective, start, 100)
+    res = minimize(objective, start, 100, 0.0)
     assert res.success
     # a plain Newton step heads for the maximum at x0 = 0; the floored one
     # leaves it for the minimum on the side of the start
@@ -374,7 +393,7 @@ def test_minimize_descends_from_negative_curvature():
 
 def test_minimize_stops_at_max_iterations():
     objective, calls = counted(quartic)
-    res = minimize(objective, (0.1, 1.0), 1)
+    res = minimize(objective, (0.1, 1.0), 1, 0.0)
     assert not res.success
     assert res.nit == 1
     assert res.nfev == len(calls) >= 2
@@ -383,9 +402,36 @@ def test_minimize_stops_at_max_iterations():
 
 @pytest.mark.parametrize("grad", [(1e-9, math.nan), (math.nan, 1e-9)])
 def test_minimize_fails_on_a_nan_gradient(grad):
-    res = minimize(lambda x: (0.0, grad, ((1.0, 0.0), (0.0, 1.0))), (0.0, 0.0), 10)
+    res = minimize(lambda x: (0.0, grad, ((1.0, 0.0), (0.0, 1.0)), 1.0, 1.0), (0.0, 0.0), 10, 0.0)
     assert not res.success
     assert (res.nit, res.nfev) == (0, 1)
+
+
+@pytest.mark.parametrize("scale, sigma", [(1.0, 1.0), (1e-200, 1e100), (1e200, 1e-100)])
+def test_minimize_steps_in_the_units_of_the_objective(scale, sigma):
+    # F = scale ((mu - sigma)^2 / sigma^2 + (u - 1.5)^2) / 2: in t = mu / sigma
+    # and u, divided by its sensitivity scale, it is the unit quadratic, so
+    # one Newton step of mu by t sigma reaches the minimum whatever the units
+    def objective(x):
+        t, u = x[0] / sigma - 1.0, x[1] - 1.5
+        return (0.5 * scale * (t * t + u * u), (t, u), ((1.0, 0.0), (0.0, 1.0)), scale, sigma)
+
+    res = minimize(objective, (0.0, 0.0), 10, 0.0)
+    assert res.success and res.nit == 1 and res.nfev == 2
+    assert res.x == pytest.approx((sigma, 1.5), rel=1e-15)
+    assert res.fun == 0.0
+
+
+@pytest.mark.parametrize("min_unit, moved", [(0.0, 2e-3), (1e-4, 2e-3), (1.0, 2.0)])
+def test_minimize_caps_a_step_in_units_of_at_least_min_unit(min_unit, moved):
+    # F = -mu at sigma 1e-3 has no curvature, so the Newton step is cut to
+    # MAX_STEP, in units of the larger of sigma and min_unit
+    def objective(x):
+        return -x[0], (-1e-3, 0.0), ((0.0, 0.0), (0.0, 0.0)), 1.0, 1e-3
+
+    res = minimize(objective, (0.0, 0.0), 1, min_unit)
+    assert not res.success and res.nit == 1 and res.nfev == 2
+    assert res.x == pytest.approx((moved, 0.0), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +464,9 @@ def test_degenerate_data_hits_sigma_floor():
                                                                  phi=identity_phi())))
     assert res.mu == pytest.approx(3.0, abs=1e-6)
     assert res.sigma == pytest.approx(SIGMA_FLOOR, rel=1e-9)
-    # the score falls as sigma shrinks, so the descents end on the floor, far
-    # from the initial point; no descent starts again there, since every
-    # step from the floor goes below it, where the score is held
+    # the score falls as sigma shrinks, so the descents end on the floor
     assert res.sigma_at_floor and res.optimizer_converged
-    assert len(res.evaluations) == 4
+    assert len(res.evaluations) == 1 + len(START_OFFSETS)
     assert not res.converged
 
 
@@ -473,6 +517,18 @@ def test_fit_from_a_far_initial_point_reaches_the_minimum(spec, initial):
     assert res.converged
     assert res.mu == pytest.approx(ref.mu, abs=1e-6)
     assert res.sigma == pytest.approx(ref.sigma, abs=1e-6)
+    # one descent per start, none of which crawls in units of a far point
+    assert len(res.evaluations) == 1 + len(START_OFFSETS)
+    assert max(res.evaluations) <= 100
+
+
+@pytest.mark.parametrize("initial, name", [
+    ((math.nan, 1.0), "mu"), ((-math.inf, 1.0), "mu"), ((0.0, -1.0), "sigma"),
+    ((0.0, 0.0), "sigma"), ((0.0, math.inf), "sigma"), ((0.0, math.nan), "sigma"),
+])
+def test_config_rejects_an_initial_point_outside_the_model(initial, name):
+    with pytest.raises(DomainError, match=f"the initial {name} must be finite"):
+        OptimizerConfig(initial=initial)
 
 
 def test_fit_holds_sigma_inside_float_range():
@@ -532,7 +588,7 @@ def test_converged_describes_the_descent_whose_point_is_returned(monkeypatch, de
     # second, from START_OFFSETS[0], has the lowest value
     canned = iter(descents)
 
-    def minimize_canned(objective, x0, max_iterations):
+    def minimize_canned(objective, x0, max_iterations, min_unit):
         fun, success = next(canned)
         return Minimum(x0, fun, 3, 2, success)
 
@@ -560,6 +616,73 @@ def test_fit_converges_where_f_cancels(family, generator, gamma):
     spec = (DivergenceSpec("jhhb", gamma, zeta=generator) if family == "jhhb" else
             DivergenceSpec("fdpd", gamma, phi=parse_generator("phi", generator)))
     assert fit(EstimationProblem(samples, spec)).converged
+
+
+# F rounds to one value at every point of the stencil (power:2 at gamma 2:
+# X**2 - 1 and Y**2 - 1 round to -1), so the sensitivity is 0 and no descent
+# can tell a minimum from a plateau
+@pytest.mark.parametrize("samples, spec", [
+    (1e4 * contaminated_sample(700, 0.1, 5.0, [3, 100000000]) - 3,
+     DivergenceSpec("fdpd", 2.0, phi=power_phi(2.0))),
+    (1e50 * (np.random.default_rng(7).standard_normal(1500) + 0.3) - 1.25,
+     DivergenceSpec("jhhb", 0.5, zeta=0.5)),
+], ids=["fdpd-power-2", "jhhb-0.5"])
+def test_a_fit_where_f_does_not_move_is_unconverged(samples, spec):
+    res = fit(EstimationProblem(samples, spec))
+    assert not res.converged and not res.optimizer_converged
+    assert res.evaluations == (1,) * (1 + len(START_OFFSETS))
+
+
+def test_fit_of_a_steep_score_ends_at_a_local_minimum():
+    # exp-minus-one at gamma 1 on this set puts F near -1e95; the fit's point
+    # scores no higher than its neighbours in mu and in log sigma
+    samples = 1e-3 * contaminated_sample(700, 0.1, 5.0, [3, 100000000]) + 0.2
+    spec = DivergenceSpec("fdpd", 1.0, phi=parse_generator("phi", "exp-minus-one"))
+    res = fit(EstimationProblem(samples, spec))
+
+    def at(mu, sigma):
+        return empirical_score(samples, GaussianDensity(mu, sigma), spec)
+
+    value, h = at(res.mu, res.sigma), 1e-3
+    for mu, sigma in ((res.mu + h * res.sigma, res.sigma), (res.mu - h * res.sigma, res.sigma),
+                      (res.mu, res.sigma * math.exp(h)), (res.mu, res.sigma * math.exp(-h))):
+        assert value <= at(mu, sigma)
+
+
+# samples with 29-45% outliers, where the score has a robust minimum near
+# N(0, 1), a wide one over both clusters and, as sigma goes to 0, an
+# unbounded one on the outliers' point mass: the fit keeps the minimum that
+# its descents reach in units of the initial sigma, and ends on no floor
+@pytest.mark.parametrize("spec, epsilon, location, key, mu, value", [
+    (DivergenceSpec("jhhb", 0.5, zeta=0.0), 0.2927865889520318, 9.53929393471077, [183, 7],
+     -0.009950145867393068, 1.1508594219782642),
+    (DivergenceSpec("jhhb", 0.5, zeta=0.0), 0.29, 9.5, [1, 2], 0.0889258901957386,
+     1.1999725490772093),
+    (DivergenceSpec("jhhb", 0.5, zeta=0.0), 0.45, 6.1, [309, 7], 2.7624794761029117,
+     1.2652769664938994),
+    (DivergenceSpec("holder", 1.0, eta=ps_eta(1.0)), 0.34, 3.4, [593, 7], 1.0491706214039123,
+     -0.13970651704563747),
+], ids=["jhhb-robust", "jhhb-robust-round", "jhhb-wide", "holder-ps-wide"])
+def test_fit_of_a_heavily_contaminated_sample_keeps_its_minimum(spec, epsilon, location,
+                                                                 key, mu, value):
+    samples = contaminated_sample(300, epsilon, location, key)
+    res = fit(EstimationProblem(samples, spec))
+    assert res.converged and not res.sigma_at_floor
+    assert res.mu == pytest.approx(mu, abs=1e-6 * res.sigma)
+    assert res.score == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [1e100, 1e150])
+def test_fit_of_a_sample_scaled_by_1e100_and_more(a):
+    # the fit of a x is a times the fit of x: every partial is taken in the
+    # units of its own point, so none overflows or underflows with a
+    spec = DivergenceSpec("fdpd", 2.0, phi=identity_phi())
+    x = contaminated_sample(500, 0.0, 0.0, [1, 2])
+    base = fit(EstimationProblem(x, spec))
+    res = fit(EstimationProblem(a * x, spec))
+    assert res.converged
+    assert res.mu == pytest.approx(a * base.mu, abs=1e-6 * a)
+    assert res.sigma == pytest.approx(a * base.sigma, abs=1e-6 * a)
 
 
 def test_contaminated_fit_bias_ordering():
