@@ -19,15 +19,17 @@ report) and measures the worst deviation from an identity or inequality:
 * :func:`equality_condition_probe` -- zero-divergence cases g**(1+gamma) =
   c f**(1+gamma) occur exactly when psi is affine on the relevant segment.
 
-Random brackets are always generated from genuine random discrete densities,
-never as free triples, so Hoelder feasibility holds by construction.  The
-lower-bound, representation and consistency checks draw them BATCH_TRIALS
-trials at a time and evaluate each batch in one vectorized pass; the draws
-are those of :func:`random_discrete_pair` (of :func:`random_discrete_density`
-in the consistency check) trial after trial, so a seed gives the same
-densities whatever the batch size.  A score, gap or generator value that
-leaves float range in any trial raises DomainError: such a trial is neither
-passed nor skipped.
+Random brackets are always generated from genuine random densities, never
+as free triples, so Hoelder feasibility holds by construction.  Every
+randomized check draws its trials in batches and evaluates each batch in one
+vectorized pass: BATCH_TRIALS trials of discrete densities or Gaussians, or
+as many grid trials as hold BATCH_TRIALS * RANDOM_ATOMS grid values.  The
+draws come from the seed's stream trial after trial, as
+:func:`random_discrete_pair` (:func:`random_discrete_density` in the
+consistency check) would draw them one trial at a time, so a seed gives the
+same densities whatever the batch size.  A score, gap or generator value
+that leaves float range in any trial raises DomainError: such a trial is
+neither passed nor skipped.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .densities import (
     scale_values,
     seeded_rng,
 )
-from .errors import DomainError, EvaluationError
+from .errors import DomainError, EvaluationError, RepresentationError
 from .generators import GeneratorPhi, GeneratorXi, custom_xi, jhhb_eta, ps_eta, validate_psi
 from .scores import (equivalent_transform, fdp_divergence, fdp_score, holder_score, jhhb_score,
                      xi_holder_score)
@@ -87,11 +89,12 @@ def random_brackets(rng: np.random.Generator, gamma: float,
     return bracket_integrals(g, f, gamma)
 
 
-def _mass_batches(rng: np.random.Generator, trials: int, low: float, *shape: int):
-    """The masses of ``trials`` random trials, BATCH_TRIALS trials per batch,
-    each trial of the given shape, drawn trial after trial."""
-    for start in range(0, trials, BATCH_TRIALS):
-        yield rng.uniform(low, RANDOM_MASS_HIGH, (min(BATCH_TRIALS, trials - start), *shape))
+def _uniform_batches(rng: np.random.Generator, trials: int, rows: int, low, high,
+                     *shape: int):
+    """Draws uniform on [low, high) for ``trials`` trials of the given shape,
+    ``rows`` trials per batch, drawn trial after trial."""
+    for start in range(0, trials, rows):
+        yield rng.uniform(low, high, (min(rows, trials - start), *shape))
 
 
 def _bracket_batches(rng: np.random.Generator, trials: int, gamma: float,
@@ -102,7 +105,8 @@ def _bracket_batches(rng: np.random.Generator, trials: int, gamma: float,
     :func:`random_discrete_pair` draws them, so batch i holds the brackets
     that :func:`random_brackets` would give at trials i*BATCH_TRIALS on.
     """
-    for masses in _mass_batches(rng, trials, low, 2, RANDOM_ATOMS):
+    for masses in _uniform_batches(rng, trials, BATCH_TRIALS, low, RANDOM_MASS_HIGH,
+                                   2, RANDOM_ATOMS):
         yield bracket_integrals(DiscreteDensity(masses[:, 0]),
                                 DiscreteDensity(masses[:, 1]), gamma)
 
@@ -193,26 +197,7 @@ class InvarianceReport(CheckReport):
         return self.trials - self.skipped
 
 
-def _render_pair(rng, representation, grid_points):
-    mus = rng.uniform(-1.5, 1.5, 2)
-    sigmas = rng.uniform(0.6, 1.8, 2)
-    g = GaussianDensity(float(mus[0]), float(sigmas[0]))
-    f = GaussianDensity(float(mus[1]), float(sigmas[1]))
-    if representation == "gaussian":
-        return g, f
-    xs = np.linspace(-12.0, 12.0, grid_points)
-    dx = float(xs[1] - xs[0])
-    return (GridDensity(-12.0, dx, np.asarray(density_value(g, xs))),
-            GridDensity(-12.0, dx, np.asarray(density_value(f, xs))))
-
-
-def _transform_for_gamma(d, sigma, mu, gamma):
-    # The gamma = 0 branch acts on brackets as <.> -> |sigma| <.>, realized by
-    # value-rescaling the mass-preserving image (see the scale law h = |sigma|**-zeta).
-    out = affine_transform(d, sigma, mu)
-    return scale_values(out, abs(sigma)) if gamma == 0.0 else out
-
-
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # inf, nan of skipped trials masked
 def check_affine_invariance(phi: GeneratorPhi, gamma: float, trials: int, seed: int,
                             representation: str = "grid", grid_points: int = 4096,
                             tolerance: float = 1e-5) -> InvarianceReport:
@@ -221,59 +206,56 @@ def check_affine_invariance(phi: GeneratorPhi, gamma: float, trials: int, seed: 
     phi in the power/log class uses the predicted h; any other phi is probed
     for a counterexample (two pairs under one transform implying different
     scales).  Trials with numerically zero divergence are skipped and logged;
-    the check fails when every trial is skipped.
+    the check fails when every trial is skipped.  The worst trial is the
+    first with the largest violation.
     """
     if representation not in ("grid", "gaussian"):
         raise DomainError(f"unknown representation {representation!r}")
     if representation == "grid" and grid_points < 2:
         raise DomainError(f"a grid needs at least 2 points, got {grid_points}")
     rng = _trial_rng(trials, seed, tolerance)
-    if phi.kind == "power":
-        zeta: float | None = phi.zeta
-    elif phi.kind == "log":
-        zeta = 0.0
-    else:
-        zeta = None
+    # the exponent of the predicted scale; None: phi is outside the power/log class
+    zeta = phi.zeta if phi.kind == "power" else 0.0 if phi.kind == "log" else None
+    pairs = 1 if zeta is not None else 2
+    # per trial: (mu_g, mu_f, sigma_g, sigma_f) of each pair, then the transform's (sigma, mu)
+    low = np.array([-1.5, -1.5, 0.6, 0.6] * pairs + [0.25, -3.0])
+    high = np.array([1.5, 1.5, 1.8, 1.8] * pairs + [4.0, 3.0])
+    xs, rows = None, BATCH_TRIALS
+    if representation == "grid":  # a grid batch holds no more values than a discrete one
+        xs = np.linspace(-12.0, 12.0, grid_points)
+        rows = max(1, BATCH_TRIALS * RANDOM_ATOMS // grid_points)
 
     worst = {"sigma": None, "mu": None, "ratio": None}
     worst_violation = -1.0
     predicted_at_worst = None
     skipped = 0
 
-    for _ in range(trials):
-        pairs = [_render_pair(rng, representation, grid_points)]
-        if zeta is None:
-            pairs.append(_render_pair(rng, representation, grid_points))
-        sigma_t = float(rng.uniform(0.25, 4.0))
-        mu_t = float(rng.uniform(-3.0, 3.0))
-
-        ratios = []
-        degenerate = False
-        for g, f in pairs:
+    for draws in _uniform_batches(rng, trials, rows, low, high, low.size):
+        sigma_t, mu_t = draws[:, -2], draws[:, -1]
+        ratios, degenerate = [], False
+        for pair in draws[:, :-2].reshape(-1, pairs, 4).transpose(1, 0, 2):
+            g, f = GaussianDensity(pair[:, 0], pair[:, 2]), GaussianDensity(pair[:, 1], pair[:, 3])
+            if xs is not None:
+                g, f = (GridDensity(-12.0, float(xs[1] - xs[0]), density_value(d, xs))
+                        for d in (g, f))
             d_orig = fdp_divergence(bracket_integrals(g, f, gamma), phi)
-            g_t = _transform_for_gamma(g, sigma_t, mu_t, gamma)
-            f_t = _transform_for_gamma(f, sigma_t, mu_t, gamma)
+            g_t, f_t = affine_transform(g, sigma_t, mu_t), affine_transform(f, sigma_t, mu_t)
+            if gamma == 0.0:  # the gamma = 0 branch acts on brackets as <.> -> sigma <.>,
+                # so the mass-preserving images are rescaled (the scale law h = sigma**-zeta)
+                g_t, f_t = scale_values(g_t, sigma_t), scale_values(f_t, sigma_t)
             d_trans = fdp_divergence(bracket_integrals(g_t, f_t, gamma), phi)
-            if abs(d_orig) < 1e-12 or abs(d_trans) < 1e-12:
-                degenerate = True
-                break
+            degenerate |= (np.abs(d_orig) < 1e-12) | (np.abs(d_trans) < 1e-12)
             ratios.append(d_trans / d_orig)
-        if degenerate:
-            skipped += 1
-            continue
+        skipped += int(np.count_nonzero(degenerate))
 
-        if zeta is not None:
-            h = abs(sigma_t) ** (-gamma * zeta) if gamma > 0.0 else abs(sigma_t) ** (-zeta)
-            ratio = h * ratios[0]
-            violation = abs(ratio - 1.0)
-        else:
-            h = None
-            ratio = ratios[0] / ratios[1]
-            violation = abs(ratio - 1.0)
-        if violation > worst_violation:
-            worst_violation = violation
-            predicted_at_worst = h
-            worst = {"sigma": sigma_t, "mu": mu_t, "ratio": float(ratio)}
+        h = None if zeta is None else sigma_t ** -(gamma * zeta if gamma > 0.0 else zeta)
+        ratio = ratios[0] / ratios[1] if h is None else h * ratios[0]
+        violation = np.where(degenerate, -1.0, np.abs(ratio - 1.0))
+        i = int(np.argmax(violation))
+        if violation[i] > worst_violation:
+            worst_violation = float(violation[i])
+            predicted_at_worst = None if h is None else float(h[i])
+            worst = {"sigma": float(sigma_t[i]), "mu": float(mu_t[i]), "ratio": float(ratio[i])}
 
     # a check whose every trial was skipped has witnessed nothing
     passed = skipped < trials and worst_violation <= tolerance
@@ -447,7 +429,8 @@ def check_uv_consistency(xi: GeneratorXi, gamma: float, trials: int, seed: int,
         raise DomainError("the consistency check requires gamma > 0")
     rng = _trial_rng(trials, seed, tolerance)
     max_err = 0.0
-    for masses in _mass_batches(rng, trials, 0.05, RANDOM_ATOMS):
+    for masses in _uniform_batches(rng, trials, BATCH_TRIALS, 0.05, RANDOM_MASS_HIGH,
+                                   RANDOM_ATOMS):
         g = DiscreteDensity(masses)
         selves = bracket_integrals(g, g, gamma)
         xi_x, xi_y = xi(selves.X), xi(selves.Y)
@@ -497,6 +480,8 @@ def equality_condition_probe(phi: GeneratorPhi, gamma: float, f: DensityObject,
     _require_tolerance(tolerance)
     g = scale_values(f, c ** (1.0 / (1.0 + gamma)))
     b = bracket_integrals(g, f, gamma)
+    if np.ndim(b.X):
+        raise RepresentationError("the equality probe takes a single density, not a batch")
     d_value = fdp_divergence(b, phi)
     lo, hi = sorted((math.log(b.require_z()), math.log(b.Y)))
     strictly_convex = _strictly_convex_on(phi, lo, hi)

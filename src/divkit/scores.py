@@ -18,9 +18,9 @@ and divergences through them become +inf rather than raising.  Every family
 function raises DomainError where its value leaves float range.
 
 Each family function runs one formula on a float bracket and on the
-brackets of a batch of discrete densities, whose array fields give one value
-per row.  Every power and log is a numpy ufunc, which gives a value the same
-bits alone and inside an array, so each row equals its float call bit for bit.
+brackets of a batch of densities, whose array fields give one value per row.
+Every power and log is a numpy ufunc, which gives a value the same bits alone
+and inside an array, so each row equals its float call bit for bit.
 """
 
 from __future__ import annotations

@@ -9,10 +9,12 @@ from divkit import (
     DivkitError,
     DomainError,
     GaussianDensity,
+    GridDensity,
     affine_transform,
     bracket_integrals,
     custom_phi,
     custom_xi,
+    density_value,
     equivalent_transform,
     exp_minus_one_phi,
     fdp_divergence,
@@ -25,6 +27,7 @@ from divkit import (
     log_phi,
     power_phi,
     power_xi,
+    scale_values,
 )
 from divkit import checks
 from divkit.checks import (
@@ -100,6 +103,93 @@ def test_invariance_fails_when_every_trial_is_skipped():
                                      representation="gaussian")
     assert (report.skipped, report.used) == (5, 0)
     assert not report.passed
+
+
+def _reference_affine(phi, gamma, trials, seed, representation, grid_points):
+    """The affine-invariance check trial by trial, on single densities drawn
+    from the seed's stream one trial at a time: (skipped, worst, predicted
+    scale, max violation)."""
+    zeta = phi.zeta if phi.kind == "power" else 0.0 if phi.kind == "log" else None
+    rng = np.random.default_rng(seed)
+    xs = np.linspace(-12.0, 12.0, grid_points)
+
+    def draw_pair():
+        mus, sigmas = rng.uniform(-1.5, 1.5, 2), rng.uniform(0.6, 1.8, 2)
+        pair = [GaussianDensity(float(m), float(s)) for m, s in zip(mus, sigmas)]
+        if representation == "grid":
+            pair = [GridDensity(-12.0, float(xs[1] - xs[0]), density_value(d, xs)) for d in pair]
+        return pair
+
+    skipped, worst, predicted, max_violation = 0, {"sigma": None, "mu": None, "ratio": None}, \
+        None, -1.0
+    for _ in range(trials):
+        pairs = [draw_pair() for _ in range(1 if zeta is not None else 2)]
+        sigma, mu = float(rng.uniform(0.25, 4.0)), float(rng.uniform(-3.0, 3.0))
+        ratios = []
+        for g, f in pairs:
+            moved = [affine_transform(d, sigma, mu) for d in (g, f)]
+            if gamma == 0.0:
+                moved = [scale_values(d, sigma) for d in moved]
+            d_orig = fdp_divergence(bracket_integrals(g, f, gamma), phi)
+            d_moved = fdp_divergence(bracket_integrals(*moved, gamma), phi)
+            ratios.append(None if min(abs(d_orig), abs(d_moved)) < 1e-12 else d_moved / d_orig)
+        if None in ratios:
+            skipped += 1
+            continue
+        # h through numpy's power, as every density formula takes its powers
+        h = None if zeta is None else float(
+            np.power(sigma, -(gamma * zeta if gamma > 0.0 else zeta)))
+        ratio = ratios[0] / ratios[1] if zeta is None else h * ratios[0]
+        if abs(ratio - 1.0) > max_violation:
+            max_violation, predicted = abs(ratio - 1.0), h
+            worst = {"sigma": sigma, "mu": mu, "ratio": ratio}
+    return skipped, worst, predicted, max_violation
+
+
+def _assert_affine_matches_its_reference(phi, gamma, trials, seed, representation,
+                                         grid_points):
+    report = check_affine_invariance(phi, gamma, trials, seed, representation=representation,
+                                     grid_points=grid_points)
+    skipped, worst, predicted, max_violation = _reference_affine(
+        phi, gamma, trials, seed, representation, grid_points)
+    assert (report.skipped, report.worst) == (skipped, worst)
+    assert report.predicted_scale == predicted
+    assert report.max_relative_violation == max_violation
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("representation", ["grid", "gaussian"])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("phi", [log_phi(), power_phi(0.5), exp_minus_one_phi()],
+                         ids=["log", "power:0.5", "exp-minus-one"])
+def test_affine_invariance_matches_a_trial_by_trial_reference(monkeypatch, phi, gamma,
+                                                              representation):
+    # 8 Gaussian trials, or 4 trials of 16-point grids, per batch: 19 trials
+    # cross two batch boundaries or four
+    monkeypatch.setattr(checks, "BATCH_TRIALS", 8)
+    _assert_affine_matches_its_reference(phi, gamma, 19, 23, representation, 16)
+
+
+@pytest.mark.parametrize("gamma, seed, representation", [(1.0, 42, "gaussian"),
+                                                         (0.0, 2, "grid")])
+def test_affine_invariance_keeps_the_first_of_tied_worst_trials(monkeypatch, gamma, seed,
+                                                                representation):
+    # log phi predicts h = 1, so violations are a few ulps and tie across
+    # batches at these seeds: the first trial to reach the largest is the worst
+    monkeypatch.setattr(checks, "BATCH_TRIALS", 8)
+    _assert_affine_matches_its_reference(log_phi(), gamma, 19, seed, representation, 16)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("phi, gamma, trials, representation, grid_points", [
+    (log_phi(), 1.0, BATCH_TRIALS + 37, "gaussian", 4096),
+    (exp_minus_one_phi(), 0.0, BATCH_TRIALS + 1, "gaussian", 4096),
+    (power_phi(0.5), 0.5, 5, "grid", 4096),  # two 4096-point grids per batch
+    (log_phi(), 0.0, 37, "grid", 512),
+])
+def test_affine_invariance_batches_of_the_default_size_match_the_reference(
+        phi, gamma, trials, representation, grid_points):
+    _assert_affine_matches_its_reference(phi, gamma, trials, 31, representation, grid_points)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +430,12 @@ def test_equality_probe_c_one_is_zero_for_any_generator(discrete_pair):
 def test_equality_probe_gaussian_input():
     report = equality_condition_probe(log_phi(), 0.5, GaussianDensity(0.0, 1.0), c=3.0)
     assert abs(report.D_value) <= 1e-10
+
+
+def test_equality_probe_rejects_a_batch():
+    batch = GaussianDensity(np.zeros(3), np.ones(3))
+    with pytest.raises(DivkitError, match="single density"):
+        equality_condition_probe(log_phi(), 1.0, batch, 2.0)
 
 
 def test_equality_probe_rejects_bad_c(discrete_pair):

@@ -1,6 +1,7 @@
 import math
 import os
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -123,18 +124,26 @@ def test_gamma_zero_log_integrals_out_of_float_range_raise_domain_error():
         bracket_integrals(GaussianDensity(0.0, 1e200), GaussianDensity(0.0, 1e-200), 0.0)
 
 
-def test_gamma_zero_log_integrals_in_range_keep_their_formula():
+def _log_ratio(a, b):
+    # log(a/b) from the binary mantissas and exponents, the densities' one formula
+    (mant_a, exp_a), (mant_b, exp_b) = math.frexp(a), math.frexp(b)
+    return np.log(mant_a / mant_b) + (exp_a - exp_b) * math.log(2.0)
+
+
+def test_gamma_zero_log_integrals_pin_their_one_formula():
     g, f = GaussianDensity(0.3, 0.7, 2.0), GaussianDensity(-0.2, 1.3, 0.5)
     b = bracket_integrals(g, f, 0.0)
-    delta = 0.3 - -0.2
-    kl = math.log(1.3 / 0.7) + (0.7**2 + delta**2) / (2.0 * 1.3**2) - 0.5
-    ll = 2.0 * (math.log(2.0 / 0.5) + kl)
-    entropy = 0.5 * math.log(2.0 * math.pi * math.e * 0.7**2)
-    assert (b.L, b.cross) == (ll, (2.0 * math.log(2.0) - 2.0 * entropy) - ll)
+    kl = (_log_ratio(1.3, 0.7) + 0.5 * (np.square(0.7 / 1.3) + np.square((0.3 - -0.2) / 1.3))
+          - 0.5)
+    ll = 2.0 * (_log_ratio(2.0, 0.5) + kl)
+    entropy = 0.5 * math.log(2.0 * math.pi * math.e) + np.log(0.7)
+    assert (b.L, b.cross) == (ll, (2.0 * np.log(2.0) - 2.0 * entropy) - ll)
     gv, fv = np.array([0.2, 0.0, 0.8]), np.array([0.5, 0.25, 0.25])
     b = bracket_integrals(DiscreteDensity(gv), DiscreteDensity(fv), 0.0)
-    ll = (gv[[0, 2]] * np.log(gv[[0, 2]] / fv[[0, 2]])).sum()
+    ll = 0.2 * _log_ratio(0.2, 0.5) + 0.8 * _log_ratio(0.8, 0.25)
     assert (b.L, b.cross) == (ll, (gv[[0, 2]] * np.log(gv[[0, 2]])).sum() - ll)
+    # the ratio form log(g/f) rounds differently here: the formula is pinned
+    assert b.L != (gv[[0, 2]] * np.log(gv[[0, 2]] / fv[[0, 2]])).sum()
 
 
 def test_gamma_zero_support_error():
@@ -686,3 +695,112 @@ def test_a_batch_raises_where_one_row_leaves_float_range():
     support[2, 1] = 0.0
     with pytest.raises(SupportError):
         bracket_integrals(DiscreteDensity(np.ones((3, 2))), DiscreteDensity(support), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# batches of grid and Gaussian densities
+# ---------------------------------------------------------------------------
+
+
+def _gaussian_rows(seed=909, rows=300):
+    rng = np.random.default_rng(seed)
+    return [GaussianDensity(rng.uniform(-3.0, 3.0, rows), rng.uniform(0.05, 5.0, rows),
+                            rng.uniform(0.1, 4.0, rows)) for _ in range(2)]
+
+
+def _grid_rows(seed=910, rows=200, points=64):
+    rng = np.random.default_rng(seed)
+    x0, dx = rng.uniform(-5.0, 5.0, rows), rng.uniform(0.01, 2.0, rows)
+    g, f = rng.uniform(0.0, 3.0, (2, rows, points))
+    g[rng.random(g.shape) < 0.1] = 0.0  # the gamma = 0 fields mask g = 0 row by row
+    g[:, 0] = 1.0
+    return GridDensity(x0, dx, g), GridDensity(x0, dx, f)
+
+
+def _single(d, row):
+    if isinstance(d, GaussianDensity):
+        return GaussianDensity(float(d.mu[row]), float(d.sigma[row]), float(d.mass[row]))
+    return GridDensity(float(d.x0[row]), float(d.dx[row]), d.values[row])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("batch", [_gaussian_rows, _grid_rows], ids=["gaussian", "grid"])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0])
+def test_gaussian_and_grid_batches_equal_their_rows_bit_for_bit(batch, gamma):
+    g, f = batch()
+    whole = bracket_integrals(g, f, gamma)
+    rows = [bracket_integrals(_single(g, i), _single(f, i), gamma)
+            for i in range(len(whole.X))]
+    assert whole.gamma == gamma
+    for name in ("X", "Y", "Z", "L", "cross"):
+        expected = [getattr(row, name) for row in rows]
+        if gamma > 0.0 and name in ("L", "cross"):
+            assert getattr(whole, name) is None and set(expected) == {None}
+        else:
+            assert getattr(whole, name).shape == (len(rows),)
+            assert np.array_equal(getattr(whole, name), expected), name
+
+
+def _fields_equal(a, b) -> bool:
+    return all(np.array_equal(getattr(a, field.name), getattr(b, field.name))
+               for field in fields(a))
+
+
+@pytest.mark.parametrize("batch", [_gaussian_rows, _grid_rows], ids=["gaussian", "grid"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_transforms_of_a_batch_equal_their_rows(batch, sign):
+    g, _ = batch(rows=5)
+    sigma, mu = sign * np.linspace(0.25, 4.0, 5), np.linspace(-3.0, 3.0, 5)
+    moved, scaled = affine_transform(g, sigma, mu), scale_values(g, np.abs(sigma))
+    for i in range(5):
+        assert _fields_equal(_single(moved, i), affine_transform(_single(g, i), sigma[i], mu[i]))
+        assert _fields_equal(_single(scaled, i), scale_values(_single(g, i), abs(sigma[i])))
+
+
+def test_a_grid_batch_has_no_pointwise_values_and_no_file_form(tmp_path):
+    g, _ = _grid_rows(rows=3, points=4)
+    with pytest.raises(RepresentationError, match="no single x"):
+        g.xs
+    with pytest.raises(RepresentationError, match="no single x"):
+        density_value(g, 0.5)
+    with pytest.raises(RepresentationError, match="file form"):
+        write_density_csv(tmp_path / "batch.csv", g)
+    assert not (tmp_path / "batch.csv").exists()
+
+
+def test_a_grid_batch_maps_through_sigmas_of_one_sign():
+    g, _ = _grid_rows(rows=3, points=4)
+    with pytest.raises(DomainError, match="one sign"):
+        affine_transform(g, np.array([1.0, -1.0, 2.0]), 0.0)
+    with pytest.raises(DomainError, match="sigma = 0"):
+        affine_transform(g, np.array([1.0, 0.0, 2.0]), 0.0)
+
+
+def test_batches_of_other_shapes_are_rejected():
+    g, f = _gaussian_rows(rows=3)
+    with pytest.raises(RepresentationError, match="batches differ"):
+        bracket_integrals(g, GaussianDensity(np.zeros(4), np.ones(4)), 1.0)
+    with pytest.raises(RepresentationError, match="batches differ"):
+        bracket_integrals(g, GaussianDensity(0.0, 1.0), 1.0)
+    with pytest.raises(RepresentationError, match="do not broadcast"):
+        GaussianDensity(np.zeros(3), np.ones(2))
+    with pytest.raises(RepresentationError, match="do not broadcast"):
+        GridDensity(np.zeros(2), 1.0, np.ones((3, 4)))
+    with pytest.raises(RepresentationError, match="do not broadcast"):
+        GridDensity(np.zeros(2), 1.0, np.ones(2))
+    grids = _grid_rows(rows=3, points=4)
+    with pytest.raises(RepresentationError, match="batches differ"):
+        bracket_integrals(grids[0], _grid_rows(rows=2, points=4)[1], 1.0)
+    with pytest.raises(RepresentationError, match="single model"):
+        empirical_brackets([0.0], g, 1.0)
+    with pytest.raises(RepresentationError, match="single Gaussian"):
+        gaussian_grid(g)
+
+
+def test_a_batch_parameter_is_validated_row_by_row():
+    with pytest.raises(DomainError, match="sigma > 0"):
+        GaussianDensity(np.zeros(3), np.array([1.0, -1.0, 1.0]))
+    with pytest.raises(DomainError, match="spacing"):
+        GridDensity(0.0, np.array([1.0, math.nan]), np.ones((2, 3)))
+    with pytest.raises(DomainError, match="identically zero"):
+        GridDensity(0.0, 1.0, [[1.0, 1.0], [0.0, 0.0]])
