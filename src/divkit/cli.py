@@ -21,6 +21,8 @@ and their parameters are the tables in ``generators.PRESETS``.
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import json
 import sys
 
@@ -253,6 +255,19 @@ def _add_spec_flags(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after it.
+
+    Each call returns a shallow copy of the one parser: a caller may set
+    attributes on it, such as a wrapped ``parse_args``, without reaching the
+    next caller.  Parsing keeps no state in the parser, so the copies share
+    its actions and subparsers; adding an argument to a copy would change
+    them all.
+    """
+    return copy.copy(_parser())
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="divkit",
                      description="Density-power divergence toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -18,6 +18,7 @@ from divkit import (
     write_density_csv,
 )
 from divkit.checks import random_discrete_density
+from divkit import cli
 from divkit.cli import main
 
 
@@ -33,16 +34,87 @@ def run(args):
     return main(args)
 
 
-def test_importing_the_cli_does_not_load_scipy():
-    # numpy is the only runtime dependency; scipy's import time and shared
-    # libraries would otherwise land on every command
+def in_fresh_interpreter(code: str) -> str:
+    """The standard output of ``code`` run by a new interpreter on this divkit."""
     src = str(Path(divkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, divkit.cli; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code],
+                          env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    # numpy is the only runtime dependency; scipy's import time and shared
+    # libraries would otherwise land on every command
+    loaded = in_fresh_interpreter("import sys, divkit.cli; print('scipy' in sys.modules)")
     assert loaded.strip() == "False"
+
+
+def test_the_parser_is_built_on_the_first_call_not_at_import():
+    # the benchmark's setup_s times a fresh interpreter's import of the CLI
+    counts = in_fresh_interpreter(
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import divkit.cli\n"
+        "at_import = len(built)\n"
+        "divkit.cli.build_parser()\n"
+        "first = len(built)\n"
+        "divkit.cli.build_parser()\n"
+        "print(at_import, first, len(built))\n")
+    at_import, first, second = map(int, counts.split())
+    assert at_import == 0
+    assert first > 0   # the counter sees the parser and its subparsers
+    assert second == first
+
+
+def test_repeated_calls_match_a_parser_built_for_each_command(density_files, tmp_path,
+                                                              capsys, monkeypatch):
+    g, f = density_files
+    samples = tmp_path / "s.csv"
+    write_samples(samples, np.random.default_rng(5).standard_normal(200))
+    sweep = ["sweep", "--epsilons", "0,0.2", "--outlier", "8", "--n", "200",
+             "--seed", "3", "--format", "json"]
+    two_specs = ["family=jhhb,zeta=0,gamma=0.5", "family=fdpd,phi=identity,gamma=0"]
+    commands = [
+        ["compute", "--family", "fdpd", "--phi", "power:0.5", "--gamma", "1",
+         "--g", g, "--f", f],
+        ["verify", "--theorem", "jhhb-representation", "--zeta", "0.5", "--gamma", "1",
+         "--trials", "50", "--seed", "7"],
+        ["estimate", "--family", "jhhb", "--zeta", "0", "--gamma", "0.5",
+         "--samples", str(samples), "--seed", "5"],
+        sweep + ["--spec", two_specs[0], "--spec", two_specs[1]],
+        sweep + ["--spec", two_specs[1]],
+        ["verify", "--theorem", "uv-consistency", "--gamma", "1"],  # no --seed
+        ["--help"],
+    ]
+
+    def outcomes():
+        results = []
+        for argv in commands:
+            try:
+                code = main(argv)
+            except SystemExit as stop:
+                code = ("SystemExit", stop.code)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    shared = outcomes()
+    monkeypatch.setattr(cli, "build_parser", cli._parser.__wrapped__)
+    fresh = outcomes()
+    for command, one, other in zip(commands, shared, fresh):
+        assert one == other, command
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 3, ("SystemExit", 0)]
+    assert "--seed" in shared[5][2] and shared[6][1].startswith("usage: divkit")
+    # an appended flag starts from the empty default on every call
+    assert json.loads(shared[3][1])["config"]["spec"] == two_specs
+    assert json.loads(shared[4][1])["config"]["spec"] == two_specs[1:]
+    assert main(sweep) == 3
 
 
 # ---------------------------------------------------------------------------
