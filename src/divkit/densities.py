@@ -22,6 +22,12 @@ Every integral is one numpy formula for a single density and for a batch.
 numpy's ufuncs give a value the same bits alone and inside an array, so two
 batches give a triple whose fields are arrays, one entry per row, each equal
 bit for bit to the triple of that row alone.
+
+The readers of the grid, discrete and samples files parse a file once per
+content in a process: a parsed density or sample array is kept under the
+SHA-256 digest of the file's bytes, so the same bytes at any path are not
+parsed again and changed bytes are.  The cache is bounded (PARSED_ENTRIES,
+oldest dropped first), and a format error is never kept.
 """
 
 from __future__ import annotations
@@ -38,12 +44,15 @@ from .errors import DomainError, RepresentationError, SupportError
 
 TWO_PI = 2.0 * math.pi
 SQRT_TWO_PI = math.sqrt(TWO_PI)
+EPS = float(np.finfo(float).eps)
 
 
 def _freeze(values) -> np.ndarray:
+    """A read-only copy: a view of a read-only array, which no caller can make
+    writable again, since the readers share one density among their callers."""
     arr = np.array(values, dtype=float)
     arr.flags.writeable = False
-    return arr
+    return arr.view()
 
 
 @dataclass(frozen=True)
@@ -197,8 +206,12 @@ def _check_nonnegative(arr: np.ndarray, name: str) -> None:
 
 
 def _grids_match(g: GridDensity, f: GridDensity) -> bool:
+    """One length, dx within 1e-12 relative, and x0 within 1e-9 relative but
+    at most a millionth of a step, plus 4 ulps of the larger |x0|."""
+    x0_tolerance = (np.minimum(1e-9 * np.maximum(1.0, np.abs(g.x0)), 1e-6 * g.dx)
+                    + 4.0 * EPS * np.maximum(np.abs(g.x0), np.abs(f.x0)))
     return (g.values.shape == f.values.shape
-            and (np.abs(g.x0 - f.x0) <= 1e-9 * np.maximum(1.0, np.abs(g.x0))).all()
+            and (np.abs(g.x0 - f.x0) <= x0_tolerance).all()
             and (np.abs(g.dx - f.dx) <= 1e-12 * g.dx).all())
 
 
@@ -435,7 +448,25 @@ def seeded_rng(seed) -> np.random.Generator:
 
 
 def read_grid_csv(path) -> GridDensity:
-    """Grid density file: header ``x,value``, finite, equally spaced increasing x."""
+    """Grid density file: header ``x,value``, finite, equally spaced increasing x.
+
+    Each step may differ from the mean step dx by min(1e-9 max(1, |dx|),
+    1e-6 |dx|), a millionth of a step at most, plus 4 ulps of the largest |x|.
+    """
+    return _parse_once(path, _parse_grid)
+
+
+def read_discrete_csv(path) -> DiscreteDensity:
+    """Discrete density file: header ``index,mass`` with indices 0..n-1."""
+    return _parse_once(path, _parse_discrete)
+
+
+def read_samples_csv(path) -> np.ndarray:
+    """Samples file: single column ``x``; each call returns a new writable array."""
+    return _parse_once(path, _parse_samples).copy()
+
+
+def _parse_grid(path) -> GridDensity:
     xs, values = read_columns(path, ("x", "value"))
     if xs.size < 2:
         raise RepresentationError(f"{path!r}: a grid needs at least two rows")
@@ -445,13 +476,14 @@ def read_grid_csv(path) -> GridDensity:
     if np.any(steps <= 0.0):
         raise RepresentationError(f"{path!r}: x must be strictly increasing")
     dx = (xs[-1] - xs[0]) / (xs.size - 1)
-    if np.any(np.abs(steps - dx) > 1e-9 * max(1.0, abs(dx))):
+    tolerance = (min(1e-9 * max(1.0, dx), 1e-6 * dx)
+                 + 4.0 * EPS * max(abs(xs[0]), abs(xs[-1])))
+    if np.any(np.abs(steps - dx) > tolerance):
         raise RepresentationError(f"{path!r}: x must be equally spaced")
     return GridDensity(float(xs[0]), float(dx), values)
 
 
-def read_discrete_csv(path) -> DiscreteDensity:
-    """Discrete density file: header ``index,mass`` with indices 0..n-1."""
+def _parse_discrete(path) -> DiscreteDensity:
     idx, masses = read_columns(path, ("index", "mass"))
     order = np.argsort(idx)
     idx = idx[order]
@@ -460,10 +492,44 @@ def read_discrete_csv(path) -> DiscreteDensity:
     return DiscreteDensity(masses[order])
 
 
-def read_samples_csv(path) -> np.ndarray:
-    """Samples file: single column ``x``."""
+def _parse_samples(path) -> np.ndarray:
     (samples,) = read_columns(path, ("x",))
+    samples.flags.writeable = False
     return samples
+
+
+# The results of the parses above, keyed on (file digest, parser), oldest first.
+PARSED_ENTRIES = 16
+_parsed: dict = {}
+
+
+def _parse_once(path, parse):
+    """parse(path), or the kept result of parse on a file of the same bytes.
+
+    The file is digested before and after a parse, and the result is kept
+    only when the two digests agree: a file rewritten during the parse is
+    never kept under its old content.  A parse that raises keeps nothing.
+    """
+    key = (_digest(path), parse)
+    result = _parsed.get(key)  # one dict call each: safe for threads sharing the cache
+    if result is None:
+        result = parse(path)
+        if _digest(path) == key[0]:
+            _parsed[key] = result
+            if len(_parsed) > PARSED_ENTRIES:
+                _parsed.pop(next(iter(_parsed)), None)
+    return result
+
+
+def _digest(path) -> bytes:
+    """The SHA-256 digest of a file, read in 64 KiB blocks."""
+    import hashlib  # here: importing divkit.cli does not load it
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while block := handle.read(1 << 16):
+            digest.update(block)
+    return digest.digest()
 
 
 _LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2}

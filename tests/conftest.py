@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from divkit import DiscreteDensity, GaussianDensity
+from divkit import DiscreteDensity, GaussianDensity, densities
 
 
 @pytest.fixture
@@ -18,3 +18,11 @@ def gaussian_pair():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def parsed(monkeypatch):
+    """An empty parse cache for each test, so that no test sees another's files."""
+    cache = {}
+    monkeypatch.setattr(densities, "_parsed", cache)
+    return cache

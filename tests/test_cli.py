@@ -50,6 +50,18 @@ def test_importing_the_cli_does_not_load_scipy():
     assert loaded.strip() == "False"
 
 
+def test_importing_the_cli_does_not_load_hashlib():
+    # the readers digest files with hashlib, imported on the first read; its
+    # import would land on every command's start-up.  numpy 1.x loads it
+    # itself (numpy.random imports secrets), so the check is what divkit adds.
+    added = in_fresh_interpreter(
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import divkit.cli\n"
+        "print(sorted({'hashlib', '_hashlib'} & (set(sys.modules) - before)))\n")
+    assert added.strip() == "[]"
+
+
 def test_the_parser_is_built_on_the_first_call_not_at_import():
     # the benchmark's setup_s times a fresh interpreter's import of the CLI
     counts = in_fresh_interpreter(
@@ -115,6 +127,33 @@ def test_repeated_calls_match_a_parser_built_for_each_command(density_files, tmp
     assert json.loads(shared[3][1])["config"]["spec"] == two_specs
     assert json.loads(shared[4][1])["config"]["spec"] == two_specs[1:]
     assert main(sweep) == 3
+
+
+def test_repeated_calls_on_the_same_files_parse_them_once(density_files, tmp_path,
+                                                         capsys, monkeypatch):
+    g, f = density_files
+    samples = tmp_path / "s.csv"
+    write_samples(samples, np.random.default_rng(5).standard_normal(200))
+    commands = [
+        ["compute", "--family", "fdpd", "--phi", "power:0.5", "--gamma", "1",
+         "--g", g, "--f", f],
+        ["estimate", "--family", "jhhb", "--zeta", "0", "--gamma", "0.5",
+         "--samples", str(samples), "--seed", "5"],
+    ]
+    loadtxt, parsed = np.loadtxt, []
+
+    def recording(path, *args, **kwargs):
+        parsed.append(path)
+        return loadtxt(path, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recording)
+    outputs = []
+    for _ in range(3):
+        for argv in commands:
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+    assert sorted(parsed) == sorted([g, f, str(samples)])
+    assert outputs == outputs[:2] * 3
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from divkit import (
     scale_values,
     write_density_csv,
 )
+from divkit import densities
 from divkit.densities import read_columns
 from divkit.generators import eta_from_table
 
@@ -188,6 +189,23 @@ def test_mismatched_grids_rejected():
     b = GridDensity(0.5, 0.1, np.ones(5))
     with pytest.raises(RepresentationError):
         bracket_integrals(a, b, 1.0)
+
+
+@pytest.mark.parametrize("x0, dx, offset", [(0.0, 1e-12, 5e-10), (1e6, 1e-4, 1e-3)],
+                         ids=["500-steps-near-0", "10-steps-at-1e6"])
+def test_grids_whose_origins_differ_by_whole_steps_do_not_match(x0, dx, offset):
+    # 1e-9 * max(1, |x0|) alone allows both offsets
+    a = GridDensity(x0, dx, np.ones(5))
+    b = GridDensity(x0 + offset, dx, np.ones(5))
+    with pytest.raises(RepresentationError, match="must share x0"):
+        bracket_integrals(a, b, 1.0)
+
+
+@pytest.mark.parametrize("x0, dx", [(0.0, 1e-12), (1e6, 1e-4), (-3.0, 0.1), (100.0, 1e3)])
+def test_grids_whose_origins_differ_by_a_few_ulps_match(x0, dx):
+    a = GridDensity(x0, dx, np.ones(5))
+    b = GridDensity(x0 + 2 * np.spacing(x0), dx, np.ones(5))
+    assert bracket_integrals(a, b, 1.0).X == bracket_integrals(a, a, 1.0).X
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +558,141 @@ def test_grid_csv_rejects_uneven_spacing(tmp_path):
     path.write_text("x,value\n0.0,1.0\n1.0,1.0\n2.5,1.0\n")
     with pytest.raises(RepresentationError):
         read_grid_csv(path)
+
+
+def write_grid_text(path, xs):
+    path.write_text("x,value\n" + "".join(f"{x!r},1.0\n" for x in xs.tolist()))
+
+
+def test_grid_csv_rejects_uneven_steps_below_1e_9(tmp_path):
+    # steps of 1e-12 and 4e-12: an absolute tolerance of 1e-9 took them as one
+    path = tmp_path / "tiny.csv"
+    path.write_text("x,value\n0,1\n1e-12,1\n5e-12,1\n")
+    with pytest.raises(RepresentationError, match="equally spaced"):
+        read_grid_csv(path)
+    write_grid_text(path, 1e-12 * np.arange(9.0))
+    assert read_grid_csv(path).dx == pytest.approx(1e-12, rel=1e-12)
+
+
+@pytest.mark.parametrize("dx", [1e-3, 0.1, 1.0, 1e3])
+@pytest.mark.parametrize("x0", [0.0, -5.0, 100.0])
+def test_grid_spacing_tolerance_is_unchanged_for_steps_of_a_thousandth_and_up(tmp_path, x0, dx):
+    path = tmp_path / "grid.csv"
+    xs = x0 + dx * np.arange(9.0)
+    tolerance = 1e-9 * max(1.0, dx)
+    for shift, accepted in ((0.5 * tolerance, True), (2.0 * tolerance, False)):
+        moved = xs.copy()
+        moved[4] += shift  # two steps move by +-shift; x0 and dx do not
+        write_grid_text(path, moved)
+        if accepted:
+            assert read_grid_csv(path).dx == pytest.approx(dx, rel=1e-12)
+        else:
+            with pytest.raises(RepresentationError, match="equally spaced"):
+                read_grid_csv(path)
+
+
+@pytest.mark.parametrize("dx", [1e-4, 1e-5])
+def test_grid_csv_accepts_a_full_precision_grid_far_from_the_origin(tmp_path, dx):
+    # each x rounds by up to half an ulp of 1e6 (5.8e-11): at dx = 1e-5 that
+    # is more than 1e-6 dx, and the ulp term of the tolerance admits it
+    path = tmp_path / "far.csv"
+    xs = 1e6 + dx * np.arange(20_000)
+    write_grid_text(path, xs)
+    assert np.ptp(np.diff(xs)) > 0.0
+    back = read_grid_csv(path)
+    assert (back.x0, back.values.size) == (1e6, 20_000)
+
+
+# ---------------------------------------------------------------------------
+# the parse cache
+# ---------------------------------------------------------------------------
+
+
+def test_a_rewrite_that_keeps_the_size_and_mtime_reads_the_new_values(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("x\n0.5\n1.5\n")
+    assert read_samples_csv(path).tolist() == [0.5, 1.5]
+    stat = os.stat(path)
+    path.write_text("x\n0.7\n1.5\n")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert os.stat(path).st_size == stat.st_size
+    assert read_samples_csv(path).tolist() == [0.7, 1.5]
+
+
+def test_a_file_rewritten_during_the_parse_is_parsed_again(tmp_path, monkeypatch, parsed):
+    path = tmp_path / "grid.csv"
+    path.write_text("x,value\n0,1\n1,2\n")
+    loadtxt, calls = np.loadtxt, []
+
+    def rewriting(source, *args, **kwargs):
+        data = loadtxt(source, *args, **kwargs)
+        calls.append(source)
+        if len(calls) == 1:
+            path.write_text("x,value\n0,3\n1,4\n")
+        return data
+
+    monkeypatch.setattr(np, "loadtxt", rewriting)
+    assert read_grid_csv(path).values.tolist() == [1.0, 2.0]  # what the parse read
+    assert not parsed
+    assert read_grid_csv(path).values.tolist() == [3.0, 4.0]
+    assert read_grid_csv(path).values.tolist() == [3.0, 4.0]
+    assert len(calls) == 2 and len(parsed) == 1
+
+
+def test_equal_bytes_at_two_paths_are_one_entry(tmp_path, monkeypatch, parsed):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_density_csv(a, gaussian_grid(GaussianDensity(0.0, 1.0), points=65))
+    b.write_bytes(a.read_bytes())
+    calls = recorded_loadtxt(monkeypatch)
+    assert read_grid_csv(b) is read_grid_csv(a)
+    assert len(calls) == 1 and len(parsed) == 1
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (read_grid_csv, "x,value\n0,1\n\n1,abc\n", "'abc' to float64 at line 4, column 2$"),
+    (read_grid_csv, "x,value\n0,1\n1e-12,1\n5e-12,1\n", "equally spaced$"),
+    (read_discrete_csv, "index,mass\n0,0.5\n2,0.5\n", "indices must be 0..n-1$"),
+    (read_samples_csv, "# c\nx\n\n0.5\n\n\nabc\n", "'abc' to float64 at line 7, column 1$"),
+], ids=["grid-cell", "grid-spacing", "discrete-indices", "samples-cell"])
+def test_a_malformed_file_raises_on_every_read(tmp_path, parsed, read, text, message):
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    for _ in range(3):
+        with pytest.raises(RepresentationError, match=message):
+            read(path)
+    assert not parsed
+
+
+def test_a_returned_samples_array_is_the_callers_own(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("x\n0.5\n-1.25\n")
+    first = read_samples_csv(path)
+    first[0] = 99.0
+    second = read_samples_csv(path)
+    assert second.tolist() == [0.5, -1.25]
+    assert second.flags.writeable and not np.shares_memory(first, second)
+
+
+def test_a_shared_density_cannot_be_made_writable(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_text("x,value\n0,1\n1,2\n")
+    first = read_grid_csv(path)
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        first.values.flags.writeable = True
+    assert read_grid_csv(path).values.tolist() == [1.0, 2.0]
+
+
+def test_the_cache_holds_at_most_its_bound_and_drops_the_oldest(tmp_path, monkeypatch, parsed):
+    paths = [tmp_path / f"s{k}.csv" for k in range(densities.PARSED_ENTRIES + 3)]
+    for k, path in enumerate(paths):
+        path.write_text(f"x\n{k}\n")
+        assert read_samples_csv(path).tolist() == [float(k)]
+        assert len(parsed) == min(k + 1, densities.PARSED_ENTRIES)
+    calls = recorded_loadtxt(monkeypatch)
+    read_samples_csv(paths[-1])
+    assert not calls  # kept
+    read_samples_csv(paths[2])
+    assert len(calls) == 1  # dropped as one of the three oldest
 
 
 @pytest.mark.filterwarnings("error")
