@@ -23,10 +23,12 @@ numpy's ufuncs give a value the same bits alone and inside an array, so two
 batches give a triple whose fields are arrays, one entry per row, each equal
 bit for bit to the triple of that row alone.
 
-The readers of the grid, discrete and samples files parse a file once per
-content in a process: a parsed density or sample array is kept under the
-SHA-256 digest of the file's bytes, so the same bytes at any path are not
-parsed again and changed bytes are.  The cache is bounded (PARSED_ENTRIES,
+The readers of the grid, discrete and samples files keep what they parse
+in a process under the SHA-256 digest of the file's bytes, so changed bytes
+are parsed again.  A file is digested only once a file of its size has been
+parsed: a process that reads each file once pays for no digest, and one that
+reads the same bytes again, at any path, parses them twice and then no more.
+The cache is bounded (PARSED_ENTRIES results and PARSED_BYTES of arrays,
 oldest dropped first), and a format error is never kept.
 """
 
@@ -35,7 +37,9 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import os
 import re
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,11 +52,9 @@ EPS = float(np.finfo(float).eps)
 
 
 def _freeze(values) -> np.ndarray:
-    """A read-only copy: a view of a read-only array, which no caller can make
-    writable again, since the readers share one density among their callers."""
     arr = np.array(values, dtype=float)
     arr.flags.writeable = False
-    return arr.view()
+    return arr
 
 
 @dataclass(frozen=True)
@@ -463,7 +465,7 @@ def read_discrete_csv(path) -> DiscreteDensity:
 
 def read_samples_csv(path) -> np.ndarray:
     """Samples file: single column ``x``; each call returns a new writable array."""
-    return _parse_once(path, _parse_samples).copy()
+    return _parse_once(path, _parse_samples, np.copy)
 
 
 def _parse_grid(path) -> GridDensity:
@@ -494,31 +496,67 @@ def _parse_discrete(path) -> DiscreteDensity:
 
 def _parse_samples(path) -> np.ndarray:
     (samples,) = read_columns(path, ("x",))
-    samples.flags.writeable = False
     return samples
 
 
-# The results of the parses above, keyed on (file digest, parser), oldest first.
+# What the parses above returned, keyed on (file digest, parser), oldest
+# first: at most PARSED_ENTRIES results, holding at most PARSED_BYTES of
+# arrays.  _sizes holds the (file size, parser) pairs of the latest
+# PARSED_ENTRIES parses.  _lock guards every change to either table; a
+# lookup is one dict call.
 PARSED_ENTRIES = 16
+PARSED_BYTES = 8 << 20
 _parsed: dict = {}
+_sizes: dict = {}
+_lock = threading.Lock()
 
 
-def _parse_once(path, parse):
+def _parse_once(path, parse, copy=None):
     """parse(path), or the kept result of parse on a file of the same bytes.
 
-    The file is digested before and after a parse, and the result is kept
-    only when the two digests agree: a file rewritten during the parse is
-    never kept under its old content.  A parse that raises keeps nothing.
+    A file whose size no recent parse by ``parse`` saw is parsed as it is,
+    without a digest, and nothing is kept: a process that reads each file
+    once pays for no digest.  Otherwise the file is digested before and
+    after a parse, and the result is kept only when the two digests agree:
+    a file rewritten during the parse is never kept under its old content.
+    A parse that raises keeps nothing, nor does one whose arrays exceed
+    PARSED_BYTES.  ``copy`` gives each caller a result of its own; without
+    it, every read of the same bytes shares one result.
     """
-    key = (_digest(path), parse)
-    result = _parsed.get(key)  # one dict call each: safe for threads sharing the cache
-    if result is None:
+    size = (os.stat(path).st_size, parse)
+    if size not in _sizes:
         result = parse(path)
-        if _digest(path) == key[0]:
-            _parsed[key] = result
-            if len(_parsed) > PARSED_ENTRIES:
-                _parsed.pop(next(iter(_parsed)), None)
+        with _lock:
+            _sizes[size] = None
+            if len(_sizes) > PARSED_ENTRIES:
+                del _sizes[next(iter(_sizes))]
+        return result
+    key = (_digest(path), parse)
+    kept = _parsed.get(key)
+    if kept is not None:
+        return kept if copy is None else copy(kept)
+    result = parse(path)
+    if _digest(path) == key[0] and _nbytes(result) <= PARSED_BYTES:
+        _keep(key, result if copy is None else copy(result))
     return result
+
+
+def _keep(key, result) -> None:
+    """Keep a result, dropping the oldest until the bounds hold."""
+    with _lock:
+        _parsed[key] = result
+        while (len(_parsed) > PARSED_ENTRIES
+               or sum(map(_nbytes, _parsed.values())) > PARSED_BYTES):
+            del _parsed[next(iter(_parsed))]
+
+
+def _nbytes(result) -> int:
+    """The bytes of a parse result's array: its values, masses or samples."""
+    if isinstance(result, GridDensity):
+        return result.values.nbytes
+    if isinstance(result, DiscreteDensity):
+        return result.masses.nbytes
+    return result.nbytes
 
 
 def _digest(path) -> bytes:

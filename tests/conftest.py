@@ -25,4 +25,5 @@ def parsed(monkeypatch):
     """An empty parse cache for each test, so that no test sees another's files."""
     cache = {}
     monkeypatch.setattr(densities, "_parsed", cache)
+    monkeypatch.setattr(densities, "_sizes", {})
     return cache

@@ -129,8 +129,9 @@ def test_repeated_calls_match_a_parser_built_for_each_command(density_files, tmp
     assert main(sweep) == 3
 
 
-def test_repeated_calls_on_the_same_files_parse_them_once(density_files, tmp_path,
-                                                         capsys, monkeypatch):
+def test_repeated_calls_on_the_same_files_stop_parsing_them(density_files, tmp_path,
+                                                           capsys, monkeypatch):
+    # a first read parses a file without keeping it, a second keeps it
     g, f = density_files
     samples = tmp_path / "s.csv"
     write_samples(samples, np.random.default_rng(5).standard_normal(200))
@@ -147,12 +148,15 @@ def test_repeated_calls_on_the_same_files_parse_them_once(density_files, tmp_pat
         return loadtxt(path, *args, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", recording)
-    outputs = []
+    outputs, parses = [], []
     for _ in range(3):
         for argv in commands:
             assert main(argv) == 0
             outputs.append(capsys.readouterr())
-    assert sorted(parsed) == sorted([g, f, str(samples)])
+        parses.append(sorted(parsed))
+        parsed.clear()
+    assert parses[0] == sorted([g, f, str(samples)])
+    assert set(parses[1]) <= set(parses[0]) and parses[2] == []
     assert outputs == outputs[:2] * 3
 
 

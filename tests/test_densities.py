@@ -1,6 +1,7 @@
 import math
 import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -564,6 +565,10 @@ def write_grid_text(path, xs):
     path.write_text("x,value\n" + "".join(f"{x!r},1.0\n" for x in xs.tolist()))
 
 
+def write_samples_text(path, xs):
+    path.write_text("x\n" + "".join(f"{x!r}\n" for x in xs.tolist()))
+
+
 def test_grid_csv_rejects_uneven_steps_below_1e_9(tmp_path):
     # steps of 1e-12 and 4e-12: an absolute tolerance of 1e-9 took them as one
     path = tmp_path / "tiny.csv"
@@ -608,10 +613,34 @@ def test_grid_csv_accepts_a_full_precision_grid_far_from_the_origin(tmp_path, dx
 # ---------------------------------------------------------------------------
 
 
-def test_a_rewrite_that_keeps_the_size_and_mtime_reads_the_new_values(tmp_path):
+class EverySize(dict):
+    """A size table that has seen every size: each read takes the digest path."""
+
+    def __contains__(self, key):
+        return True
+
+
+def test_a_file_read_once_is_not_digested(tmp_path, monkeypatch, parsed):
+    # one command per process reads each file once: the first file of a size
+    # is parsed as it is, and only a later read of that size is digested
+    path = tmp_path / "grid.csv"
+    write_density_csv(path, gaussian_grid(GaussianDensity(0.0, 1.0), points=65))
+    digest, digested = densities._digest, []
+    monkeypatch.setattr(densities, "_digest", lambda p: digested.append(p) or digest(p))
+    first = read_grid_csv(path)
+    assert not digested and not parsed
+    second = read_grid_csv(path)
+    assert len(digested) == 2 and len(parsed) == 1  # before and after the parse
+    assert read_grid_csv(path) is second and len(digested) == 3
+    assert second.values.tobytes() == first.values.tobytes()
+
+
+def test_a_rewrite_that_keeps_the_size_and_mtime_reads_the_new_values(tmp_path, parsed):
     path = tmp_path / "s.csv"
     path.write_text("x\n0.5\n1.5\n")
-    assert read_samples_csv(path).tolist() == [0.5, 1.5]
+    for _ in range(2):
+        assert read_samples_csv(path).tolist() == [0.5, 1.5]
+    assert len(parsed) == 1
     stat = os.stat(path)
     path.write_text("x\n0.7\n1.5\n")
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
@@ -622,6 +651,7 @@ def test_a_rewrite_that_keeps_the_size_and_mtime_reads_the_new_values(tmp_path):
 def test_a_file_rewritten_during_the_parse_is_parsed_again(tmp_path, monkeypatch, parsed):
     path = tmp_path / "grid.csv"
     path.write_text("x,value\n0,1\n1,2\n")
+    read_grid_csv(path)  # the first read of its size, which keeps nothing
     loadtxt, calls = np.loadtxt, []
 
     def rewriting(source, *args, **kwargs):
@@ -644,8 +674,10 @@ def test_equal_bytes_at_two_paths_are_one_entry(tmp_path, monkeypatch, parsed):
     write_density_csv(a, gaussian_grid(GaussianDensity(0.0, 1.0), points=65))
     b.write_bytes(a.read_bytes())
     calls = recorded_loadtxt(monkeypatch)
-    assert read_grid_csv(b) is read_grid_csv(a)
-    assert len(calls) == 1 and len(parsed) == 1
+    read_grid_csv(a)  # the first read of its size, which keeps nothing
+    kept = read_grid_csv(b)
+    assert read_grid_csv(a) is kept and read_grid_csv(b) is kept
+    assert len(calls) == 2 and len(parsed) == 1
 
 
 @pytest.mark.parametrize("read, text, message", [
@@ -654,31 +686,41 @@ def test_equal_bytes_at_two_paths_are_one_entry(tmp_path, monkeypatch, parsed):
     (read_discrete_csv, "index,mass\n0,0.5\n2,0.5\n", "indices must be 0..n-1$"),
     (read_samples_csv, "# c\nx\n\n0.5\n\n\nabc\n", "'abc' to float64 at line 7, column 1$"),
 ], ids=["grid-cell", "grid-spacing", "discrete-indices", "samples-cell"])
-def test_a_malformed_file_raises_on_every_read(tmp_path, parsed, read, text, message):
+def test_a_malformed_file_raises_on_every_read(tmp_path, monkeypatch, parsed, read, text,
+                                               message):
     path = tmp_path / "f.csv"
     path.write_text(text)
-    for _ in range(3):
-        with pytest.raises(RepresentationError, match=message):
-            read(path)
+    for sizes in ({}, EverySize()):  # a size not seen before, and one seen
+        monkeypatch.setattr(densities, "_sizes", sizes)
+        for _ in range(3):
+            with pytest.raises(RepresentationError, match=message):
+                read(path)
     assert not parsed
 
 
-def test_a_returned_samples_array_is_the_callers_own(tmp_path):
+def test_a_returned_samples_array_is_the_callers_own(tmp_path, parsed):
     path = tmp_path / "s.csv"
     path.write_text("x\n0.5\n-1.25\n")
-    first = read_samples_csv(path)
-    first[0] = 99.0
-    second = read_samples_csv(path)
-    assert second.tolist() == [0.5, -1.25]
-    assert second.flags.writeable and not np.shares_memory(first, second)
+    returned = []
+    for _ in range(4):  # the first read of its size, the read that keeps, two hits
+        samples = read_samples_csv(path)
+        assert samples.tolist() == [0.5, -1.25] and samples.flags.writeable
+        assert not any(np.shares_memory(samples, other) for other in returned)
+        samples[0] = 99.0
+        returned.append(samples)
+    assert len(parsed) == 1
 
 
-def test_a_shared_density_cannot_be_made_writable(tmp_path):
+def test_a_shared_density_is_read_only_to_plain_writes(tmp_path):
+    # read-only as every density is: a caller that sets the array's
+    # writeable flag again can change what later reads of the bytes return
     path = tmp_path / "grid.csv"
     path.write_text("x,value\n0,1\n1,2\n")
-    first = read_grid_csv(path)
-    with pytest.raises(ValueError, match="WRITEABLE"):
-        first.values.flags.writeable = True
+    read_grid_csv(path)
+    shared = read_grid_csv(path)
+    assert read_grid_csv(path) is shared
+    with pytest.raises(ValueError, match="read-only"):
+        shared.values[0] = 5.0
     assert read_grid_csv(path).values.tolist() == [1.0, 2.0]
 
 
@@ -686,13 +728,73 @@ def test_the_cache_holds_at_most_its_bound_and_drops_the_oldest(tmp_path, monkey
     paths = [tmp_path / f"s{k}.csv" for k in range(densities.PARSED_ENTRIES + 3)]
     for k, path in enumerate(paths):
         path.write_text(f"x\n{k}\n")
-        assert read_samples_csv(path).tolist() == [float(k)]
+        for _ in range(2):
+            assert read_samples_csv(path).tolist() == [float(k)]
         assert len(parsed) == min(k + 1, densities.PARSED_ENTRIES)
     calls = recorded_loadtxt(monkeypatch)
     read_samples_csv(paths[-1])
     assert not calls  # kept
     read_samples_csv(paths[2])
     assert len(calls) == 1  # dropped as one of the three oldest
+
+
+def test_the_cache_holds_at_most_its_bytes_and_drops_the_oldest(tmp_path, monkeypatch, parsed):
+    monkeypatch.setattr(densities, "PARSED_BYTES", 3 * 800)
+    paths = [tmp_path / f"s{k}.csv" for k in range(5)]
+    for k, path in enumerate(paths):
+        write_samples_text(path, np.full(100, float(k)))  # 800 bytes of samples
+        for _ in range(2):
+            assert read_samples_csv(path).tolist() == [float(k)] * 100
+    assert len(parsed) == 3
+    calls = recorded_loadtxt(monkeypatch)
+    for path in paths[2:]:
+        read_samples_csv(path)
+    assert not calls  # the three newest are kept
+    read_samples_csv(paths[1])
+    assert len(calls) == 1
+
+
+def test_a_file_larger_than_the_bytes_bound_is_never_kept(tmp_path, monkeypatch, parsed):
+    monkeypatch.setattr(densities, "PARSED_BYTES", 800)
+    small, large, grid = tmp_path / "small.csv", tmp_path / "large.csv", tmp_path / "grid.csv"
+    write_samples_text(small, np.zeros(100))
+    write_samples_text(large, np.arange(101.0))
+    write_density_csv(grid, gaussian_grid(GaussianDensity(0.0, 1.0), points=101))
+    for _ in range(2):
+        read_samples_csv(small)
+    kept = dict(parsed)
+    assert len(kept) == 1  # exactly at the bound
+    for _ in range(3):
+        assert read_samples_csv(large).tolist() == np.arange(101.0).tolist()
+        assert read_grid_csv(grid).values.size == 101
+    assert parsed == kept  # nothing larger came in, and nothing went out for it
+
+
+def test_one_file_read_by_two_readers_is_two_entries(tmp_path, parsed):
+    # the readers check the column count, not the names
+    path = tmp_path / "two.csv"
+    path.write_text("index,mass\n0,0.25\n1,0.75\n")
+    for _ in range(2):
+        assert isinstance(read_discrete_csv(path), DiscreteDensity)
+        assert isinstance(read_grid_csv(path), GridDensity)
+    assert len(parsed) == 2
+
+
+def test_threads_sharing_the_cache_keep_it_within_its_bound(tmp_path, monkeypatch, parsed):
+    monkeypatch.setattr(densities, "PARSED_ENTRIES", 2)
+    paths = [tmp_path / f"s{k}.csv" for k in range(6)]
+    for k, path in enumerate(paths):
+        path.write_text(f"x\n{k}\n")
+
+    def reads(offset):
+        for k in range(60):
+            path = paths[(k + offset) % len(paths)]
+            assert read_samples_csv(path).tolist() == [float(paths.index(path))]
+
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        for done in [pool.submit(reads, offset) for offset in range(3)]:
+            done.result()
+    assert len(parsed) <= 2
 
 
 @pytest.mark.filterwarnings("error")
