@@ -57,6 +57,7 @@ from .scores import (equivalent_transform, fdp_divergence, fdp_score, holder_sco
                      xi_holder_score)
 
 STRICT_CONVEXITY_TOL = 1e-11
+ROUTE_ROUNDING = 16.0 * np.finfo(float).eps  # of two formula routes to one value
 # every random discrete density has RANDOM_ATOMS masses drawn from [low, RANDOM_MASS_HIGH)
 RANDOM_ATOMS = 8
 RANDOM_MASS_HIGH = 3.0
@@ -291,24 +292,29 @@ def verify_jhhb_holder_representation(zeta: float, gamma: float, trials: int,
 
     tau is the signed power map for zeta > 0 and log for zeta = 0.  The two
     routes are independent formula paths and serve as each other's oracle.
-    The worst trial is the first with the largest error.
+    A trial passes while its error is at most tolerance + 16 eps T, where T,
+    the summed magnitudes of the direct formula's terms, scales the rounding
+    of both routes.  The worst trial is the first with the largest error.
     """
     rng = _trial_rng(trials, seed, tolerance)
     eta = jhhb_eta(zeta, gamma)
     max_err = -1.0
     worst: dict = {}
+    passed = True
     for b in _bracket_batches(rng, trials, gamma):
         s = holder_score(b, eta)
         via_holder = (-equivalent_transform(-s, "signed_power", zeta) if zeta > 0.0
                       else -np.log(-s))
         err = _no_nan(np.abs(via_holder - jhhb_score(b, zeta)),
                       "representation error", gamma)
+        terms = ((gamma * b.Y**zeta + (1.0 + gamma) * b.X**zeta + 1.0) / zeta if zeta > 0.0
+                 else gamma * np.abs(np.log(b.Y)) + (1.0 + gamma) * np.abs(np.log(b.X)))
+        passed &= bool(np.all(err <= tolerance + ROUTE_ROUNDING * terms))
         i = int(np.argmax(err))
         if err[i] > max_err:
             max_err = float(err[i])
             worst = _bracket_dict(b, i)
-    return RepresentationReport(zeta, gamma, trials, seed, float(max_err), worst,
-                                max_err <= tolerance)
+    return RepresentationReport(zeta, gamma, trials, seed, float(max_err), worst, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -423,12 +429,14 @@ def check_uv_consistency(xi: GeneratorXi, gamma: float, trials: int, seed: int,
     and u = v = xi, the identity that gives the composite score the
     structure of the xi-Hoelder score.  Each trial draws one density, as
     :func:`random_discrete_density` does, and compares the two code paths to
-    the same integral, X and Y of the bracket of (g, g).
+    the same integral, X and Y of the bracket of (g, g).  A trial passes
+    while its error is at most tolerance + 16 eps max(|xi(X)|, |xi(Y)|).
     """
     if not gamma > 0.0:
         raise DomainError("the consistency check requires gamma > 0")
     rng = _trial_rng(trials, seed, tolerance)
     max_err = 0.0
+    passed = True
     for masses in _uniform_batches(rng, trials, BATCH_TRIALS, 0.05, RANDOM_MASS_HIGH,
                                    RANDOM_ATOMS):
         g = DiscreteDensity(masses)
@@ -436,9 +444,10 @@ def check_uv_consistency(xi: GeneratorXi, gamma: float, trials: int, seed: int,
         xi_x, xi_y = xi(selves.X), xi(selves.Y)
         if not (np.isfinite(xi_x).all() and np.isfinite(xi_y).all()):
             raise DomainError(f"the xi value leaves float range at gamma={gamma}")
-        max_err = max(max_err, float(np.max(np.abs(xi_x - xi_y))))
-    return UvConsistencyReport(gamma, xi.label(), trials, seed, max_err,
-                               max_err <= tolerance)
+        err = np.abs(xi_x - xi_y)
+        max_err = max(max_err, float(err.max()))
+        passed &= bool(np.all(err <= tolerance + ROUTE_ROUNDING * np.abs([xi_x, xi_y]).max(0)))
+    return UvConsistencyReport(gamma, xi.label(), trials, seed, max_err, passed)
 
 
 # ---------------------------------------------------------------------------

@@ -67,28 +67,22 @@ def build_spec(family: str, gamma: float, eta: str | None, phi: str | None,
     """The spec of a family from its flag texts; slots it does not take are ignored."""
     if family not in FAMILY_SLOTS:
         raise CliUsageError(f"unknown family {family!r}")
-    if family == "holder" and not gamma > 0.0:
-        # the gamma = 0 branch takes no generator; ignore a stray --eta
-        return DivergenceSpec(family, gamma)
     given = {"eta": eta, "phi": phi, "xi": xi, "zeta": zeta}
-    slots = FAMILY_SLOTS[family]
+    slots = DivergenceSpec.slots(family, gamma)
     if any(given[slot] is None for slot in slots):
         raise CliUsageError(f"--family {family} needs "
                             + " and ".join(f"--{slot}" for slot in slots))
-
-    def parse(slot):
-        if slot == "zeta":
-            return given[slot]
-        return parse_generator(slot, given[slot], *([gamma] if slot == "eta" else []))
-
-    return DivergenceSpec(family, gamma, **{slot: parse(slot) for slot in slots})
+    parsed = {slot: given[slot] if slot == "zeta"
+              else parse_generator(slot, given[slot], *([gamma] if slot == "eta" else []))
+              for slot in slots}
+    return DivergenceSpec(family, gamma, **parsed)
 
 
 def load_density(path):
     """Sniff the density kind from the CSV header (x,value vs index,mass).
 
     The header is the first non-blank row, its cells stripped of quotes and
-    whitespace, as the readers take it.
+    whitespace.  Later rows above the data, which the readers skip, are not read.
     """
     with open(path, errors="backslashreplace") as handle:
         header = next(filter(str.strip, handle), "")

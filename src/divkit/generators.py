@@ -72,15 +72,17 @@ def signed_power(w, exponent):
 
 
 def _call_vectorized(fn: Callable, z: np.ndarray) -> np.ndarray:
-    """Evaluate fn on an array, falling back to a scalar loop.
+    """fn at z as floats; a 0-d z is passed as it is, an array may take a scalar loop.
 
     A scalar-only fn (one built on ``math``, say) raises on an array, or,
     on numpy releases that deprecate an array's conversion to a scalar,
     warns or returns one value; each of these takes the loop.  The loop
-    passes 0-d arrays, as a generator called on a float does (see _apply):
-    a ``**`` on a numpy scalar takes the C library's power, which can miss
-    numpy's in the last bit.
+    passes 0-d arrays, as a generator called on a float does: a ``**`` on a
+    numpy scalar takes the C library's power, which can miss numpy's in the
+    last bit.
     """
+    if z.ndim == 0:
+        return np.asarray(fn(z), dtype=float)
     try:
         out = np.asarray(fn(z), dtype=float)
         if out.shape == z.shape:
@@ -88,11 +90,6 @@ def _call_vectorized(fn: Callable, z: np.ndarray) -> np.ndarray:
     except (TypeError, ValueError, DeprecationWarning):
         pass
     return np.array([float(fn(np.asarray(zi))) for zi in z])
-
-
-def _apply(fn: Callable, z: np.ndarray) -> np.ndarray:
-    """fn at z: called directly on a 0-d z, through _call_vectorized on an array."""
-    return np.asarray(fn(z), dtype=float) if z.ndim == 0 else _call_vectorized(fn, z)
 
 
 def tabulated(path) -> Callable:
@@ -149,7 +146,7 @@ class GeneratorEta(_Labelled):
 
     ``kind`` is one of ``dpd``, ``ps``, ``bhd``, ``jhhb``, ``custom``; the
     parameter fields that do not apply to a kind stay None.  A custom ``fn``
-    is called through _apply, as phi and xi call theirs.
+    is called through _call_vectorized, as phi and xi call theirs.
     """
 
     slot: ClassVar[str] = "eta"
@@ -170,7 +167,7 @@ class GeneratorEta(_Labelled):
             return -signed_power(k * z - k + 1.0, (1.0 + g) / k)
         if self.kind == "jhhb":
             return -signed_power((1.0 + g) * z**self.zeta - g, 1.0 / self.zeta)
-        return _apply(self.fn, z)
+        return _call_vectorized(self.fn, z)
 
 
 def dpd_eta(gamma: float) -> GeneratorEta:
@@ -241,7 +238,7 @@ def validate_eta(eta: GeneratorEta, gamma: float | None = None) -> EtaCertificat
     """
     g = eta.gamma if gamma is None else gamma
     z = certificate_grid()
-    values = _call_vectorized(eta, z)
+    values = eta(z)
     bad = ~np.isfinite(values)
     if np.any(bad):
         raise EvaluationError(f"eta evaluated non-finite at z={z[bad][0]:g}")
@@ -299,7 +296,7 @@ class GeneratorPhi(_Labelled):
         elif self.kind == "exp-minus-one":
             out = np.exp(z) - 1.0
         else:
-            out = _apply(self.fn, z)
+            out = _call_vectorized(self.fn, z)
         return out if out.ndim else float(out)
 
     def psi(self, t):
@@ -318,10 +315,10 @@ class GeneratorPhi(_Labelled):
         elif self.kind == "exp-minus-one":
             out = np.exp(z)
         elif self.dfn is not None:
-            out = _apply(self.dfn, z)
+            out = _call_vectorized(self.dfn, z)
         else:
-            step = 1e-6 * np.maximum(1.0, np.abs(z))
-            out = (_apply(self.fn, z + step) - _apply(self.fn, z - step)) / (2.0 * step)
+            fn, step = self.fn, 1e-6 * np.maximum(1.0, np.abs(z))
+            out = (_call_vectorized(fn, z + step) - _call_vectorized(fn, z - step)) / (2.0 * step)
         return out if out.ndim else float(out)
 
     def has_constant_derivative(self) -> bool:
@@ -389,7 +386,7 @@ class GeneratorXi(_Labelled):
         elif self.kind == "power":
             out = z**self.zeta
         else:
-            out = _apply(self.fn, z)
+            out = _call_vectorized(self.fn, z)
         return out if out.ndim else float(out)
 
     def psi(self, t):
@@ -560,7 +557,7 @@ def validate_xi(xi: GeneratorXi) -> PsiCertificate:
     """
     z = certificate_grid()
     with np.errstate(all="ignore"):
-        values = _call_vectorized(xi, z)
+        values = xi(z)
     if np.any(np.isnan(values)):
         raise EvaluationError(f"xi evaluated non-finite at z={z[np.isnan(values)][0]:g}")
     negative = values < 0.0

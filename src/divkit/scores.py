@@ -222,13 +222,11 @@ def equivalent_transform(s, tau: str, zeta: float | None = None):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=512)
-def _eta_certificate(eta: GeneratorEta, gamma: float):
-    return validate_eta(eta, gamma)
-
-
-@lru_cache(maxsize=512)
-def _psi_certificate(generator: GeneratorPhi | GeneratorXi):
+@lru_cache(maxsize=1024)
+def _certificate(generator: GeneratorEta | GeneratorPhi | GeneratorXi, gamma: float | None):
+    """The generator's certificate; gamma is an eta's, and None for a phi or xi."""
+    if gamma is not None:
+        return validate_eta(generator, gamma)
     if isinstance(generator, GeneratorPhi):
         return validate_phi(generator)
     return validate_xi(generator)
@@ -238,9 +236,8 @@ def _psi_certificate(generator: GeneratorPhi | GeneratorXi):
 class DivergenceSpec:
     """A family selection with its generators; construction certifies them.
 
-    The family takes the slots that :data:`FAMILY_SLOTS` lists.  xi_holder
-    requires gamma > 0; the others admit their gamma = 0 branch, where
-    holder takes no generator.
+    The family takes the slots that :meth:`slots` gives.  xi_holder
+    requires gamma > 0; the others admit their gamma = 0 branch.
     """
 
     family: str
@@ -257,19 +254,21 @@ class DivergenceSpec:
             raise DomainError(f"gamma must be finite and >= 0, got {self.gamma}")
         if self.family == "xi_holder" and self.gamma == 0.0:
             raise DomainError("xi_holder requires gamma > 0")
-        if self.family == "holder" and self.gamma == 0.0:
-            return  # the gamma = 0 branch never evaluates eta
-        for slot in FAMILY_SLOTS[self.family]:
+        for slot in self.slots(self.family, self.gamma):
             value = getattr(self, slot)
             if value is None:
                 raise DomainError(f"{self.family} needs {slot}")
             if slot == "zeta":
                 _check_zeta(value)
                 continue
-            cert = (_eta_certificate(value, self.gamma) if slot == "eta"
-                    else _psi_certificate(value))
+            cert = _certificate(value, self.gamma if slot == "eta" else None)
             if not cert.valid:
                 raise GeneratorValidityError(_failure_message(slot, cert))
+
+    @staticmethod
+    def slots(family: str, gamma: float) -> tuple[str, ...]:
+        """The family's :data:`FAMILY_SLOTS`, but none at holder's gamma = 0 branch."""
+        return () if family == "holder" and not gamma > 0.0 else FAMILY_SLOTS[family]
 
     def describe(self) -> dict:
         out: dict = {"family": self.family, "gamma": self.gamma}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from divkit import (
+    BracketTriple,
     DiscreteDensity,
     DivkitError,
     DomainError,
@@ -242,6 +243,17 @@ def test_representation_matches_a_trial_by_trial_reference(zeta, gamma, seed):
     assert report.passed is (max_err <= 1e-10)
 
 
+def test_representation_passes_within_the_rounding_of_its_terms(monkeypatch):
+    # scores near 1e5-1e8 whose terms cancel: a few ulps of the terms, where
+    # 1e-10 of the difference alone fails
+    report = verify_jhhb_holder_representation(4.0, 2.0, 1000, 1, tolerance=0.0)
+    assert report.passed and report.max_abs_error > 1e-8
+    monkeypatch.setattr(checks, "jhhb_score",
+                        lambda b, zeta: jhhb_score(b, zeta) * (1.0 + 1e-9))
+    off = verify_jhhb_holder_representation(4.0, 2.0, 1000, 1)
+    assert not off.passed and off.max_abs_error > 1e-3
+
+
 def test_representation_affine_case_is_exact():
     report = verify_jhhb_holder_representation(1.0, 1.0, trials=300, seed=17)
     assert report.max_abs_error <= 1e-12
@@ -339,6 +351,15 @@ def test_lower_bound_raises_where_one_trial_leaves_float_range():
         check_fdps_lower_bound(phi, 1.0, trials=500, seed=3)
 
 
+def test_a_lower_bound_whose_every_trial_is_invalid_does_not_hold():
+    # phi < 0 at every bracket, so log phi is nowhere defined
+    report = check_fdps_lower_bound(custom_phi(lambda z: -np.asarray(z, float)), 1.0,
+                                    trials=BATCH_TRIALS + 5, seed=8)
+    assert report.invalid_trials == report.trials and report.valid_trials == 0
+    assert not report.holds
+    assert (report.worst_gap, report.tight_at) == (math.inf, None)
+
+
 def test_lower_bound_report_shape():
     report = check_fdps_lower_bound(identity_phi(), 0.5, trials=50, seed=2).to_report()
     assert set(report) >= REPORT_KEYS
@@ -393,6 +414,21 @@ def test_uv_consistency_rejects_no_trials_and_gamma_zero():
         check_uv_consistency(identity_xi(), 1.0, 0, 1)
     with pytest.raises(DomainError, match="requires gamma > 0"):
         check_uv_consistency(identity_xi(), 0.0, 5, 1)
+
+
+def test_uv_consistency_passes_within_the_rounding_of_large_values(monkeypatch):
+    # xi values near 1.6e4 differ by 2 ulps between the two paths
+    for tolerance in (1e-12, 0.0):
+        report = check_uv_consistency(power_xi(2.0), 2.0, 1000, 1, tolerance=tolerance)
+        assert report.passed and report.max_abs_error > 1e-12
+
+    def perturbed(g, f, gamma):
+        b = bracket_integrals(g, f, gamma)
+        return BracketTriple(b.X * (1.0 + 1e-9), b.Y, b.Z, gamma)
+
+    monkeypatch.setattr(checks, "bracket_integrals", perturbed)
+    for xi in (identity_xi(), power_xi(2.0)):
+        assert not check_uv_consistency(xi, 2.0, 1000, 1).passed
 
 
 def test_uv_consistency_out_of_float_range_raises_without_a_warning():

@@ -11,6 +11,8 @@ import pytest
 import divkit
 from divkit import (
     DiscreteDensity,
+    DivergenceSpec,
+    DomainError,
     GaussianDensity,
     bracket_integrals,
     gaussian_grid,
@@ -18,8 +20,9 @@ from divkit import (
     write_density_csv,
 )
 from divkit.checks import random_discrete_density
-from divkit import cli
+from divkit import cli, scores
 from divkit.cli import main
+from divkit.scores import FAMILIES
 
 
 @pytest.fixture
@@ -325,6 +328,22 @@ def test_verify_representation_passes(tmp_path):
     assert payload["seed"] == 7
 
 
+def test_verify_representation_without_zeta_exits_3(capsys):
+    assert run(["verify", "--theorem", "jhhb-representation", "--gamma", "1",
+                "--seed", "1"]) == 3
+    assert capsys.readouterr().err == "divkit: jhhb-representation needs --zeta\n"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--theorem", "uv-consistency", "--xi", "power:2"],
+    ["--theorem", "jhhb-representation", "--zeta", "4"],
+], ids=["uv-consistency", "jhhb-representation"])
+def test_verify_passes_where_the_routes_round_large_values(flags, capsys):
+    # values near 1.6e4 and 8.2e7: the two formula routes differ in their last bits
+    assert run(["verify", *flags, "--gamma", "2", "--trials", "1000", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
 def test_verify_affine_counterexample_exits_1(tmp_path):
     out = tmp_path / "aff.json"
     code = run(["verify", "--theorem", "affine-invariance", "--phi", "exp-minus-one",
@@ -519,6 +538,62 @@ def test_sweep_needs_a_spec():
 def test_sweep_rejects_malformed_spec():
     assert run(["sweep", "--epsilons", "0", "--outlier", "8", "--seed", "1",
                 "--spec", "family=jhhb"]) == 3
+
+
+SWEEP_50 = ["sweep", "--epsilons", "0", "--outlier", "8", "--n", "50", "--seed", "1"]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("family=jhhb,zeta,gamma=0.5", "--spec entries are key=value pairs, got 'zeta'"),
+    ("family=jhhb,zeta=0,gamma=0.5,bogus=1", "unknown --spec keys ['bogus']"),
+    ("family=bregman,gamma=0.5", "unknown family 'bregman'"),
+], ids=["no-equals", "unknown-key", "unknown-family"])
+def test_sweep_names_what_is_wrong_with_a_spec(spec, message, capsys):
+    assert run([*SWEEP_50, "--spec", spec]) == 3
+    assert capsys.readouterr().err == f"divkit: {message}\n"
+
+
+def test_sweep_skips_empty_spec_entries(capsys):
+    assert run([*SWEEP_50, "--spec", ",family=jhhb,, zeta=0 ,gamma=0.5,"]) == 0
+    padded = capsys.readouterr().out
+    assert run([*SWEEP_50, "--spec", "family=jhhb,zeta=0,gamma=0.5"]) == 0
+    assert capsys.readouterr().out == padded
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_build_spec_certifies_exactly_the_slots_of_its_family(family, gamma, monkeypatch):
+    certified = []
+    for slot in ("eta", "phi", "xi"):
+        def recording(generator, *args, slot=slot, validate=getattr(scores, f"validate_{slot}")):
+            certified.append(slot)
+            return validate(generator, *args)
+        monkeypatch.setattr(scores, f"validate_{slot}", recording)
+    scores._certificate.cache_clear()
+    slots = DivergenceSpec.slots(family, gamma)
+    if family == "xi_holder" and gamma == 0.0:
+        with pytest.raises(DomainError):
+            cli.build_spec(family, gamma, "dpd", "log", "power:0.5", 0.5)
+        assert certified == []
+        return
+    spec = cli.build_spec(family, gamma, "dpd", "log", "power:0.5", 0.5)
+    assert certified == [slot for slot in slots if slot != "zeta"]
+    assert {slot for slot in cli.SLOTS if getattr(spec, slot) is not None} == set(slots)
+
+
+def test_holder_at_gamma_zero_ignores_its_eta_flag(density_files, capsys):
+    assert DivergenceSpec.slots("holder", 0.0) == ()
+    assert cli.build_spec("holder", 0.0, "nonsense", None, None, None) == DivergenceSpec(
+        "holder", 0.0)
+    g, f = density_files
+    outputs = []
+    for eta in ([], ["--eta", "nonsense"]):
+        assert run(["compute", "--family", "holder", "--gamma", "0", *eta,
+                    "--g", g, "--f", f]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payload["config"].pop("eta", None)  # the resolved config echoes the flag
+        outputs.append(payload)
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -738,6 +738,18 @@ def test_the_cache_holds_at_most_its_bound_and_drops_the_oldest(tmp_path, monkey
     assert len(calls) == 1  # dropped as one of the three oldest
 
 
+def test_the_sizes_seen_are_the_latest_parses_only(tmp_path, parsed):
+    paths = [tmp_path / f"s{k}.csv" for k in range(densities.PARSED_ENTRIES + 1)]
+    for k, path in enumerate(paths):
+        write_samples_text(path, np.zeros(k + 1))  # a size of its own
+        read_samples_csv(path)
+    assert len(densities._sizes) == densities.PARSED_ENTRIES
+    read_samples_csv(paths[0])  # its size was dropped: a first read again
+    assert not parsed
+    read_samples_csv(paths[-1])
+    assert len(parsed) == 1
+
+
 def test_the_cache_holds_at_most_its_bytes_and_drops_the_oldest(tmp_path, monkeypatch, parsed):
     monkeypatch.setattr(densities, "PARSED_BYTES", 3 * 800)
     paths = [tmp_path / f"s{k}.csv" for k in range(5)]

@@ -29,7 +29,7 @@ from divkit import (
     validate_psi,
     validate_xi,
 )
-from divkit.generators import PRESETS, certificate_grid, parse_generator
+from divkit.generators import PRESETS, certificate_grid, log_certificate_grid, parse_generator
 
 GAMMA_GRID = [0.1, 0.5, 1.0, 2.0]
 
@@ -179,10 +179,34 @@ def test_xi_presets_valid(zeta):
     assert validate_xi(power_xi(zeta)).valid
 
 
+def test_a_custom_generator_called_on_a_float_raises_its_own_error():
+    # a float reaches fn as it is, never through the array fallback's loop
+    for generator in (custom_eta(lambda z: math.log(z - 1.0), 1.0),
+                      custom_phi(lambda z: math.log(z - 1.0)),
+                      custom_xi(lambda z: math.log(z - 1.0))):
+        with pytest.raises(ValueError, match="^math domain error$"):
+            generator(0.5)
+
+
 def test_validate_psi_direct():
     assert validate_psi(lambda t: np.asarray(t, float)).valid  # affine
     assert validate_psi(lambda t: np.exp(np.asarray(t, float))).valid
     assert not validate_psi(lambda t: -np.exp(np.asarray(t, float))).valid
+
+
+def test_validate_psi_rejects_infinity_ahead_of_the_saturated_tail():
+    grid = log_certificate_grid()
+    for psi in (lambda t: np.where(t < grid[3], np.inf, t),      # from the left end
+                lambda t: np.where(np.abs(t) < 1.0, np.inf, t)):  # finite after it
+        with pytest.raises(EvaluationError, match="^psi evaluated non-finite at t="):
+            validate_psi(psi)
+
+
+def test_validate_psi_rejects_a_nan_in_the_convexity_stencil():
+    # finite on the grid, NaN just past its right end
+    psi = lambda t: np.where(t <= log_certificate_grid()[-1], t, np.nan)  # noqa: E731
+    with pytest.raises(EvaluationError, match="^psi evaluated non-finite near t=13.8155$"):
+        validate_psi(psi)
 
 
 def test_phi_prime_presets_and_finite_difference():
@@ -191,6 +215,12 @@ def test_phi_prime_presets_and_finite_difference():
     assert np.allclose(log_phi().phi_prime(z), 1.0 / z)
     custom = custom_phi(lambda v: np.asarray(v, float) ** 2)
     assert np.allclose(custom.phi_prime(z), 2.0 * z, rtol=1e-6)
+    assert bdpd_phi(1.0, 2.0).phi_prime(z).tolist() == (1.0 / (1.0 + 2.0 * z)).tolist()
+    assert bdpd_phi(1.0, 2.0).phi_prime(2.0) == 0.2
+    # a supplied derivative, scalar-only: called element by element on an array
+    given = custom_phi(math.log, dfn=lambda v: 1.0 / float(v))
+    assert given.phi_prime(z).tolist() == (1.0 / z).tolist()
+    assert given.phi_prime(4.0) == 0.25
 
 
 def test_log_phi_extended_value_at_zero():

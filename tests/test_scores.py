@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -293,6 +294,17 @@ def test_empirical_bracket_has_no_divergence():
         BracketTriple(0.5, 0.5, None, 1.0).require_z()
 
 
+def test_a_gamma_zero_score_needs_the_cross_integral():
+    with pytest.raises(DomainError, match="no <g log f> integral; build it with gamma=0"):
+        holder_score(BracketTriple(1.0, 1.0, 1.0, 0.0, L=0.0), None)
+
+
+def test_a_generator_that_raises_an_arithmetic_error_leaves_float_range(b):
+    eta = custom_eta(lambda z: -math.exp(1e3 * z), 1.0)  # math.exp raises OverflowError
+    with pytest.raises(DomainError, match="^the holder score leaves float range at gamma=1.0$"):
+        holder_score(b, eta)
+
+
 def test_xi_holder_requires_positive_gamma(b):
     with pytest.raises(DomainError):
         xi_holder_score(BracketTriple(1.0, 1.0, 1.0, 0.0, L=0.0, cross=0.0),
@@ -313,6 +325,14 @@ def test_spec_validates_generators(b):
 def test_spec_rejects_invalid_eta():
     bad = custom_eta(lambda z: -2.0 * np.asarray(z, float) ** 2, gamma=1.0)
     with pytest.raises(GeneratorValidityError, match=r"eta\(1\) != -1"):
+        DivergenceSpec("holder", 1.0, eta=bad)
+
+
+def test_spec_names_where_eta_dips_below_the_bound():
+    bad = custom_eta(lambda z: 1.0 - 2.0 * np.asarray(z, float) ** 2, gamma=1.0)
+    # 1 - 2 z**2 + z**2 = 1 - z**2, most negative (scaled by z**2) at the grid's end
+    message = "eta certificate failed: eta(z) < -z**(1+gamma) at z=1e+06 (gap -1.000e+12)"
+    with pytest.raises(GeneratorValidityError, match=f"^{re.escape(message)}$"):
         DivergenceSpec("holder", 1.0, eta=bad)
 
 
