@@ -26,7 +26,7 @@ import functools
 import json
 import sys
 
-from . import checks, estimation
+from . import checks, densities, estimation
 from .densities import (
     DiscreteDensity,
     bracket_integrals,
@@ -79,20 +79,11 @@ def build_spec(family: str, gamma: float, eta: str | None, phi: str | None,
 
 
 def load_density(path):
-    """Sniff the density kind from the CSV header (x,value vs index,mass).
-
-    The header is the first non-blank row, its cells stripped of quotes and
-    whitespace.  Later rows above the data, which the readers skip, are not read.
-    """
-    with open(path, errors="backslashreplace") as handle:
-        header = next(filter(str.strip, handle), "")
-    cells = [cell.strip().strip('"').lower() for cell in header.split(",")]
-    kind = cells[0] if len(cells) > 1 else None
-    if kind == "x":
-        return read_grid_csv(path)
-    if kind == "index":
-        return read_discrete_csv(path)
-    raise CliUsageError(f"{path!r}: expected header 'x,value' or 'index,mass'")
+    """The grid or discrete density of a CSV file, by :func:`densities.density_kind`."""
+    read = {"x": read_grid_csv, "index": read_discrete_csv}.get(densities.density_kind(path))
+    if read is None:
+        raise CliUsageError(f"{path!r}: expected header 'x,value' or 'index,mass'")
+    return read(path)
 
 
 def _emit(text: str, out_path: str | None) -> None:

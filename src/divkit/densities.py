@@ -35,7 +35,6 @@ oldest dropped first), and a format error is never kept.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import os
 import re
@@ -591,9 +590,7 @@ def read_columns(path, names) -> tuple[np.ndarray, ...]:
     """
     expected = ",".join(names)
     with open(path, errors="backslashreplace") as handle:
-        for skip, row in enumerate(handle):
-            if not row.strip():
-                continue
+        for line, row in _rows(handle):
             if _is_data(row):
                 break
             if len(row.split(",")) > len(names):
@@ -602,53 +599,65 @@ def read_columns(path, names) -> tuple[np.ndarray, ...]:
         else:  # checked here, since loadtxt warns on a file without data
             raise RepresentationError(f"{path!r}: expected columns {expected}, got no data row")
     try:
-        data = np.loadtxt(path, skiprows=skip, **_LOADTXT)
+        data = np.loadtxt(path, skiprows=line - 1, **_LOADTXT)
     except ValueError:
+        lines = []  # the file line of each data row, appended as numpy takes the row
         with open(path, errors="backslashreplace") as handle:
+            rows = (lines.append(number) or row for number, row in _rows(handle) if number >= line)
             try:
-                data = np.loadtxt(filter(str.strip, itertools.islice(handle, skip, None)),
-                                  **_LOADTXT)
+                data = np.loadtxt(rows, **_LOADTXT)
             except ValueError as err:
-                raise RepresentationError(
-                    f"{path!r}: {_at_file_line(path, skip, err)}") from None
+                raise RepresentationError(f"{path!r}: {_at_file_line(lines, err)}") from None
     if data.shape[1] != len(names):
         raise RepresentationError(
             f"{path!r}: expected columns {expected}, got {data.shape[1]} per row")
     return tuple(data.T)
 
 
+def density_kind(path) -> str | None:
+    """The kind a CSV file's header names: ``x`` (grid), ``index`` (discrete) or None.
+
+    That is the first cell, stripped of quotes and whitespace and lowercased, of the
+    first header row of two or more cells that names a kind.
+    """
+    with open(path, errors="backslashreplace") as handle:
+        for _, row in _rows(handle):
+            if _is_data(row):
+                break
+            if "," in row and (kind := _first_cell(row).lower()) in ("x", "index"):
+                return kind
+    return None
+
+
+def _rows(handle):
+    """Each non-blank row of an open text file, with its 1-based file line."""
+    return ((number, row) for number, row in enumerate(handle, 1) if row.strip())
+
+
+def _first_cell(row: str) -> str:
+    return row.split(",", 1)[0].strip().strip('"')
+
+
 def _is_data(row: str) -> bool:
     """A data row: its first cell, stripped of quotes and whitespace, is a number."""
     try:
-        float(row.split(",", 1)[0].strip().strip('"'))
+        float(_first_cell(row))
     except ValueError:
         return False
     return True
 
 
 # numpy counts the data rows it was given, from 0 in a bad-cell message and
-# from 1 in a column-count one
-_NUMPY_ROW = re.compile(r" at row (\d+)(, column \d+)?")
+# from 1 in a column-count one; the rest of its message is dropped
+_NUMPY_ROW = re.compile(r" at row (\d+)(, column \d+)?.*", re.DOTALL)
 
 
-def _at_file_line(path, skip: int, err: ValueError) -> str:
-    """numpy's loadtxt message, with its data row given as a 1-based file line.
-
-    ``skip`` is the number of lines before the first data row.  The file
-    is read again to count its blank lines; this runs on the error path only.
-    """
-    text = str(err)
-    match = _NUMPY_ROW.search(text)
-    if match is None:
-        return text
-    data_row = int(match[1]) - (match[2] is None)
-    with open(path, errors="backslashreplace") as handle:
-        lines = ((number, row) for number, row in enumerate(handle, 1)
-                 if number > skip and row.strip())
-        line = next(itertools.islice(lines, data_row, None), None)
-    if line is None:
-        return text
-    return f"{text[:match.start()]} at line {line[0]}{match[2] or ''}"
+def _at_file_line(lines: list, err: ValueError) -> str:
+    """numpy's loadtxt message, its data row given as that row's file line in ``lines``."""
+    def at_line(match):
+        row = int(match[1]) - (match[2] is None)
+        return f" at line {lines[row]}{match[2] or ''}" if row < len(lines) else match[0]
+    return _NUMPY_ROW.sub(at_line, str(err), count=1)
 
 
 def write_density_csv(path, d: DensityObject) -> None:

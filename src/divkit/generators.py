@@ -79,7 +79,9 @@ def _call_vectorized(fn: Callable, z: np.ndarray) -> np.ndarray:
     warns or returns one value; each of these takes the loop.  The loop
     passes 0-d arrays, as a generator called on a float does: a ``**`` on a
     numpy scalar takes the C library's power, which can miss numpy's in the
-    last bit.
+    last bit.  An ArithmeticError or ValueError that fn raises in the loop
+    (``math.log`` of a negative, say) is an :class:`EvaluationError` naming
+    z; a 0-d z gets fn's own exception.
     """
     if z.ndim == 0:
         return np.asarray(fn(z), dtype=float)
@@ -89,7 +91,13 @@ def _call_vectorized(fn: Callable, z: np.ndarray) -> np.ndarray:
             return out
     except (TypeError, ValueError, DeprecationWarning):
         pass
-    return np.array([float(fn(np.asarray(zi))) for zi in z])
+    out = np.empty(len(z))
+    for i, zi in enumerate(z):
+        try:
+            out[i] = float(fn(np.asarray(zi)))
+        except (ArithmeticError, ValueError) as err:
+            raise EvaluationError(f"generator raised {err!r} at z={float(zi):g}") from err
+    return out
 
 
 def tabulated(path) -> Callable:
@@ -102,6 +110,8 @@ def tabulated(path) -> Callable:
     z_tab, v_tab = read_columns(path, ("z", "value"))
     if z_tab.size < 2:
         raise DomainError(f"generator table {path!r} needs at least two rows")
+    if not (np.isfinite(z_tab).all() and np.isfinite(v_tab).all()):
+        raise DomainError(f"generator table {path!r} must have finite z and value")
     if np.any(np.diff(z_tab) <= 0):
         raise DomainError(f"generator table {path!r} must have strictly increasing z")
     slope_lo = (v_tab[1] - v_tab[0]) / (z_tab[1] - z_tab[0])

@@ -58,7 +58,8 @@ def _in_codomain(family: str, kind: str):
     """Raise DomainError where the family function's value leaves float range.
 
     +-inf passes: log 0, or an overflow that meets no other infinity.  A
-    formula that raises ArithmeticError, or a RuntimeWarning under
+    formula that raises ArithmeticError or ValueError (``math.log`` of a
+    negative, in a custom generator), or a RuntimeWarning under
     warnings-as-errors, or returns NaN in any entry (inf - inf, the log of a
     negative bracket) leaves float range.  numpy's overflow, invalid and
     divide warnings are off, since the guard reports what they would.  A
@@ -72,7 +73,7 @@ def _in_codomain(family: str, kind: str):
             try:
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     value = formula(b, generator) if xi is None else formula(b, generator, xi)
-            except (ArithmeticError, RuntimeWarning):
+            except (ArithmeticError, ValueError, RuntimeWarning):
                 value = math.nan
             if value.__class__ is np.ndarray and value.ndim:  # a batch: one value per row
                 if not np.isnan(value).any():
@@ -271,11 +272,11 @@ class DivergenceSpec:
         return () if family == "holder" and not gamma > 0.0 else FAMILY_SLOTS[family]
 
     def describe(self) -> dict:
+        """The family, gamma and the slots it takes (:meth:`slots`), generators by label."""
         out: dict = {"family": self.family, "gamma": self.gamma}
-        for slot in FAMILY_SLOTS[self.family]:
+        for slot in self.slots(self.family, self.gamma):
             value = getattr(self, slot)
-            if value is not None:
-                out[slot] = value if slot == "zeta" else value.label()
+            out[slot] = value if slot == "zeta" else value.label()
         return out
 
 

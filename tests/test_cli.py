@@ -248,6 +248,65 @@ def test_compute_without_a_known_header_exits_3(tmp_path, capsys):
     assert "expected header 'x,value' or 'index,mass'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("above", ["# a grid\n", "# a, grid\n\n", "x\n", 'value,x\n  \n'],
+                         ids=["comment", "two-cell-comment", "one-cell-x", "other-order"])
+@pytest.mark.parametrize("command", [
+    ["compute", "--family", "fdpd", "--phi", "identity", "--gamma", "1", "--g", "{g}",
+     "--f", "{f}"],
+    ["verify", "--theorem", "equality-conditions", "--gamma", "1", "--f", "{g}",
+     "--seed", "1"],
+], ids=["compute", "verify-equality"])
+def test_a_kind_row_below_other_header_rows_reads_as_the_plain_file(tmp_path, capsys,
+                                                                    above, command):
+    # the readers take every row above the first data row as a header, and
+    # the density kind comes from the first of them that names one
+    g, f = tmp_path / "g.csv", tmp_path / "f.csv"
+    f.write_text("x,value\n-1,0.2\n0,0.6\n1,0.2\n")
+    args = [arg.format(g=g, f=f) for arg in command]
+    outputs = []
+    for text in ("", above):
+        g.write_text(text + "x,value\n-1,0.25\n0,0.5\n1,0.25\n")
+        assert run(args) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("text", [
+    "# a grid\n0,0.5\n1,0.5\n",
+    "# a, grid\nz,value\n0,0.5\n1,0.5\n",
+    "x\n\nvalue,x\n0,0.5\n1,0.5\n",
+    "0,0.5\nx,value\n1,0.5\n",
+], ids=["comment", "other-names", "one-cell-and-other-order", "kind-row-below-data"])
+def test_header_rows_that_name_no_kind_exit_3(tmp_path, capsys, text):
+    g = tmp_path / "g.csv"
+    g.write_text(text)
+    assert run(["compute", "--family", "fdpd", "--phi", "identity", "--gamma", "1",
+                "--g", str(g), "--f", str(g)]) == 3
+    assert capsys.readouterr().err == (
+        f"divkit: {str(g)!r}: expected header 'x,value' or 'index,mass'\n")
+
+
+def test_a_malformed_file_is_opened_three_times_on_its_error_path(tmp_path, capsys,
+                                                                 monkeypatch):
+    # in Python, by the kind lookup, the header scan and the row-by-row parse,
+    # which keeps each row's file line for the message; numpy's C reader
+    # opens the path itself
+    g = tmp_path / "g.csv"
+    g.write_text("# a grid\nx,value\n0,1\n\n \n1,abc\n")
+    opened, real_open = [], open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    assert run(["compute", "--family", "fdpd", "--phi", "identity", "--gamma", "1",
+                "--g", str(g), "--f", str(g)]) == 3
+    assert capsys.readouterr().err == (
+        f"divkit: {str(g)!r}: could not convert string 'abc' to float64 at line 6, column 2\n")
+    assert opened.count(str(g)) == 3
+
+
 def test_compute_on_a_grid_with_a_nan_x_exits_3_naming_it(tmp_path, capsys):
     g = tmp_path / "g.csv"
     g.write_text("x,value\n0,0.2\nnan,0.5\n2,0.3\n")
@@ -272,6 +331,17 @@ def test_a_file_that_is_not_utf8_exits_3_naming_it(tmp_path, capsys, density_fil
     err = capsys.readouterr().err
     # the byte reads as its escape, a cell that is not a number
     assert err.startswith(f"divkit: {str(bad)!r}: ") and "xff" in err and "at line 3" in err
+
+
+def test_a_phi_table_with_a_nan_cell_exits_3_naming_the_table(tmp_path, capsys,
+                                                             density_files):
+    table = tmp_path / "phi.csv"
+    table.write_text("z,value\n0,0\nnan,1\n2,2\n3,3\n")
+    g, f = density_files
+    assert run(["compute", "--family", "fdpd", "--phi", f"file:{table}", "--gamma", "1",
+                "--g", g, "--f", f]) == 3
+    assert capsys.readouterr().err == (
+        f"divkit: generator table {str(table)!r} must have finite z and value\n")
 
 
 def test_compute_gamma_zero_reports_kl_fields(density_files, tmp_path):

@@ -484,6 +484,45 @@ def test_reader_errors_name_the_file_line(tmp_path, read, text, message):
         read(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# a grid\n\n \nx,value\n\t\n0,1\n\n  \n1,2\n \t \n2,abc\n",
+     "'abc' to float64 at line 11, column 2$"),
+    ("\n  \nx,value\n0,1\n\t\n\n1,2,3\n", "number of columns changed from 2 to 3 at line 7$"),
+    ("x,value\r\n\r\n \r\n0,1\r\n1,abc\r\n", "'abc' to float64 at line 5, column 2$"),
+], ids=["cell", "columns", "crlf"])
+def test_a_bad_row_after_blank_and_whitespace_rows_names_its_file_line(tmp_path, text,
+                                                                       message):
+    # the whitespace-only rows send the file to the row-by-row parse, which
+    # keeps the file line of each row it gives numpy
+    path = tmp_path / "g.csv"
+    path.write_text(text)
+    with pytest.raises(RepresentationError, match=message):
+        read_grid_csv(path)
+
+
+@pytest.mark.parametrize("text, kind", [
+    ("x,value\n0,1\n", "x"),
+    ("index,mass\n0,1\n", "index"),
+    ('\n  \n "Index" , mass\n0,1\n', "index"),
+    ("# a grid\nx,value\n0,1\n", "x"),
+    ("# a, b\n\nx\nindex,mass\n0,1\n", "index"),  # one-cell and non-kind rows come first
+    ("x,value\nindex,mass\n0,1\n", "x"),
+    ("# a grid\n0,1\nx,value\n", None),  # below the first data row: not a header
+    ("x\n0\n", None),
+    ("z,value\n0,1\n", None),
+    ("0,1\n", None),
+    ("\n \n", None),
+    ("", None),
+], ids=["grid", "discrete", "quoted-spaced", "comment-above", "below-other-headers",
+        "first-kind-row", "after-data", "one-cell", "other-name", "no-header", "blank",
+        "empty"])
+def test_density_kind_is_named_by_the_first_kind_row_among_the_headers(tmp_path, text,
+                                                                       kind):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    assert densities.density_kind(path) == kind
+
+
 def recorded_loadtxt(monkeypatch):
     """The first arguments that ``np.loadtxt`` is given, in call order."""
     calls, loadtxt = [], np.loadtxt

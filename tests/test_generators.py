@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divkit import (
+    DivergenceSpec,
     DomainError,
     EvaluationError,
     RepresentationError,
@@ -21,6 +23,7 @@ from divkit import (
     identity_xi,
     jhhb_eta,
     log_phi,
+    phi_from_table,
     power_phi,
     power_xi,
     ps_eta,
@@ -188,6 +191,20 @@ def test_a_custom_generator_called_on_a_float_raises_its_own_error():
             generator(0.5)
 
 
+@pytest.mark.parametrize("slot, build", [
+    ("eta", lambda fn: {"family": "holder", "eta": custom_eta(fn, 1.0)}),
+    ("phi", lambda fn: {"family": "fdpd", "phi": custom_phi(fn)}),
+    ("xi", lambda fn: {"family": "xi_holder", "eta": dpd_eta(1.0), "xi": custom_xi(fn)}),
+], ids=["eta", "phi", "xi"])
+def test_a_custom_generator_that_raises_in_the_array_loop_names_z(slot, build):
+    # math.log takes no array, so the certificate's grid goes through the
+    # element loop, where log(z - 0.5) raises ValueError below z = 0.5
+    with pytest.raises(EvaluationError, match=r"^generator raised ValueError\('math domain "
+                                              r"error'\) at z=") as raised:
+        DivergenceSpec(gamma=1.0, **build(lambda z: math.log(z - 0.5)))
+    assert isinstance(raised.value.__cause__, ValueError)
+
+
 def test_validate_psi_direct():
     assert validate_psi(lambda t: np.asarray(t, float)).valid  # affine
     assert validate_psi(lambda t: np.exp(np.asarray(t, float))).valid
@@ -248,6 +265,17 @@ def test_table_requires_increasing_z(tmp_path):
     table.write_text("z,value\n1.0,0.0\n1.0,1.0\n")
     with pytest.raises(DomainError):
         eta_from_table(table, gamma=1.0)
+
+
+@pytest.mark.parametrize("rows", ["0,0\nnan,1\n2,2\n3,3\n", "0,0\n1,1\n2,nan\n",
+                                  "0,0\n1,inf\n", "-inf,0\n1,1\n", "0,0\n1,1\ninf,2\n"],
+                         ids=["nan-z", "nan-value", "inf-value", "minus-inf-z", "inf-z"])
+def test_table_requires_finite_cells(tmp_path, rows):
+    table = tmp_path / "bad.csv"
+    table.write_text("z,value\n" + rows)
+    message = f"^generator table {re.escape(repr(table))} must have finite z and value$"
+    with pytest.raises(DomainError, match=message):
+        phi_from_table(table)
 
 
 def test_phi_and_xi_from_table(tmp_path):

@@ -305,6 +305,13 @@ def test_a_generator_that_raises_an_arithmetic_error_leaves_float_range(b):
         holder_score(b, eta)
 
 
+def test_a_generator_that_raises_a_value_error_leaves_float_range(discrete_pair):
+    b = bracket_integrals(*discrete_pair, 1.0)
+    eta = custom_eta(lambda z: math.log(z - 5.0), 1.0)  # math.log raises ValueError
+    with pytest.raises(DomainError, match="^the holder score leaves float range at gamma=1.0$"):
+        holder_score(b, eta)
+
+
 def test_xi_holder_requires_positive_gamma(b):
     with pytest.raises(DomainError):
         xi_holder_score(BracketTriple(1.0, 1.0, 1.0, 0.0, L=0.0, cross=0.0),
@@ -320,6 +327,20 @@ def test_spec_validates_generators(b):
     spec = DivergenceSpec("holder", 1.0, eta=dpd_eta(1.0))
     assert score(b, spec) == pytest.approx(-0.32, abs=1e-14)
     assert divergence(b, spec) == pytest.approx(0.18, abs=1e-14)
+
+
+@pytest.mark.parametrize("family, gamma, generators, described", [
+    ("holder", 0.0, {"eta": dpd_eta(1.0)}, {}),
+    ("holder", 1.0, {"eta": dpd_eta(1.0)}, {"eta": "dpd"}),
+    ("fdpd", 0.0, {"phi": log_phi()}, {"phi": "log"}),
+    ("jhhb", 0.5, {"zeta": 2.0}, {"zeta": 2.0}),
+    ("xi_holder", 0.5, {"eta": dpd_eta(0.5), "xi": power_xi(2.0)},
+     {"eta": "dpd", "xi": "power:2"}),
+], ids=["holder-gamma-0", "holder", "fdpd", "jhhb", "xi_holder"])
+def test_describe_names_the_slots_the_spec_takes(family, gamma, generators, described):
+    # holder at gamma = 0 takes no eta: one given is neither certified nor named
+    spec = DivergenceSpec(family, gamma, **generators)
+    assert spec.describe() == {"family": family, "gamma": gamma, **described}
 
 
 def test_spec_rejects_invalid_eta():
