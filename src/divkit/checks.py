@@ -52,7 +52,8 @@ from .densities import (
     seeded_rng,
 )
 from .errors import DomainError, EvaluationError, RepresentationError
-from .generators import GeneratorPhi, GeneratorXi, custom_xi, jhhb_eta, ps_eta, validate_psi
+from .generators import (PRESETS, GeneratorPhi, GeneratorXi, custom_xi, jhhb_eta, ps_eta,
+                         validate_psi)
 from .scores import (equivalent_transform, fdp_divergence, fdp_score, holder_score, jhhb_score,
                      xi_holder_score)
 
@@ -216,7 +217,8 @@ def check_affine_invariance(phi: GeneratorPhi, gamma: float, trials: int, seed: 
         raise DomainError(f"a grid needs at least 2 points, got {grid_points}")
     rng = _trial_rng(trials, seed, tolerance)
     # the exponent of the predicted scale; None: phi is outside the power/log class
-    zeta = phi.zeta if phi.kind == "power" else 0.0 if phi.kind == "log" else None
+    scale = getattr(PRESETS["phi"].get(phi.kind), "scale", None)
+    zeta = None if scale is None else scale(phi)
     pairs = 1 if zeta is not None else 2
     # per trial: (mu_g, mu_f, sigma_g, sigma_f) of each pair, then the transform's (sigma, mu)
     low = np.array([-1.5, -1.5, 0.6, 0.6] * pairs + [0.25, -3.0])

@@ -38,8 +38,8 @@ from .errors import CliUsageError, DivkitError, GeneratorValidityError
 from .generators import parse_generator, parse_number
 from .scores import FAMILIES, FAMILY_SLOTS, DivergenceSpec, divergence, score
 
-THEOREMS = ("affine-invariance", "jhhb-representation", "fdps-lower-bound",
-            "uv-consistency", "equality-conditions")
+# each report names its theorem; the order is the order checks defines them in
+THEOREMS = tuple(report.THEOREM for report in checks.CheckReport.__subclasses__())
 # every slot that some family takes
 SLOTS = tuple(dict.fromkeys(slot for slots in FAMILY_SLOTS.values() for slot in slots))
 
@@ -124,22 +124,22 @@ def cmd_compute(args) -> int:
 def cmd_verify(args) -> int:
     # each check keeps its own default tolerance unless --tolerance is given
     tolerance = {} if args.tolerance is None else {"tolerance": args.tolerance}
-    if args.theorem == "affine-invariance":
+    if args.theorem == checks.InvarianceReport.THEOREM:
         phi = parse_phi(args.phi or "log")
         report = checks.check_affine_invariance(
             phi, args.gamma, args.trials, args.seed,
             representation=args.representation, grid_points=args.grid_points,
             **tolerance)
-    elif args.theorem == "jhhb-representation":
+    elif args.theorem == checks.RepresentationReport.THEOREM:
         if args.zeta is None:
-            raise CliUsageError("jhhb-representation needs --zeta")
+            raise CliUsageError(f"{args.theorem} needs --zeta")
         report = checks.verify_jhhb_holder_representation(
             args.zeta, args.gamma, args.trials, args.seed, **tolerance)
-    elif args.theorem == "fdps-lower-bound":
+    elif args.theorem == checks.LowerBoundReport.THEOREM:
         phi = parse_phi(args.phi or "identity")
         report = checks.check_fdps_lower_bound(phi, args.gamma, args.trials, args.seed,
                                                **tolerance)
-    elif args.theorem == "uv-consistency":
+    elif args.theorem == checks.UvConsistencyReport.THEOREM:
         xi = parse_xi(args.xi or "identity")
         report = checks.check_uv_consistency(xi, args.gamma, args.trials, args.seed,
                                              **tolerance)

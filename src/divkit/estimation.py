@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -453,8 +453,7 @@ class SweepRow:
                 repr(float(self.bias)), str(self.converged).lower()]
 
 
-SWEEP_HEADER = ["epsilon", "family", "gamma", "zeta", "mu_hat", "sigma_hat",
-                "bias", "converged"]
+SWEEP_HEADER = [column.name for column in fields(SweepRow)]
 
 
 def contaminated_sample(n: int, epsilon: float, outlier_location: float,
@@ -462,12 +461,16 @@ def contaminated_sample(n: int, epsilon: float, outlier_location: float,
     """(1-eps) standard normal draws plus a point mass of outliers at one location."""
     if n < 1:
         raise DomainError(f"a sample needs n >= 1, got {n}")
-    if not 0.0 <= epsilon <= 0.45:
-        raise DomainError(f"epsilon must lie in [0, 0.45], got {epsilon}")
+    _require_epsilon(epsilon)
     rng = seeded_rng(seed_key)
     n_out = int(round(epsilon * n))
     clean = rng.standard_normal(n - n_out)
     return np.concatenate([clean, np.full(n_out, float(outlier_location))])
+
+
+def _require_epsilon(epsilon: float) -> None:
+    if not 0.0 <= epsilon <= 0.45:
+        raise DomainError(f"epsilon must lie in [0, 0.45], got {epsilon}")
 
 
 def contamination_sweep(epsilons, outlier_location: float,
@@ -482,6 +485,7 @@ def contamination_sweep(epsilons, outlier_location: float,
     rows = []
     for epsilon in epsilons:
         epsilon = float(epsilon)
+        _require_epsilon(epsilon)  # before the seed key, which takes finite epsilon only
         samples = contaminated_sample(n, epsilon, outlier_location,
                                       [seed, int(round(1e9 * epsilon))])
         for spec in specs:

@@ -11,9 +11,9 @@ Three kinds of scalar generators parameterize every score in this package:
 * ``GeneratorXi``  -- a nonnegative function ``xi`` whose lift
   ``psi(t) = log(xi(exp(t)))`` must be strictly increasing and convex.
 
-One name table per kind, :data:`PRESETS`, maps the flag text ``name[:param...]``
-to a constructor; :func:`parse_generator` reads that text and the generators'
-``label()`` writes it back.
+One name table per kind, :data:`PRESETS`, holds each preset's record: its
+constructor, parameter fields and formula.  The generator evaluates through it,
+:func:`parse_generator` reads the flag text and ``label()`` writes it back.
 
 Validity is established numerically, never symbolically: the conditions are
 sampled on a fixed certificate grid and the result is returned as a
@@ -79,9 +79,10 @@ def _call_vectorized(fn: Callable, z: np.ndarray) -> np.ndarray:
     warns or returns one value; each of these takes the loop.  The loop
     passes 0-d arrays, as a generator called on a float does: a ``**`` on a
     numpy scalar takes the C library's power, which can miss numpy's in the
-    last bit.  An ArithmeticError or ValueError that fn raises in the loop
-    (``math.log`` of a negative, say) is an :class:`EvaluationError` naming
-    z; a 0-d z gets fn's own exception.
+    last bit.  Any exception that fn raises on the array takes the loop, but
+    the EvaluationError of a generator inside fn; any in the loop (``math.log``
+    of a negative, ``len`` of a 0-d array) is an :class:`EvaluationError`
+    naming z.  A 0-d z gets fn's own exception.
     """
     if z.ndim == 0:
         return np.asarray(fn(z), dtype=float)
@@ -89,13 +90,15 @@ def _call_vectorized(fn: Callable, z: np.ndarray) -> np.ndarray:
         out = np.asarray(fn(z), dtype=float)
         if out.shape == z.shape:
             return out
-    except (TypeError, ValueError, DeprecationWarning):
+    except EvaluationError:  # from a generator inside fn, which named its own z
+        raise
+    except Exception:
         pass
     out = np.empty(len(z))
     for i, zi in enumerate(z):
         try:
             out[i] = float(fn(np.asarray(zi)))
-        except (ArithmeticError, ValueError) as err:
+        except Exception as err:
             raise EvaluationError(f"generator raised {err!r} at z={float(zi):g}") from err
     return out
 
@@ -138,11 +141,8 @@ class _Labelled:
         A parameter prints as ``%g`` where that reads back exactly and as
         ``repr`` otherwise.  Custom and tabulated generators are ``custom``.
         """
-        preset = PRESETS[self.slot].get(self.kind)
-        if preset is None:
-            return self.kind
-        return ":".join([self.kind, *(_number_text(getattr(self, field))
-                                      for field in preset.params)])
+        params = getattr(PRESETS[self.slot].get(self.kind), "params", ())  # custom: none
+        return ":".join([self.kind, *(_number_text(getattr(self, field)) for field in params)])
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +167,8 @@ class GeneratorEta(_Labelled):
     fn: Callable | None = None
 
     def __call__(self, z):
-        g, z = self.gamma, np.asarray(z, dtype=float)
-        if self.kind == "dpd":
-            return g - (1.0 + g) * z
-        if self.kind == "ps" or self.kind == "jhhb" and self.zeta == 0.0:
-            return -z ** (1.0 + g)
-        if self.kind == "bhd":
-            k = self.kappa
-            return -signed_power(k * z - k + 1.0, (1.0 + g) / k)
-        if self.kind == "jhhb":
-            return -signed_power((1.0 + g) * z**self.zeta - g, 1.0 / self.zeta)
-        return _call_vectorized(self.fn, z)
+        z, preset = np.asarray(z, dtype=float), PRESETS["eta"].get(self.kind)
+        return _call_vectorized(self.fn, z) if preset is None else preset.value(self, z)
 
 
 def dpd_eta(gamma: float) -> GeneratorEta:
@@ -292,38 +283,17 @@ class GeneratorPhi(_Labelled):
     dfn: Callable | None = None
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=float)
-        if self.kind == "identity":
-            out = z
-        elif self.kind == "log":
-            with np.errstate(divide="ignore"):
-                out = np.log(z)
-        elif self.kind == "power":
-            out = (z**self.zeta - 1.0) / self.zeta
-        elif self.kind == "bdpd":
-            with np.errstate(divide="ignore"):
-                out = np.log(self.lam1 + self.lam2 * z) / self.lam2
-        elif self.kind == "exp-minus-one":
-            out = np.exp(z) - 1.0
-        else:
-            out = _call_vectorized(self.fn, z)
+        z, preset = np.asarray(z, dtype=float), PRESETS["phi"].get(self.kind)
+        out = _call_vectorized(self.fn, z) if preset is None else preset.value(self, z)
         return out if out.ndim else float(out)
 
     def psi(self, t):
         return self(np.exp(np.asarray(t, dtype=float)))
 
     def phi_prime(self, z):
-        z = np.asarray(z, dtype=float)
-        if self.kind == "identity":
-            out = np.ones_like(z)
-        elif self.kind == "log":
-            out = 1.0 / z
-        elif self.kind == "power":
-            out = z ** (self.zeta - 1.0)
-        elif self.kind == "bdpd":
-            out = 1.0 / (self.lam1 + self.lam2 * z)
-        elif self.kind == "exp-minus-one":
-            out = np.exp(z)
+        z, preset = np.asarray(z, dtype=float), PRESETS["phi"].get(self.kind)
+        if preset is not None:
+            out = preset.prime(self, z)
         elif self.dfn is not None:
             out = _call_vectorized(self.dfn, z)
         else:
@@ -370,7 +340,7 @@ def phi_from_table(path) -> GeneratorPhi:
 def exp_minus_one_phi() -> GeneratorPhi:
     """phi(z) = exp(z) - 1: a valid generator that is not scale-compatible.
 
-    Useful as the stock counterexample in affine-invariance checks.
+    Useful as the stock counterexample in affine invariance checks.
     """
     return GeneratorPhi("exp-minus-one")
 
@@ -390,13 +360,8 @@ class GeneratorXi(_Labelled):
     fn: Callable | None = None
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=float)
-        if self.kind == "identity":
-            out = z
-        elif self.kind == "power":
-            out = z**self.zeta
-        else:
-            out = _call_vectorized(self.fn, z)
+        z, preset = np.asarray(z, dtype=float), PRESETS["xi"].get(self.kind)
+        out = _call_vectorized(self.fn, z) if preset is None else preset.value(self, z)
         return out if out.ndim else float(out)
 
     def psi(self, t):
@@ -429,21 +394,49 @@ def xi_from_table(path) -> GeneratorXi:
 
 
 class Preset(NamedTuple):
-    """A named generator: ``make(*params, *gamma)`` builds it, and ``params``
-    names the generator fields that hold its parameters, in flag order."""
+    """A named generator: ``make(*params, *gamma)`` builds it, ``params`` names its
+    parameter fields in flag order, ``value(generator, z)`` is its formula, and a
+    phi preset's ``prime(phi, z)`` is its derivative and, in the power/log class,
+    ``scale(phi)`` the exponent zeta of its scale law under affine maps."""
 
     make: Callable
+    value: Callable
     params: tuple[str, ...] = ()
+    prime: Callable | None = None
+    scale: Callable | None = None
+
+
+def _log(z):
+    with np.errstate(divide="ignore"):  # log 0 = -inf, the extended codomain
+        return np.log(z)
 
 
 PRESETS = {
-    "eta": {"dpd": Preset(dpd_eta), "ps": Preset(ps_eta),
-            "bhd": Preset(bhd_eta, ("kappa",)), "jhhb": Preset(jhhb_eta, ("zeta",))},
-    "phi": {"identity": Preset(identity_phi), "log": Preset(log_phi),
-            "power": Preset(power_phi, ("zeta",)),
-            "bdpd": Preset(bdpd_phi, ("lam1", "lam2")),
-            "exp-minus-one": Preset(exp_minus_one_phi)},
-    "xi": {"identity": Preset(identity_xi), "power": Preset(power_xi, ("zeta",))},
+    "eta": {
+        "dpd": Preset(dpd_eta, lambda eta, z: eta.gamma - (1.0 + eta.gamma) * z),
+        "ps": Preset(ps_eta, lambda eta, z: -z ** (1.0 + eta.gamma)),
+        "bhd": Preset(bhd_eta, lambda eta, z: -signed_power(
+            eta.kappa * z - eta.kappa + 1.0, (1.0 + eta.gamma) / eta.kappa), ("kappa",)),
+        "jhhb": Preset(jhhb_eta, lambda eta, z: -z ** (1.0 + eta.gamma) if eta.zeta == 0.0
+                       else -signed_power((1.0 + eta.gamma) * z**eta.zeta - eta.gamma,
+                                          1.0 / eta.zeta), ("zeta",)),
+    },
+    "phi": {
+        "identity": Preset(identity_phi, lambda phi, z: z,
+                           prime=lambda phi, z: np.ones_like(z)),
+        "log": Preset(log_phi, lambda phi, z: _log(z), prime=lambda phi, z: 1.0 / z,
+                      scale=lambda phi: 0.0),
+        "power": Preset(power_phi, lambda phi, z: (z**phi.zeta - 1.0) / phi.zeta, ("zeta",),
+                        lambda phi, z: z ** (phi.zeta - 1.0), lambda phi: phi.zeta),
+        "bdpd": Preset(bdpd_phi, lambda phi, z: _log(phi.lam1 + phi.lam2 * z) / phi.lam2,
+                       ("lam1", "lam2"), lambda phi, z: 1.0 / (phi.lam1 + phi.lam2 * z)),
+        "exp-minus-one": Preset(exp_minus_one_phi, lambda phi, z: np.exp(z) - 1.0,
+                                prime=lambda phi, z: np.exp(z)),
+    },
+    "xi": {
+        "identity": Preset(identity_xi, lambda xi, z: z),
+        "power": Preset(power_xi, lambda xi, z: z**xi.zeta, ("zeta",)),
+    },
 }
 # ``file:PATH`` builds a custom generator of each kind from a (z, value) table
 FROM_TABLE = {"eta": eta_from_table, "phi": phi_from_table, "xi": xi_from_table}

@@ -409,6 +409,12 @@ def test_uv_consistency_draws_batch_trials_densities_at_a_time(monkeypatch):
     assert batched.max_abs_error.hex() == whole.max_abs_error.hex()
 
 
+@pytest.mark.parametrize("representation", ["x", "discrete", "Grid"])
+def test_affine_invariance_rejects_an_unknown_representation(representation):
+    with pytest.raises(DomainError, match=f"^unknown representation '{representation}'$"):
+        check_affine_invariance(log_phi(), 1.0, 3, 1, representation=representation)
+
+
 def test_uv_consistency_rejects_no_trials_and_gamma_zero():
     with pytest.raises(DomainError, match=r"^trials must be >= 1, got 0$"):
         check_uv_consistency(identity_xi(), 1.0, 0, 1)

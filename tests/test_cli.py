@@ -398,6 +398,35 @@ def test_verify_representation_passes(tmp_path):
     assert payload["seed"] == 7
 
 
+def test_theorems_are_the_reports_in_the_order_checks_defines_them():
+    assert cli.THEOREMS == ("affine-invariance", "jhhb-representation", "fdps-lower-bound",
+                            "uv-consistency", "equality-conditions")
+
+
+@pytest.mark.parametrize("theorem, message", [
+    ("fdps-lower-bound", "the lower-bound check requires gamma > 0"),
+    ("uv-consistency", "the consistency check requires gamma > 0"),
+    ("equality-conditions", "the equality probe requires gamma > 0"),
+])
+def test_verify_at_gamma_0_of_a_theorem_for_gamma_gt_0_exits_3(theorem, message, capsys):
+    assert run(["verify", "--theorem", theorem, "--gamma", "0", "--trials", "3",
+                "--seed", "1"]) == 3
+    assert capsys.readouterr() == ("", f"divkit: {message}\n")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--family", "fdpd"], "--family fdpd needs --phi"),
+    (["--family", "holder", "--phi", "identity"], "--family holder needs --eta"),
+    (["--family", "jhhb"], "--family jhhb needs --zeta"),
+    (["--family", "xi_holder", "--eta", "dpd"], "--family xi_holder needs --eta and --xi"),
+], ids=["fdpd", "holder", "jhhb", "xi_holder"])
+def test_compute_without_a_generator_of_its_family_exits_3(density_files, flags, message,
+                                                           capsys):
+    g, f = density_files
+    assert run(["compute", *flags, "--gamma", "0.5", "--g", g, "--f", f]) == 3
+    assert capsys.readouterr() == ("", f"divkit: {message}\n")
+
+
 def test_verify_representation_without_zeta_exits_3(capsys):
     assert run(["verify", "--theorem", "jhhb-representation", "--gamma", "1",
                 "--seed", "1"]) == 3
@@ -617,10 +646,20 @@ SWEEP_50 = ["sweep", "--epsilons", "0", "--outlier", "8", "--n", "50", "--seed",
     ("family=jhhb,zeta,gamma=0.5", "--spec entries are key=value pairs, got 'zeta'"),
     ("family=jhhb,zeta=0,gamma=0.5,bogus=1", "unknown --spec keys ['bogus']"),
     ("family=bregman,gamma=0.5", "unknown family 'bregman'"),
-], ids=["no-equals", "unknown-key", "unknown-family"])
+    ("family=xi_holder,gamma=0.5", "--family xi_holder needs --eta and --xi"),
+], ids=["no-equals", "unknown-key", "unknown-family", "missing-generators"])
 def test_sweep_names_what_is_wrong_with_a_spec(spec, message, capsys):
     assert run([*SWEEP_50, "--spec", spec]) == 3
     assert capsys.readouterr().err == f"divkit: {message}\n"
+
+
+@pytest.mark.parametrize("epsilon, shown", [("nan", "nan"), ("inf", "inf"),
+                                            ("1e300", "1e+300"), ("0.5", "0.5")])
+def test_sweep_with_an_epsilon_outside_its_range_exits_3(epsilon, shown, capsys):
+    # the seed key int(round(1e9 * epsilon)) takes finite epsilon only
+    assert run(["sweep", "--epsilons", f"0,{epsilon}", "--outlier", "8", "--n", "50",
+                "--spec", "family=fdpd,phi=identity,gamma=0.5", "--seed", "1"]) == 3
+    assert capsys.readouterr() == ("", f"divkit: epsilon must lie in [0, 0.45], got {shown}\n")
 
 
 def test_sweep_skips_empty_spec_entries(capsys):

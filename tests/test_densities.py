@@ -268,6 +268,29 @@ def test_scale_values_scales_mass():
     assert scale_values(g, 3.0).mass == 3.0
 
 
+@pytest.mark.parametrize("f, total", [
+    (DiscreteDensity([0.5, 1.0]), 1.5),
+    (GridDensity(0.0, 0.5, [1.0, 2.0, 1.0]), 1.5),
+    (GaussianDensity(0.7, 1.3), 1.0),
+    (GaussianDensity(0.7, 1.3, mass=2.5), 2.5),
+], ids=["discrete", "grid", "gaussian", "gaussian-mass"])
+def test_total_mass_of_each_representation(f, total):
+    assert f.total_mass() == total
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: scale_values(DiscreteDensity([0.5, 0.5]), 0.0), DomainError,
+     "scale factor must be > 0, got 0.0"),
+    (lambda: scale_values(GaussianDensity(0.0, 1.0), -2.0), DomainError,
+     "scale factor must be > 0, got -2.0"),
+    (lambda: density_value(DiscreteDensity([0.5, 0.5]), 0.0), RepresentationError,
+     "discrete densities are not pointwise evaluable"),
+], ids=["scale-by-0", "scale-by-negative", "discrete-pointwise"])
+def test_an_operation_a_density_does_not_admit_raises(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 @pytest.mark.parametrize("transform, f, message", [
     (lambda f: scale_values(f, 1e10), GridDensity(0.0, 1.0, [1e300, 1e300]), "values"),
     (lambda f: scale_values(f, 1e10), DiscreteDensity([1e300, 1e300]), "masses"),
@@ -724,7 +747,10 @@ def test_equal_bytes_at_two_paths_are_one_entry(tmp_path, monkeypatch, parsed):
     (read_grid_csv, "x,value\n0,1\n1e-12,1\n5e-12,1\n", "equally spaced$"),
     (read_discrete_csv, "index,mass\n0,0.5\n2,0.5\n", "indices must be 0..n-1$"),
     (read_samples_csv, "# c\nx\n\n0.5\n\n\nabc\n", "'abc' to float64 at line 7, column 1$"),
-], ids=["grid-cell", "grid-spacing", "discrete-indices", "samples-cell"])
+    (read_grid_csv, "x,value\n0,1\n", "a grid needs at least two rows$"),
+    (read_grid_csv, "x,value\n2,1\n1,1\n0,1\n", "x must be strictly increasing$"),
+], ids=["grid-cell", "grid-spacing", "discrete-indices", "samples-cell", "grid-one-row",
+        "grid-decreasing"])
 def test_a_malformed_file_raises_on_every_read(tmp_path, monkeypatch, parsed, read, text,
                                                message):
     path = tmp_path / "f.csv"

@@ -869,6 +869,14 @@ def test_sweep_rejects_out_of_range_epsilon():
         contamination_sweep([0.6], 8.0, [MLE], n=100, seed=1)
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, 1e300, -0.1])
+def test_sweep_checks_epsilon_before_its_seed_key(epsilon):
+    # the seed key int(round(1e9 * epsilon)) raises on nan and overflows on inf
+    with pytest.raises(DomainError, match=re.escape(f"epsilon must lie in [0, 0.45], got "
+                                                    f"{epsilon}")):
+        contamination_sweep([0.1, epsilon], 8.0, [MLE], n=100, seed=1)
+
+
 @pytest.mark.parametrize("seed_key", [-1, [3, -1], 0.5])
 def test_contaminated_sample_rejects_a_seed_numpy_rejects(seed_key):
     with pytest.raises(DomainError, match="seeds must be nonnegative integers"):

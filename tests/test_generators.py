@@ -171,6 +171,25 @@ def test_concave_lift_gives_convexity_counterexample():
     assert cert.value < -1e-9
 
 
+def test_a_xi_that_is_nan_on_the_grid_names_the_first_such_z():
+    nan_above_two = custom_xi(lambda z: np.where(np.asarray(z) > 2.0, np.nan, z))
+    with pytest.raises(EvaluationError, match=r"^xi evaluated non-finite at z=2\.\d*$"):
+        validate_xi(nan_above_two)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: bdpd_phi(-1.0, 1.0), "bdpd requires finite lam1 >= 0, got -1.0"),
+    (lambda: bdpd_phi(math.inf, 1.0), "bdpd requires finite lam1 >= 0, got inf"),
+    (lambda: bdpd_phi(1.0, 0.0), "lam2 must be finite and > 0, got 0.0"),
+    (lambda: power_phi(math.nan), "zeta must be finite and > 0, got nan"),
+    (lambda: power_xi(-1.0), "zeta must be finite and > 0, got -1.0"),
+], ids=["bdpd-negative-lam1", "bdpd-infinite-lam1", "bdpd-zero-lam2", "power-phi-nan",
+        "power-xi-negative"])
+def test_a_preset_parameter_out_of_range_raises(build, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_negative_xi_is_rejected():
     cert = validate_xi(custom_xi(lambda z: np.asarray(z, float) - 1.0))
     assert not cert.valid
@@ -191,18 +210,37 @@ def test_a_custom_generator_called_on_a_float_raises_its_own_error():
             generator(0.5)
 
 
-@pytest.mark.parametrize("slot, build", [
-    ("eta", lambda fn: {"family": "holder", "eta": custom_eta(fn, 1.0)}),
-    ("phi", lambda fn: {"family": "fdpd", "phi": custom_phi(fn)}),
-    ("xi", lambda fn: {"family": "xi_holder", "eta": dpd_eta(1.0), "xi": custom_xi(fn)}),
-], ids=["eta", "phi", "xi"])
-def test_a_custom_generator_that_raises_in_the_array_loop_names_z(slot, build):
-    # math.log takes no array, so the certificate's grid goes through the
-    # element loop, where log(z - 0.5) raises ValueError below z = 0.5
-    with pytest.raises(EvaluationError, match=r"^generator raised ValueError\('math domain "
-                                              r"error'\) at z=") as raised:
-        DivergenceSpec(gamma=1.0, **build(lambda z: math.log(z - 0.5)))
-    assert isinstance(raised.value.__cause__, ValueError)
+def _log_below_half(z):
+    return math.log(z - 0.5)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: {"family": "holder", "eta": custom_eta(_log_below_half, 1.0)},
+     ValueError("math domain error")),
+    (lambda: {"family": "fdpd", "phi": custom_phi(_log_below_half)},
+     ValueError("math domain error")),
+    (lambda: {"family": "xi_holder", "eta": dpd_eta(1.0), "xi": custom_xi(_log_below_half)},
+     ValueError("math domain error")),
+    (lambda: {"family": "fdpd", "phi": custom_phi(lambda z: len(z))},
+     TypeError("len() of unsized object")),
+    (lambda: {"family": "fdpd", "phi": custom_phi(lambda z: {}[z])},
+     TypeError("unhashable type: 'numpy.ndarray'")),
+    (lambda: {"family": "holder", "eta": custom_eta(lambda z: len(z), 1.0)},
+     TypeError("len() of unsized object")),
+    (lambda: {"family": "xi_holder", "eta": dpd_eta(1.0), "xi": custom_xi(lambda z: z.foo)},
+     AttributeError("'numpy.ndarray' object has no attribute 'foo'")),
+], ids=["eta", "phi", "xi", "phi-len", "phi-dict-key", "eta-len", "xi-attribute"])
+def test_a_custom_generator_that_raises_in_the_array_loop_names_z(build, error):
+    # each fn raises on the certificate's grid, or returns no array of its
+    # shape, so the grid goes through the element loop, where fn raises on
+    # the first z: log(z - 0.5) below z = 0.5, len and a dict key on a 0-d
+    # array, and an attribute no array has.  A phi certificate samples
+    # phi(exp(t)) from z = 1e-6; the loop names that z, not t.
+    z = "1e-06" if "phi" in build() else "0"
+    with pytest.raises(EvaluationError, match=f"^generator raised {re.escape(repr(error))} "
+                                              f"at z={z}$") as raised:
+        DivergenceSpec(gamma=1.0, **build())
+    assert type(raised.value.__cause__) is type(error)
 
 
 def test_validate_psi_direct():
@@ -275,6 +313,14 @@ def test_table_requires_finite_cells(tmp_path, rows):
     table.write_text("z,value\n" + rows)
     message = f"^generator table {re.escape(repr(table))} must have finite z and value$"
     with pytest.raises(DomainError, match=message):
+        phi_from_table(table)
+
+
+def test_a_one_row_table_is_rejected(tmp_path):
+    table = tmp_path / "one.csv"
+    table.write_text("z,value\n1,0\n")
+    with pytest.raises(DomainError, match=f"^generator table {re.escape(repr(table))} "
+                                          "needs at least two rows$"):
         phi_from_table(table)
 
 

@@ -367,6 +367,17 @@ def test_spec_rejects_xi_holder_at_gamma_zero():
         DivergenceSpec("xi_holder", 0.0, eta=dpd_eta(1.0), xi=identity_xi())
 
 
+@pytest.mark.parametrize("family, gamma, message", [
+    ("fdpd", 0.5, "fdpd needs phi"),
+    ("holder", 1.0, "holder needs eta"),
+    ("jhhb", 0.0, "jhhb needs zeta"),
+    ("xi_holder", 1.0, "xi_holder needs eta"),
+])
+def test_spec_without_a_slot_of_its_family_names_it(family, gamma, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        DivergenceSpec(family, gamma)
+
+
 def test_spec_rejects_unknown_family():
     with pytest.raises(DomainError):
         DivergenceSpec("bregman", 1.0)
