@@ -35,6 +35,7 @@ neither passed nor skipped.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -483,7 +484,11 @@ class EqualityProbeReport(CheckReport):
 
 def equality_condition_probe(phi: GeneratorPhi, gamma: float, f: DensityObject,
                              c: float, tolerance: float = 1e-8) -> EqualityProbeReport:
-    """Evaluate D(c**(1/(1+gamma)) f, f) and test psi's strict convexity there."""
+    """Evaluate D(c**(1/(1+gamma)) f, f) and test psi's strict convexity there.
+
+    X, Y and Z must be normal floats: a subnormal keeps too few digits for a
+    zero D to read as zero, so one raises DomainError.
+    """
     if not c > 0.0:
         raise DomainError(f"the scaling constant must be > 0, got {c}")
     if not gamma > 0.0:
@@ -493,6 +498,9 @@ def equality_condition_probe(phi: GeneratorPhi, gamma: float, f: DensityObject,
     b = bracket_integrals(g, f, gamma)
     if np.ndim(b.X):
         raise RepresentationError("the equality probe takes a single density, not a batch")
+    if min(b.X, b.Y, b.require_z()) < sys.float_info.min:
+        raise DomainError(f"the equality probe needs normal brackets, got X={b.X:g}, "
+                          f"Y={b.Y:g}, Z={b.Z:g}")
     d_value = fdp_divergence(b, phi)
     lo, hi = sorted((math.log(b.require_z()), math.log(b.Y)))
     strictly_convex = _strictly_convex_on(phi, lo, hi)

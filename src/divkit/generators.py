@@ -131,9 +131,17 @@ def tabulated(path) -> Callable:
 
 
 class _Labelled:
-    """The label shared by the generator classes, read from :data:`PRESETS`."""
+    """The call and the label of every generator class, both read from :data:`PRESETS`.
+
+    A custom ``fn`` goes through :func:`_call_vectorized`.  A float gives a Python float.
+    """
 
     slot: ClassVar[str]  # the key of the class's name table in PRESETS
+
+    def __call__(self, z):
+        z, preset = np.asarray(z, dtype=float), PRESETS[self.slot].get(self.kind)
+        out = _call_vectorized(self.fn, z) if preset is None else preset.value(self, z)
+        return out if out.__class__ is np.ndarray and out.ndim else float(out)
 
     def label(self) -> str:
         """``name[:param...]``, the flag text that :func:`parse_generator` reads back.
@@ -155,8 +163,8 @@ class GeneratorEta(_Labelled):
     """A scalar generator eta bound to a power parameter gamma.
 
     ``kind`` is one of ``dpd``, ``ps``, ``bhd``, ``jhhb``, ``custom``; the
-    parameter fields that do not apply to a kind stay None.  A custom ``fn``
-    is called through _call_vectorized, as phi and xi call theirs.
+    parameter fields that do not apply to a kind stay None.  It is certified,
+    and taken by a spec, at its own gamma only.
     """
 
     slot: ClassVar[str] = "eta"
@@ -165,10 +173,6 @@ class GeneratorEta(_Labelled):
     kappa: float | None = None
     zeta: float | None = None
     fn: Callable | None = None
-
-    def __call__(self, z):
-        z, preset = np.asarray(z, dtype=float), PRESETS["eta"].get(self.kind)
-        return _call_vectorized(self.fn, z) if preset is None else preset.value(self, z)
 
 
 def dpd_eta(gamma: float) -> GeneratorEta:
@@ -230,14 +234,15 @@ class EtaCertificate:
         return self.valid
 
 
-def validate_eta(eta: GeneratorEta, gamma: float | None = None) -> EtaCertificate:
+def validate_eta(eta: GeneratorEta) -> EtaCertificate:
     """Certify eta(1) = -1 and eta(z) >= -z**(1+gamma) on the certificate grid.
 
+    gamma is the one eta is bound to, the gamma of every spec that takes it.
     Returns a certificate; an invalid one carries the most violating z and the
     signed gap ``eta(z) + z**(1+gamma)``.  Non-finite eta values raise
     :class:`EvaluationError` naming the offending z.
     """
-    g = eta.gamma if gamma is None else gamma
+    g = eta.gamma
     z = certificate_grid()
     values = eta(z)
     bad = ~np.isfinite(values)
@@ -282,11 +287,6 @@ class GeneratorPhi(_Labelled):
     fn: Callable | None = None
     dfn: Callable | None = None
 
-    def __call__(self, z):
-        z, preset = np.asarray(z, dtype=float), PRESETS["phi"].get(self.kind)
-        out = _call_vectorized(self.fn, z) if preset is None else preset.value(self, z)
-        return out if out.ndim else float(out)
-
     def psi(self, t):
         return self(np.exp(np.asarray(t, dtype=float)))
 
@@ -297,8 +297,8 @@ class GeneratorPhi(_Labelled):
         elif self.dfn is not None:
             out = _call_vectorized(self.dfn, z)
         else:
-            fn, step = self.fn, 1e-6 * np.maximum(1.0, np.abs(z))
-            out = (_call_vectorized(fn, z + step) - _call_vectorized(fn, z - step)) / (2.0 * step)
+            step = 1e-6 * np.maximum(1.0, np.abs(z))
+            out = (self(z + step) - self(z - step)) / (2.0 * step)
         return out if out.ndim else float(out)
 
     def has_constant_derivative(self) -> bool:
@@ -358,11 +358,6 @@ class GeneratorXi(_Labelled):
     kind: str
     zeta: float | None = None
     fn: Callable | None = None
-
-    def __call__(self, z):
-        z, preset = np.asarray(z, dtype=float), PRESETS["xi"].get(self.kind)
-        out = _call_vectorized(self.fn, z) if preset is None else preset.value(self, z)
-        return out if out.ndim else float(out)
 
     def psi(self, t):
         with np.errstate(divide="ignore", invalid="ignore"):

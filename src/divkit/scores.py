@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .densities import BracketTriple
-from .errors import DegenerateModelError, DomainError, GeneratorValidityError
+from .errors import DegenerateModelError, DivkitError, DomainError, GeneratorValidityError
 from .generators import (
     GeneratorEta,
     GeneratorPhi,
@@ -58,29 +58,33 @@ def _in_codomain(family: str, kind: str):
     """Raise DomainError where the family function's value leaves float range.
 
     +-inf passes: log 0, or an overflow that meets no other infinity.  A
-    formula that raises ArithmeticError or ValueError (``math.log`` of a
-    negative, in a custom generator), or a RuntimeWarning under
-    warnings-as-errors, or returns NaN in any entry (inf - inf, the log of a
-    negative bracket) leaves float range.  numpy's overflow, invalid and
-    divide warnings are off, since the guard reports what they would.  A
-    float bracket's value is returned as a Python float.  The wrapper takes
-    fixed arguments: a ``*args`` call costs about as much as the cheapest
-    formula.
+    formula that returns NaN in any entry (inf - inf, the log of a negative
+    bracket), or raises anything but a DivkitError (``math.log`` of a
+    negative in a custom generator, a RuntimeWarning under warnings-as-errors),
+    leaves float range; the DomainError is chained to what it raised.  numpy's
+    overflow, invalid and divide warnings are off, since the guard reports
+    what they would.  A float bracket's value is returned as a Python float.
+    The wrapper takes fixed arguments: a ``*args`` call costs about as much
+    as the cheapest formula.
     """
     def decorate(formula):
         @functools.wraps(formula)
         def guarded(b: BracketTriple, generator, xi=None):  # xi: the xi-Hoelder slot
+            cause = None
             try:
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     value = formula(b, generator) if xi is None else formula(b, generator, xi)
-            except (ArithmeticError, ValueError, RuntimeWarning):
-                value = math.nan
+            except DivkitError:
+                raise
+            except Exception as err:
+                cause, value = err, math.nan
             if value.__class__ is np.ndarray and value.ndim:  # a batch: one value per row
                 if not np.isnan(value).any():
                     return value
             elif value == value:
                 return float(value)
-            raise DomainError(f"the {family} {kind} leaves float range at gamma={b.gamma}")
+            raise DomainError(f"the {family} {kind} leaves float range "
+                              f"at gamma={b.gamma}") from cause
         return guarded
     return decorate
 
@@ -224,21 +228,17 @@ def equivalent_transform(s, tau: str, zeta: float | None = None):
 
 
 @lru_cache(maxsize=1024)
-def _certificate(generator: GeneratorEta | GeneratorPhi | GeneratorXi, gamma: float | None):
-    """The generator's certificate; gamma is an eta's, and None for a phi or xi."""
-    if gamma is not None:
-        return validate_eta(generator, gamma)
-    if isinstance(generator, GeneratorPhi):
-        return validate_phi(generator)
-    return validate_xi(generator)
+def _certificate(generator: GeneratorEta | GeneratorPhi | GeneratorXi):
+    """The generator's certificate; an eta's is taken at the gamma it is bound to."""
+    return {"eta": validate_eta, "phi": validate_phi, "xi": validate_xi}[generator.slot](generator)
 
 
 @dataclass(frozen=True)
 class DivergenceSpec:
     """A family selection with its generators; construction certifies them.
 
-    The family takes the slots that :meth:`slots` gives.  xi_holder
-    requires gamma > 0; the others admit their gamma = 0 branch.
+    The family takes the slots that :meth:`slots` gives, an eta at the spec's
+    gamma.  xi_holder requires gamma > 0; the others admit their gamma = 0 branch.
     """
 
     family: str
@@ -262,7 +262,9 @@ class DivergenceSpec:
             if slot == "zeta":
                 _check_zeta(value)
                 continue
-            cert = _certificate(value, self.gamma if slot == "eta" else None)
+            if slot == "eta" and value.gamma != self.gamma:
+                raise DomainError(f"eta is bound to gamma={value.gamma}, the spec to {self.gamma}")
+            cert = _certificate(value)
             if not cert.valid:
                 raise GeneratorValidityError(_failure_message(slot, cert))
 
@@ -303,9 +305,16 @@ _FORMULAS = {
 
 def score(b: BracketTriple, spec: DivergenceSpec) -> float:
     """The family's composite score on a bracket triple, in the extended codomain."""
-    return _FORMULAS[spec.family][0](b, spec)
+    return _formula(b, spec, 0)
 
 
 def divergence(b: BracketTriple, spec: DivergenceSpec) -> float:
     """The family's divergence on a bracket triple, in the extended codomain."""
-    return _FORMULAS[spec.family][1](b, spec)
+    return _formula(b, spec, 1)
+
+
+def _formula(b: BracketTriple, spec: DivergenceSpec, which: int) -> float:
+    if b.gamma != spec.gamma:
+        raise DomainError(f"the bracket is taken at gamma={b.gamma}, "
+                          f"the spec's gamma is {spec.gamma}")
+    return _FORMULAS[spec.family][which](b, spec)

@@ -480,6 +480,19 @@ def test_equality_probe_rejects_a_batch():
         equality_condition_probe(log_phi(), 1.0, batch, 2.0)
 
 
+@pytest.mark.parametrize("c, subnormal", [(1e-320, True), (1e-300, False)])
+def test_equality_probe_rejects_subnormal_brackets(discrete_pair, c, subnormal):
+    # Z = c <f**2> = 0.68 c: at c = 1e-320 a subnormal with about three digits
+    _, f = discrete_pair
+    if subnormal:
+        with pytest.raises(DomainError, match=r"^the equality probe needs normal brackets, "
+                                              r"got X=6\.79996e-161, Y=0\.68, Z=6\.79834e-321$"):
+            equality_condition_probe(log_phi(), 1.0, f, c=c)
+    else:
+        report = equality_condition_probe(log_phi(), 1.0, f, c=c)
+        assert abs(report.D_value) <= 1e-10 and report.passed
+
+
 def test_equality_probe_rejects_bad_c(discrete_pair):
     _, f = discrete_pair
     with pytest.raises(DomainError):

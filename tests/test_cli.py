@@ -489,6 +489,16 @@ def test_verify_equality_conditions_out_of_float_range_exits_3(tmp_path, capsys)
     assert capsys.readouterr().err == "divkit: masses must be finite\n"
 
 
+@pytest.mark.parametrize("c, code", [("1e-320", 3), ("1e-300", 0)])
+def test_verify_equality_conditions_on_a_subnormal_bracket_exits_3(capsys, c, code):
+    # the default f is (0.8, 0.2): Z = 0.68 c, subnormal at c = 1e-320
+    assert run(["verify", "--theorem", "equality-conditions", "--phi", "log", "--gamma", "1",
+                "--c", c, "--seed", "1"]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else "divkit: the equality probe needs normal brackets, "
+                   "got X=6.79996e-161, Y=0.68, Z=6.79834e-321\n")
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_verify_uv_consistency_without_trials_exits_3(capsys, trials):
     assert run(["verify", "--theorem", "uv-consistency", "--gamma", "1",

@@ -361,6 +361,26 @@ def test_label_reads_back_to_the_same_generator(kind, name, data):
     assert parse_generator(kind, generator.label(), *gamma) == generator
 
 
+# one generator of every preset, and custom ones that take arrays or scalars only
+EVERY_KIND = {f"{kind}-{name}": parse_generator(
+    kind, ":".join([name, *("2" for _ in preset.params)]), *([1.0] if kind == "eta" else []))
+    for kind, presets in PRESETS.items() for name, preset in presets.items()} | {
+    "eta-custom": custom_eta(lambda z: 1.0 - 2.0 * z, 1.0),
+    "eta-custom-scalar-only": custom_eta(lambda z: -math.pow(z, 2.0), 1.0),
+    "phi-custom": custom_phi(np.log1p), "phi-custom-scalar-only": custom_phi(math.log1p),
+    "xi-custom": custom_xi(np.sqrt), "xi-custom-scalar-only": custom_xi(math.sqrt),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_KIND))
+@pytest.mark.parametrize("z", [0.5, np.float64(0.5), np.array(0.5)], ids=["float", "numpy", "0-d"])
+def test_every_generator_gives_a_python_float_on_a_float(name, z):
+    generator = EVERY_KIND[name]
+    value = generator(z)
+    assert type(value) is float
+    assert generator(np.array([z, 2.0]))[0] == value
+
+
 @pytest.mark.parametrize("kind, text", [
     ("phi", "power:0.123456789"), ("xi", "power:1e-300"), ("eta", "bhd:1.0000000001"),
     ("phi", "bdpd:0.1:0.2"),

@@ -312,6 +312,19 @@ def test_a_generator_that_raises_a_value_error_leaves_float_range(discrete_pair)
         holder_score(b, eta)
 
 
+@pytest.mark.parametrize("phi, error", [
+    (custom_phi(lambda z: {}[float(z)]), KeyError),
+    (custom_phi(lambda z: len(z)), TypeError),
+    (custom_phi(lambda z: z.foo), AttributeError),
+], ids=["key", "type", "attribute"])
+def test_a_generator_that_raises_on_a_float_bracket_leaves_float_range(b, phi, error):
+    # a float bracket reaches fn as a 0-d array, and fn's own exception is the cause
+    with pytest.raises(DomainError, match="^the fdpd score leaves float range at gamma=1.0$") \
+            as raised:
+        fdp_score(b, phi)
+    assert type(raised.value.__cause__) is error
+
+
 def test_xi_holder_requires_positive_gamma(b):
     with pytest.raises(DomainError):
         xi_holder_score(BracketTriple(1.0, 1.0, 1.0, 0.0, L=0.0, cross=0.0),
@@ -360,6 +373,28 @@ def test_spec_names_where_eta_dips_below_the_bound():
 def test_spec_rejects_invalid_phi():
     with pytest.raises(GeneratorValidityError, match="monotonicity"):
         DivergenceSpec("fdpd", 1.0, phi=custom_phi(lambda z: -np.asarray(z, float)))
+
+
+@pytest.mark.parametrize("family, generators", [
+    ("holder", {"eta": dpd_eta(2.0)}),
+    ("xi_holder", {"eta": custom_eta(lambda z: -z**3.0, 2.0), "xi": identity_xi()}),
+])
+def test_spec_rejects_an_eta_bound_to_another_gamma(family, generators):
+    # dpd at gamma = 2 dips below -z**1.5, but the gamma is named, not the dip
+    with pytest.raises(DomainError, match=r"^eta is bound to gamma=2\.0, the spec to 0\.5$"):
+        DivergenceSpec(family, 0.5, **generators)
+
+
+# at gamma = 2, X = 0.775, Y = 0.25 and Z = 27.001: S = (2 - 3 X/Y) Y and D = S + Z
+@pytest.mark.parametrize("evaluate, at_spec_gamma", [(score, -1.825), (divergence, 25.176)])
+def test_a_bracket_at_another_gamma_than_the_spec_raises(evaluate, at_spec_gamma):
+    g, f = DiscreteDensity([3.0, 0.1]), DiscreteDensity([0.5, 0.5])
+    spec = DivergenceSpec("holder", 2.0, eta=dpd_eta(2.0))
+    with pytest.raises(DomainError, match=r"^the bracket is taken at gamma=0\.5, "
+                                          r"the spec's gamma is 2\.0$"):
+        evaluate(bracket_integrals(g, f, 0.5), spec)
+    assert evaluate(bracket_integrals(g, f, 2.0), spec) == pytest.approx(at_spec_gamma,
+                                                                         rel=1e-14)
 
 
 def test_spec_rejects_xi_holder_at_gamma_zero():
