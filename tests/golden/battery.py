@@ -28,10 +28,6 @@ import numpy as np
 
 RECORDS = Path(__file__).with_name("records.json")
 
-# On another platform each number must lie within this many units in the last
-# place of the recorded one, and the text around the numbers must be equal.
-ULP_BOUND = 4096
-
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 HELP_WIDTH = "80"  # argparse wraps its help at the COLUMNS it reads
@@ -220,6 +216,29 @@ def record_all(directory: Path) -> dict:
 
 def dumps(battery: dict) -> str:
     return json.dumps(battery, indent=1) + "\n"
+
+
+def replays(recorded: dict, replayed: dict, recorded_on: dict, replayed_on: dict) -> bool:
+    """Whether ``replayed``, run on platform ``replayed_on``, reproduces
+    ``recorded``, taken on ``recorded_on``.
+
+    On the recording platform that is byte for byte.  Elsewhere the exit code
+    and the text between the numbers must be equal, and the numbers are not
+    compared: many of them are rounding residuals (a D of 1e-16 where the
+    exact value is 0, the worst of many noisy trials and that trial's
+    parameters), which another libm or SIMD path moves by any number of ulps,
+    and no spread across builds has been measured yet.  argparse's help and
+    usage text is compared only on the recorded Python version, since argparse
+    words it differently across versions.
+    """
+    if recorded_on == replayed_on:
+        return recorded == replayed
+    if recorded["exit"] != replayed["exit"]:
+        return False
+    if recorded["argparse"] and recorded_on["python"] != replayed_on["python"]:
+        return True
+    return all(NUMBER.split(recorded[key]) == NUMBER.split(replayed[key])
+               for key in ("stdout", "stderr"))
 
 
 def ulps_apart(a: float, b: float) -> float:

@@ -3,9 +3,7 @@
 On the platform the records were taken on, every command must give the
 recorded exit code, standard output and standard error byte for byte, and
 the whole records file must come out again.  On another platform the exit
-codes must match, and the outputs up to ``battery.ULP_BOUND`` ulps in each
-number; argparse's help and usage text is compared only on the recorded
-Python version, since argparse words it differently across versions.
+codes and the text between the numbers must match (``battery.replays``).
 """
 
 import json
@@ -24,39 +22,52 @@ def test_the_battery_runs_the_recorded_commands(recorded):
     assert [r["argv"] for r in recorded["records"]] == [argv for argv, _ in battery.commands()]
 
 
-@pytest.mark.parametrize("numpy_version", [None, "0.0"], ids=["recorded", "another-numpy"])
-def test_every_command_replays_its_record(recorded, tmp_path, monkeypatch, numpy_version):
-    if numpy_version is not None:  # the comparison that another platform takes
-        key = dict(battery.platform_key(), numpy=numpy_version)
-        monkeypatch.setattr(battery, "platform_key", lambda: key)
+def test_every_command_replays_its_record(recorded, tmp_path):
     replayed = battery.record_all(tmp_path)
     here, there = replayed["platform"], recorded["platform"]
-    mismatched = []
-    for old, new in zip(recorded["records"], replayed["records"]):
-        if here == there:
-            same = old == new
-        elif old["argparse"] and here["python"] != there["python"]:
-            same = old["exit"] == new["exit"]
-        else:
-            same = old["exit"] == new["exit"] and all(
-                battery.max_ulps(old[key], new[key]) <= battery.ULP_BOUND
-                for key in ("stdout", "stderr"))
-        if not same:
-            mismatched.append(" ".join(old["argv"]))
+    mismatched = [" ".join(old["argv"]) for old, new in zip(recorded["records"],
+                                                            replayed["records"])
+                  if not battery.replays(old, new, there, here)]
     assert mismatched == [], ("byte for byte" if here == there
-                              else f"within {battery.ULP_BOUND} ulps")
+                              else "exit codes and the text between the numbers")
     if here == there:
         assert battery.dumps(replayed) == battery.RECORDS.read_text()
 
 
-@pytest.mark.parametrize("recorded, replayed, same", [
-    ('{"D": 0.5}', '{"D": 0.5000000000000001}', True),  # one ulp
-    ('{"D": 1e-300}', '{"D": 1.0000000000001e-300}', True),
-    ('{"D": 0.5}', '{"D": 0.5001}', False),
-    ('{"D": 0.5}', '{"E": 0.5}', False),
-    ('{"D": [1, 2]}', '{"D": [1, 2, 3]}', False),
-    ('{"n": 12}', '{"n": 13}', False),
-    ('{"D": Infinity}', '{"D": 1e308}', False),
-], ids=["one-ulp", "tiny", "moved", "text", "count", "integer", "infinity"])
-def test_numbers_compare_within_the_ulp_bound(recorded, replayed, same):
-    assert (battery.max_ulps(recorded, replayed) <= battery.ULP_BOUND) is same
+REPORT = {"argv": ["verify"], "argparse": False, "exit": 0,
+          "stdout": '{"D_value": 1.1102230246251565e-16, "trials": [1, 2]}\n', "stderr": ""}
+HELP = {"argv": ["--help"], "argparse": True, "exit": 0, "stdout": "usage: divkit\n",
+        "stderr": ""}
+
+
+@pytest.mark.parametrize("record, change, platform, same", [
+    (REPORT, {}, {}, True),
+    (REPORT, {"stdout": '{"D_value": 0.0, "trials": [1, 2]}\n'}, {}, False),
+    # a residual where the exact value is 0, and a count
+    (REPORT, {"stdout": '{"D_value": 0.0, "trials": [1, 2]}\n'}, {"numpy": "1.24.4"}, True),
+    (REPORT, {"stdout": '{"D_value": -3e-15, "trials": [1, 7]}\n'}, {"numpy": "1.24.4"}, True),
+    (REPORT, {"stdout": '{"D_value": 1e-16, "trials": [1, 2, 3]}\n'}, {"numpy": "1.24.4"}, False),
+    (REPORT, {"stdout": '{"D_value": Infinity, "trials": [1, 2]}\n'}, {"numpy": "1.24.4"}, False),
+    (REPORT, {"stdout": '{"E_value": 1e-16, "trials": [1, 2]}\n'}, {"numpy": "1.24.4"}, False),
+    (REPORT, {"stderr": "divkit: 1e-16\n"}, {"numpy": "1.24.4"}, False),
+    (REPORT, {"exit": 1}, {"numpy": "1.24.4"}, False),
+    (HELP, {"stdout": "usage: divkit [-h]\n"}, {"numpy": "1.24.4"}, False),
+    (HELP, {"stdout": "usage: divkit [-h]\n"}, {"python": "3.10"}, True),
+    (HELP, {"exit": 2}, {"python": "3.10"}, False),
+], ids=["same", "residual-here", "residual", "numbers", "count", "infinity", "key", "stderr",
+        "exit", "help-numpy", "help-python", "help-exit"])
+def test_a_replay_compares_bytes_here_and_exit_codes_and_text_elsewhere(
+        recorded, record, change, platform, same):
+    there = recorded["platform"]
+    assert battery.replays(record, dict(record, **change), there,
+                           dict(there, **platform)) is same
+
+
+def test_regeneration_reports_what_moved():
+    old = {"records": [REPORT, HELP]}
+    one_ulp = dict(REPORT, stdout=REPORT["stdout"].replace("65e-16", "68e-16"))
+    new = {"records": [one_ulp, dict(HELP, exit=2, stdout=""), dict(HELP, argv=["-h"])]}
+    assert battery.moves(old, new) == ["divkit verify: stdout 1 ulps",
+                                       "divkit --help: exit 0 -> 2, stdout text",
+                                       "divkit -h: new command"]
+    assert battery.moves(old, old) == []
