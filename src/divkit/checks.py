@@ -53,8 +53,8 @@ from .densities import (
     seeded_rng,
 )
 from .errors import DomainError, EvaluationError, RepresentationError
-from .generators import (PRESETS, GeneratorPhi, GeneratorXi, custom_xi, jhhb_eta, ps_eta,
-                         validate_psi)
+from .generators import (PRESETS, GeneratorPhi, GeneratorXi, custom_xi, jhhb_eta, lift_stencil,
+                         ps_eta, validate_psi)
 from .scores import (equivalent_transform, fdp_divergence, fdp_score, holder_score, jhhb_score,
                      xi_holder_score)
 
@@ -514,6 +514,6 @@ def _strictly_convex_on(phi: GeneratorPhi, lo: float, hi: float) -> bool:
     if hi - lo < 1e-15:
         return False  # degenerate segment: convexity is vacuous
     ts = np.linspace(lo, hi, 101)
-    step = np.maximum(1e-4, 1e-4 * np.abs(ts))
-    second = phi.psi(ts + step) - 2.0 * phi.psi(ts) + phi.psi(ts - step)
+    _, upper, lower = lift_stencil(phi.psi, ts)
+    second = upper - 2.0 * phi.psi(ts) + lower
     return bool(np.min(second) > STRICT_CONVEXITY_TOL)

@@ -387,9 +387,10 @@ def density_value(f: DensityObject, x) -> np.ndarray | float:
     if isinstance(f, GaussianDensity):
         rows = (..., *(np.newaxis,) * x.ndim)  # a batch's parameters against every x
         mu, sigma, mass = (np.asarray(p)[rows] for p in (f.mu, f.sigma, f.mass))
-        with np.errstate(over="ignore"):  # a squared distance of inf gives exp(-inf) = 0
+        # a squared distance of inf gives exp(-inf) = 0, a value past float range inf
+        with np.errstate(over="ignore"):
             r2 = ((x - mu) / sigma) ** 2
-        out = mass * np.exp(-0.5 * r2) / (sigma * SQRT_TWO_PI)
+            out = mass * np.exp(-0.5 * r2) / (sigma * SQRT_TWO_PI)
     elif isinstance(f, GridDensity):
         out = np.interp(x, f.xs, f.values, left=0.0, right=0.0)
     else:

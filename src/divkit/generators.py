@@ -16,8 +16,8 @@ constructor, parameter fields and formula.  The generator evaluates through it,
 :func:`parse_generator` reads the flag text and ``label()`` writes it back.
 
 Validity is established numerically, never symbolically: the conditions are
-sampled on a fixed certificate grid and the result is returned as a
-certificate object recording either success or a concrete counterexample.
+sampled on a fixed certificate grid, and every kind's result is one
+:class:`Certificate`, recording either success or a concrete counterexample.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ GRID_Z_MAX = 1e6
 ETA_NORMALIZATION_TOL = 1e-12
 ETA_BOUND_REL_TOL = 1e-12
 PSI_CONVEXITY_TOL = -1e-9
+PSI_TIE_ROUNDING = 4.0 * np.finfo(float).eps  # times |psi|: the rise a tie may hide
 
 
 @lru_cache(maxsize=1)
@@ -218,49 +219,6 @@ def custom_eta(fn: Callable, gamma: float) -> GeneratorEta:
 def eta_from_table(path, gamma: float) -> GeneratorEta:
     """Custom eta from a two-column (z, value) CSV table."""
     return custom_eta(tabulated(path), gamma)
-
-
-@dataclass(frozen=True)
-class EtaCertificate:
-    """Outcome of sampling the eta side conditions on the certificate grid."""
-
-    valid: bool
-    gamma: float
-    reason: str | None = None  # "normalization" | "lower-bound"
-    z_star: float | None = None
-    gap: float | None = None  # eta(z*) + z* ** (1+gamma)
-
-    def __bool__(self) -> bool:
-        return self.valid
-
-
-def validate_eta(eta: GeneratorEta) -> EtaCertificate:
-    """Certify eta(1) = -1 and eta(z) >= -z**(1+gamma) on the certificate grid.
-
-    gamma is the one eta is bound to, the gamma of every spec that takes it.
-    Returns a certificate; an invalid one carries the most violating z and the
-    signed gap ``eta(z) + z**(1+gamma)``.  Non-finite eta values raise
-    :class:`EvaluationError` naming the offending z.
-    """
-    g = eta.gamma
-    z = certificate_grid()
-    values = eta(z)
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        raise EvaluationError(f"eta evaluated non-finite at z={z[bad][0]:g}")
-
-    at_one = float(values[np.searchsorted(z, 1.0)])
-    if abs(at_one + 1.0) > ETA_NORMALIZATION_TOL:
-        return EtaCertificate(False, g, "normalization", 1.0, at_one + 1.0)
-
-    bound = z ** (1.0 + g)
-    gap = values + bound
-    tol = ETA_BOUND_REL_TOL * np.maximum(1.0, bound)
-    scaled = gap / np.maximum(1.0, bound)
-    worst = int(np.argmin(scaled))
-    if gap[worst] < -tol[worst]:
-        return EtaCertificate(False, g, "lower-bound", float(z[worst]), float(gap[worst]))
-    return EtaCertificate(True, g)
 
 
 # ---------------------------------------------------------------------------
@@ -474,37 +432,80 @@ def _number_text(value: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# psi certificate
+# certificates
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class PsiCertificate:
-    """Outcome of the strict-monotonicity / convexity sampling of psi."""
+class Certificate:
+    """Outcome of sampling a generator's conditions on the certificate grid.
+
+    An invalid one names the ``failure`` ("normalization", "lower-bound",
+    "monotonicity" or "convexity"), the grid ``points`` that witness it (z
+    for eta and xi values, t for a lift) and the offending ``value``: eta's
+    signed gap ``eta(z) + z**(1+gamma)``, a negative xi, or a lift's difference.
+    """
 
     valid: bool
-    failure: str | None = None  # "monotonicity" | "convexity"
-    points: tuple | None = None  # grid points witnessing the violation
-    value: float | None = None  # the offending difference
+    failure: str | None = None
+    points: tuple | None = None
+    value: float | None = None
 
     def __bool__(self) -> bool:
         return self.valid
 
 
-def validate_psi(psi: Callable) -> PsiCertificate:
+@np.errstate(all="ignore")  # a non-finite value is reported, not warned about
+def validate_eta(eta: GeneratorEta) -> Certificate:
+    """Certify eta(1) = -1 and eta(z) >= -z**(1+gamma) on the certificate grid.
+
+    gamma is the one eta is bound to, the gamma of every spec that takes it.
+    An invalid certificate carries the most violating z and the signed gap.
+    Non-finite eta values raise :class:`EvaluationError` naming the offending z.
+    """
+    z = certificate_grid()
+    values = eta(z)
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        raise EvaluationError(f"eta evaluated non-finite at z={z[bad][0]:g}")
+
+    at_one = float(values[np.searchsorted(z, 1.0)])
+    if abs(at_one + 1.0) > ETA_NORMALIZATION_TOL:
+        return Certificate(False, "normalization", (1.0,), at_one + 1.0)
+
+    bound = z ** (1.0 + eta.gamma)
+    gap = values + bound
+    tol = ETA_BOUND_REL_TOL * np.maximum(1.0, bound)
+    worst = int(np.argmin(gap / np.maximum(1.0, bound)))
+    if gap[worst] < -tol[worst]:
+        return Certificate(False, "lower-bound", (float(z[worst]),), float(gap[worst]))
+    return Certificate(True)
+
+
+def lift_stencil(psi: Callable, t: np.ndarray):
+    """The step h = max(1e-4, 1e-4 |t|) of a lift's centred second difference
+    at t, and psi at t + h and at t - h."""
+    step = np.maximum(1e-4, 1e-4 * np.abs(t))
+    return step, _call_vectorized(psi, t + step), _call_vectorized(psi, t - step)
+
+
+@np.errstate(all="ignore")  # infinities are ruled on below, NaN is reported
+def validate_psi(psi: Callable) -> Certificate:
     """Certify psi strictly increasing and convex on the log-argument grid.
 
-    Monotonicity uses forward differences (> 0 required); convexity uses a
-    centered second difference with per-point step max(1e-4, 1e-4 |t|) and
-    tolerance -1e-9, which rides out round-off while catching genuine
-    concavity.  -inf is tolerated as a left-boundary value only.  A
-    contiguous +inf suffix is float saturation of a fast-growing generator
-    and truncates the certificate window from the right; +inf ahead of a
-    finite value, or NaN anywhere, raises :class:`EvaluationError`.
+    Monotonicity uses forward differences (> 0 required).  A zero difference
+    passes where the smallest positive difference to its right is at most
+    4 eps |psi|: a convex psi rises no faster to the left, so its true rise
+    there is below rounding (a power lift near t = log 1e-6).  Convexity uses
+    the centred second difference of :func:`lift_stencil` with tolerance
+    -1e-9, which rides out round-off while catching genuine concavity.  -inf
+    is tolerated as a left-boundary value only.  A contiguous +inf suffix is
+    float saturation of a fast-growing generator and truncates the
+    certificate window from the right; +inf ahead of a finite value, or NaN
+    anywhere, raises :class:`EvaluationError`.
     """
     t = log_certificate_grid()
-    with np.errstate(all="ignore"):
-        v = _call_vectorized(psi, t)
+    v = _call_vectorized(psi, t)
     if np.any(np.isnan(v)):
         where = t[np.isnan(v)][0]
         raise EvaluationError(f"psi evaluated non-finite at t={where:g}")
@@ -518,16 +519,16 @@ def validate_psi(psi: Callable) -> PsiCertificate:
 
     diffs = v[1:] - v[:-1]
     increasing = diffs > 0.0
+    if not np.all(increasing):  # forgive the ties that rounding explains
+        smallest_rise = np.minimum.accumulate(np.where(increasing, diffs, np.inf)[::-1])[::-1]
+        increasing |= (diffs == 0.0) & (smallest_rise <= PSI_TIE_ROUNDING * np.abs(v[:-1]))
     if not np.all(increasing):
         i = int(np.argmin(increasing))
-        return PsiCertificate(False, "monotonicity", (float(t[i]), float(t[i + 1])),
-                              float(diffs[i]))
+        return Certificate(False, "monotonicity", (float(t[i]), float(t[i + 1])),
+                           float(diffs[i]))
 
-    step = np.maximum(1e-4, 1e-4 * np.abs(t))
-    with np.errstate(all="ignore"):
-        upper = _call_vectorized(psi, t + step)
-        lower = _call_vectorized(psi, t - step)
-        second = upper - 2.0 * v + lower
+    step, upper, lower = lift_stencil(psi, t)
+    second = upper - 2.0 * v + lower
     # an overflowing upper stencil value means upward blow-up, not concavity
     second = np.where(np.isposinf(upper), np.inf, second)
     second = np.where(np.isneginf(v) & np.isneginf(lower), np.inf, second)
@@ -536,32 +537,32 @@ def validate_psi(psi: Callable) -> PsiCertificate:
         raise EvaluationError(f"psi evaluated non-finite near t={where:g}")
     if np.any(second < PSI_CONVEXITY_TOL):
         i = int(np.argmin(second))
-        return PsiCertificate(False, "convexity",
-                              (float(t[i] - step[i]), float(t[i]), float(t[i] + step[i])),
-                              float(second[i]))
-    return PsiCertificate(True)
+        return Certificate(False, "convexity",
+                           (float(t[i] - step[i]), float(t[i]), float(t[i] + step[i])),
+                           float(second[i]))
+    return Certificate(True)
 
 
-def validate_phi(phi: GeneratorPhi) -> PsiCertificate:
+def validate_phi(phi: GeneratorPhi) -> Certificate:
     """Certificate for a phi generator (validity of its lift psi)."""
     return validate_psi(phi.psi)
 
 
-def validate_xi(xi: GeneratorXi) -> PsiCertificate:
+@np.errstate(all="ignore")  # a NaN is reported, not warned about
+def validate_xi(xi: GeneratorXi) -> Certificate:
     """Certificate for a xi generator: xi >= 0 plus validity of its lift.
 
     A negative xi value surfaces as a monotonicity failure of log(xi), so the
     nonnegative-range condition is checked explicitly first.
     """
     z = certificate_grid()
-    with np.errstate(all="ignore"):
-        values = xi(z)
+    values = xi(z)
     if np.any(np.isnan(values)):
         raise EvaluationError(f"xi evaluated non-finite at z={z[np.isnan(values)][0]:g}")
     negative = values < 0.0
     if np.any(negative):
         i = int(np.argmax(negative))
-        return PsiCertificate(False, "monotonicity", (float(z[i]),), float(values[i]))
+        return Certificate(False, "monotonicity", (float(z[i]),), float(values[i]))
     return validate_psi(xi.psi)
 
 

@@ -35,6 +35,7 @@ import numpy as np
 from .densities import BracketTriple
 from .errors import DegenerateModelError, DivkitError, DomainError, GeneratorValidityError
 from .generators import (
+    Certificate,
     GeneratorEta,
     GeneratorPhi,
     GeneratorXi,
@@ -282,15 +283,15 @@ class DivergenceSpec:
         return out
 
 
-def _failure_message(slot: str, cert) -> str:
+def _failure_message(slot: str, cert: Certificate) -> str:
     if slot != "eta":
         lift = "phi(e^z)" if slot == "phi" else "log xi(e^z)"
         return (f"{slot} certificate failed: psi(z) = {lift} {cert.failure} "
                 f"violation at {cert.points}")
-    if cert.reason == "normalization":
-        return f"eta certificate failed: eta(1) != -1 (gap {cert.gap:.3e})"
-    return (f"eta certificate failed: eta(z) < -z**(1+gamma) at z={cert.z_star:g} "
-            f"(gap {cert.gap:.3e})")
+    if cert.failure == "normalization":
+        return f"eta certificate failed: eta(1) != -1 (gap {cert.value:.3e})"
+    return (f"eta certificate failed: eta(z) < -z**(1+gamma) at z={cert.points[0]:g} "
+            f"(gap {cert.value:.3e})")
 
 
 # each family's score and divergence, from a bracket triple and a spec

@@ -64,6 +64,7 @@ def write_inputs(directory: Path) -> None:
     (directory / "eta.csv").write_text(
         "z,value\n" + "".join(f"{z!r},{0.5 - 1.5 * z!r}\n" for z in knots))
     (directory / "falling.csv").write_text("z,value\n0,1\n1,0\n2,-1\n")
+    (directory / "flat.csv").write_text("z,value\n0,1\n1,1\n2,2\n")  # max(z, 1)
     (directory / "bad.csv").write_text("a,b\n1,2\n")
 
 
@@ -111,6 +112,16 @@ def commands() -> list[tuple[list[str], bool]]:
          "--g", "g.csv", "--f", "f.csv"],
         ["compute", "--family", "fdpd", "--gamma", "0.5", "--g", "g.csv", "--f", "f.csv"],
     ]]
+    # power lifts flat to rounding near z = 1e-6, a lift flat up to z = 1, and
+    # generators whose certificate grid leaves float range
+    out += [(["compute", "--family", family, "--gamma", gamma, *flags,
+              "--g", "q.csv", "--f", "p.csv"], False) for family, gamma, flags in [
+        *(("fdpd", "1", ["--phi", phi]) for phi in ("power:2.5", "power:3", "power:5",
+                                                    "power:300", "file:flat.csv")),
+        ("holder", "400", ["--eta", "ps"]),
+        ("holder", "1", ["--eta", "jhhb:400"]),
+        ("xi_holder", "1", ["--eta", "dpd", "--xi", "power:400"]),
+    ]]
     verify = []
     for gamma in ("0", "1"):
         for phi in ("identity", "log", "power:0.5", "exp-minus-one"):
@@ -150,7 +161,9 @@ def commands() -> list[tuple[list[str], bool]]:
             ["--family", "jhhb", "--zeta", "0", "--gamma", "0.5"],
             ["--family", "holder", "--eta", "ps", "--gamma", "1"],
             ["--family", "xi_holder", "--eta", "dpd", "--xi", "power:0.5", "--gamma", "0.5"],
-            ["--family", "fdpd", "--phi", "power:0.5", "--gamma", "0"]]
+            ["--family", "fdpd", "--phi", "power:0.5", "--gamma", "0"],
+            ["--family", "fdpd", "--phi", "power:3", "--gamma", "1"],
+            ["--family", "fdpd", "--phi", "power:300", "--gamma", "1"]]
     out += [(["estimate", *flags, "--samples", "s.csv", "--seed", "0"], False)
             for flags in fits]
     sweep = ["sweep", "--outlier", "8", "--n", "300", "--seed", "1",
@@ -158,7 +171,9 @@ def commands() -> list[tuple[list[str], bool]]:
              "--spec", "family=jhhb,zeta=0,gamma=0.5"]
     out += [(sweep + ["--epsilons", "0,0.1"], False),
             (sweep + ["--epsilons", "0.2", "--format", "json"], False),
-            (sweep + ["--epsilons", "nan"], False)]
+            (sweep + ["--epsilons", "nan"], False),
+            (sweep[:-4] + ["--spec", "family=fdpd,phi=power:3,gamma=0.5",
+                           "--epsilons", "0,0.1"], False)]
     return out
 
 

@@ -355,6 +355,14 @@ def test_density_value_grid_interpolates():
     assert density_value(f, 10.0) == 0.0
 
 
+def test_a_gaussian_value_past_float_range_is_inf_without_a_warning():
+    # mass / sigma = 1e600 at the mode; warnings are errors here
+    d = GaussianDensity(0.0, 1e-300, 1e300)
+    assert density_value(d, [0.0, 1.0]).tolist() == [math.inf, 0.0]
+    with pytest.raises(DomainError, match="^values must be finite$"):
+        gaussian_grid(d)
+
+
 # ---------------------------------------------------------------------------
 # constructors and file formats
 # ---------------------------------------------------------------------------

@@ -62,9 +62,9 @@ def test_normalization_counterexample():
     bad = custom_eta(lambda z: -2.0 * np.asarray(z, float) ** 2.0, gamma=1.0)
     cert = validate_eta(bad)
     assert not cert.valid
-    assert cert.reason == "normalization"
-    assert cert.z_star == 1.0
-    assert cert.gap == pytest.approx(-1.0)
+    assert cert.failure == "normalization"
+    assert cert.points == (1.0,)
+    assert cert.value == pytest.approx(-1.0)
 
 
 def test_lower_bound_counterexample():
@@ -72,9 +72,9 @@ def test_lower_bound_counterexample():
     bad = custom_eta(lambda z: 1.0 - 2.0 * np.asarray(z, float) ** 2, gamma=1.0)
     cert = validate_eta(bad)
     assert not cert.valid
-    assert cert.reason == "lower-bound"
-    assert cert.z_star > 1.0
-    assert cert.gap < 0.0
+    assert cert.failure == "lower-bound"
+    assert cert.points[0] > 1.0
+    assert cert.value < 0.0
 
 
 def test_non_finite_eta_is_an_evaluation_error():
@@ -141,7 +141,9 @@ def test_identity_phi_lift_is_exponential_and_valid():
     assert validate_phi(identity_phi()).valid
 
 
-@pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0])
+# above zeta ~ 2.2, (e^(zeta t) - 1)/zeta is -1/zeta to within half an ulp
+# near t = log 1e-6, so neighbouring grid values of the lift are equal floats
+@pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0, 2.5, 3.0, 5.0, 300.0])
 def test_power_phi_valid(zeta):
     assert validate_phi(power_phi(zeta)).valid
 
@@ -161,6 +163,30 @@ def test_decreasing_phi_gives_monotonicity_counterexample():
     assert not cert.valid
     assert cert.failure == "monotonicity"
     assert len(cert.points) == 2
+
+
+def test_a_flat_then_rising_lift_fails_at_its_first_tie():
+    # max(z, 1) is flat up to z = 1; its first rise, about 2.8e-3, is no rounding
+    cert = validate_phi(custom_phi(lambda z: np.maximum(np.asarray(z, float), 1.0)))
+    t = log_certificate_grid()
+    assert not cert.valid
+    assert (cert.failure, cert.points, cert.value) == ("monotonicity", (t[0], t[1]), 0.0)
+
+
+@pytest.mark.parametrize("eta, z", [(ps_eta(400.0), "5.88677"),
+                                    (jhhb_eta(400.0, 1.0), "5.90306")], ids=["ps", "jhhb"])
+def test_an_eta_past_float_range_raises_without_a_warning(eta, z):
+    # warnings are errors here: numpy's overflow warning would escape first
+    with pytest.raises(EvaluationError, match=f"^eta evaluated non-finite at z={z}$"):
+        validate_eta(eta)
+
+
+def test_a_xi_lift_at_minus_infinity_fails_without_a_warning():
+    # xi = z**400 underflows to 0 below z ~ 0.155, and log 0 - log 0 is NaN
+    cert = validate_xi(power_xi(400.0))
+    t = log_certificate_grid()
+    assert not cert.valid
+    assert (cert.failure, cert.points) == ("monotonicity", (t[0], t[1]))
 
 
 def test_concave_lift_gives_convexity_counterexample():
