@@ -27,6 +27,18 @@ perturbations of it, keeps the lowest score, and is deterministic given the
 sample and config.  Its ``converged`` flag describes the descent whose point
 it returns.
 
+The descents run in lockstep (see :func:`_lockstep`): at each step the
+pending points of all running descents share one pass over a block of
+samples and one ``score`` call on their stencils.  A block holds at most
+numpy's buffer of sample values (8192 by default, see
+:func:`numpy.getbufsize`), so that numpy sums each row in one piece, as it
+sums a single point's, and the block stays in a core's cache; at n above
+half the buffer each point has a pass of its own.  Every row of a block
+gets the bits of a one-point evaluation, so each descent takes the steps
+it takes alone.  Where an evaluation raises, the fit raises the error
+of the first failing descent in start order, as descents run one after
+another do.
+
 gamma = 0 estimation is only exposed for generators with constant
 derivative (plain likelihood scoring): for any other generator the gamma = 0
 plug-in score fails to be a composite scoring rule, so requesting it raises
@@ -161,45 +173,61 @@ def empirical_score(samples, f: DensityObject, spec: DivergenceSpec) -> float:
     return score(empirical_brackets(samples, f, spec.gamma), spec)
 
 
-def _outer(spec: DivergenceSpec, x: float, y: float) -> tuple[float, ...]:
-    """F(X, Y), its first partials X dF/dX, Y dF/dY and its second partials in
-    (log X, log Y), by central differences on the scalar map F.
+# the factors of X and of Y at the seven points of _outer's stencil
+_UP, _DOWN = math.exp(OUTER_STEP), math.exp(-OUTER_STEP)
+_STENCIL_X = np.array([1.0, _UP, _DOWN, 1.0, 1.0, _UP, _DOWN])
+_STENCIL_Y = np.array([1.0, 1.0, 1.0, _UP, _DOWN, _UP, _DOWN])
 
-    The seven points of the stencil, the center and its neighbours along
-    log X, log Y and the diagonal, go to ``score`` as one batched bracket;
-    each row is the value that a float bracket of that point gives.
+
+def _outer(spec: DivergenceSpec, xs, ys) -> list[tuple[float, ...]]:
+    """F(X, Y), its first partials X dF/dX, Y dF/dY and its second partials in
+    (log X, log Y), by central differences on the scalar map F, at each
+    (X, Y) pair of ``xs`` and ``ys``.
+
+    The seven points of each stencil, the center and its neighbours along
+    log X, log Y and the diagonal, go to ``score`` as one batched bracket of
+    7 rows per pair; each row is the value that a float bracket of that
+    point gives, so a pair's partials do not depend on the others.
     """
     k = OUTER_STEP
-    up, down = math.exp(k), math.exp(-k)
-    x_up, x_down, y_up, y_down = x * up, x * down, y * up, y * down
-    xs = np.array([x, x_up, x_down, x, x, x_up, x_down])
-    ys = np.array([y, y, y, y_up, y_down, y_up, y_down])
-    center, f_x_up, f_x_down, f_y_up, f_y_down, f_up, f_down = score(
-        BracketTriple(xs, ys, None, spec.gamma), spec).tolist()
-    twice = 2.0 * center
-    f_aa = (f_x_up - twice + f_x_down) / (k * k)
-    f_bb = (f_y_up - twice + f_y_down) / (k * k)
-    # along the diagonal the second difference is f_aa + 2 f_ab + f_bb
-    f_ab = ((f_up - twice + f_down) / (k * k) - f_aa - f_bb) / 2.0
-    return (center, (f_x_up - f_x_down) / (2.0 * k), (f_y_up - f_y_down) / (2.0 * k),
-            f_aa, f_ab, f_bb)
+    stencil_x = np.multiply.outer(xs, _STENCIL_X).ravel()
+    stencil_y = np.multiply.outer(ys, _STENCIL_Y).ravel()
+    values = score(BracketTriple(stencil_x, stencil_y, None, spec.gamma), spec).tolist()
+    out = []
+    for i in range(0, len(values), 7):
+        center, f_x_up, f_x_down, f_y_up, f_y_down, f_up, f_down = values[i:i + 7]
+        twice = 2.0 * center
+        f_aa = (f_x_up - twice + f_x_down) / (k * k)
+        f_bb = (f_y_up - twice + f_y_down) / (k * k)
+        # along the diagonal the second difference is f_aa + 2 f_ab + f_bb
+        f_ab = ((f_up - twice + f_down) / (k * k) - f_aa - f_bb) / 2.0
+        out.append((center, (f_x_up - f_x_down) / (2.0 * k),
+                    (f_y_up - f_y_down) / (2.0 * k), f_aa, f_ab, f_bb))
+    return out
 
 
-def _weighted_sums(e: np.ndarray, r: np.ndarray, r2: np.ndarray) -> tuple[float, ...]:
-    """The sums of e_i r_i**k, k = 0..4; multiplies e by r2 in place."""
-    # einsum rather than a BLAS dot, whose threads stall on a busy machine
-    s0, s1 = float(e.sum()), float(np.einsum("i,i", e, r))
+def _weighted_sums(e: np.ndarray, r: np.ndarray, r2: np.ndarray) -> list[tuple[float, ...]]:
+    """The sums of e_i r_i**k, k = 0..4, of each row; multiplies e by r2 in place.
+
+    Each row's sums are the bits of that row alone where the block fits in
+    numpy's buffer, or has one row: numpy sums a longer block in chunks of
+    the buffer's length, which moves the last bits of its rows.
+    """
+    def dot(a, b):
+        # einsum rather than a BLAS dot, whose threads stall on a busy machine
+        return np.einsum("ij,ij->i", a, b).tolist()
+
+    s0, s1 = e.sum(axis=1).tolist(), dot(e, r)
     e *= r2
-    return (s0, s1, float(e.sum()), float(np.einsum("i,i", e, r)),
-            float(np.einsum("i,i", e, r2)))
+    return list(zip(s0, s1, e.sum(axis=1).tolist(), dot(e, r), dot(e, r2)))
 
 
-def _gaussian_brackets(samples: np.ndarray, gamma: float, mu: float, log_sigma: float,
-                       work: np.ndarray) -> tuple[float, ...]:
-    """X, Y of N(mu, e^log_sigma) on the samples, and the gradient and Hessian
-    of log X in (t, log sigma), with t = (mu' - mu) / sigma in units of this
-    sigma: d/dt, d/dlog sigma, then the second partials in t t, t log sigma
-    and log sigma log sigma.
+def _gaussian_brackets(samples: np.ndarray, gamma: float, points,
+                       work: np.ndarray) -> list[tuple[float, ...]]:
+    """X, Y of N(mu, e^log_sigma) on the samples at each (mu, log sigma) of
+    ``points``, and the gradient and Hessian of log X in (t, log sigma), with
+    t = (mu' - mu) / sigma in units of this sigma: d/dt, d/dlog sigma, then
+    the second partials in t t, t log sigma and log sigma log sigma.
 
     One pass over the samples gives the sums s_k of e_i r_i**k, k = 0..4.
     With m_k = s_k / s0, the moments of r under the weights e_i,
@@ -211,75 +239,95 @@ def _gaussian_brackets(samples: np.ndarray, gamma: float, mu: float, log_sigma: 
         d2 log X / dlog sigma2     = gamma (gamma (m4 - m2^2) - 2 m2)
 
     The exponent is shifted by the smallest r^2, so the sums stay positive
-    when every f(x_i) underflows.  The pass writes into ``work``, a (3, n)
-    array that the fit allocates once: at n = 10^5 a fresh one per call
-    would cost about as much time as the pass itself, in page faults.
+    when every f(x_i) underflows.  The pass writes into ``work``, a
+    (3, rows, n) array that the fit allocates once, one row per point: at
+    n = 10^5 a fresh one per call would cost about as much time as the pass
+    itself, in page faults.  The shifts and scales of each row are scalar
+    ufunc calls on that row, and the square, the exp and the sums run over
+    the whole block; every row gets the bits of a one-point call.
     """
-    r, r2, e = work
-    sigma = math.exp(log_sigma)
-    np.subtract(samples, mu, out=r)
-    r *= 1.0 / sigma
+    r, r2, e = work[:, :len(points)]
+    for row, (mu, log_sigma) in zip(r, points):
+        np.subtract(samples, mu, out=row)
+        row *= 1.0 / math.exp(log_sigma)
     np.multiply(r, r, out=r2)
-    shift = float(r2.min())
-    np.subtract(r2, shift, out=e)
+    shifts = r2.min(axis=1).tolist()
+    for row, row_r2, shift in zip(e, r2, shifts):
+        np.subtract(row_r2, shift, out=row)
     e *= -0.5 * gamma
     np.exp(e, out=e)
-    sums = _weighted_sums(e, r, r2)
-    if not math.isfinite(sum(sums)) and math.isfinite(shift):
-        # r^2 = inf for a sample beyond sqrt(float max) sigma: its weight is
-        # 0, and 0 * inf is NaN, so the sums go over the other samples (when
-        # every r^2 is inf, the NaN stays and a line search rejects the point)
-        near = np.isfinite(r2)
-        r, r2 = r[near], r2[near]
-        sums = _weighted_sums(np.exp(-0.5 * gamma * (r2 - shift)), r, r2)
-    s0, s1, s2, s3, s4 = sums
-    m1, m2, m3, m4 = s1 / s0, s2 / s0, s3 / s0, s4 / s0
-    log_front = -gamma * (0.5 * LOG_TWO_PI + log_sigma)
-    log_x = log_front - 0.5 * gamma * shift + math.log(s0 / samples.size)
-    log_y = log_front - 0.5 * math.log1p(gamma)
-    return (math.exp(max(log_x, LOG_TINY)), math.exp(max(log_y, LOG_TINY)),
-            gamma * m1, gamma * (m2 - 1.0),
-            gamma * (gamma * (m2 - m1 * m1) - 1.0),
-            gamma * (gamma * (m3 - m1 * m2) - 2.0 * m1),
-            gamma * (gamma * (m4 - m2 * m2) - 2.0 * m2))
+    out = []
+    for i, ((_, log_sigma), shift, sums) in enumerate(zip(points, shifts,
+                                                          _weighted_sums(e, r, r2))):
+        if not math.isfinite(sum(sums)) and math.isfinite(shift):
+            # r^2 = inf for a sample beyond sqrt(float max) sigma: its weight
+            # is 0, and 0 * inf is NaN, so the sums go over the other samples
+            # (when every r^2 is inf, the NaN stays and a line search rejects
+            # the point)
+            near = np.isfinite(r2[i])
+            row_r, row_r2 = r[i, near], r2[i, near]
+            sums = _weighted_sums(np.exp(-0.5 * gamma * (row_r2 - shift))[None],
+                                  row_r[None], row_r2[None])[0]
+        s0, s1, s2, s3, s4 = sums
+        m1, m2, m3, m4 = s1 / s0, s2 / s0, s3 / s0, s4 / s0
+        log_front = -gamma * (0.5 * LOG_TWO_PI + log_sigma)
+        log_x = log_front - 0.5 * gamma * shift + math.log(s0 / samples.size)
+        log_y = log_front - 0.5 * math.log1p(gamma)
+        out.append((math.exp(max(log_x, LOG_TINY)), math.exp(max(log_y, LOG_TINY)),
+                    gamma * m1, gamma * (m2 - 1.0),
+                    gamma * (gamma * (m2 - m1 * m1) - 1.0),
+                    gamma * (gamma * (m3 - m1 * m2) - 2.0 * m1),
+                    gamma * (gamma * (m4 - m2 * m2) - 2.0 * m2)))
+    return out
 
 
 def gaussian_objective(samples: np.ndarray, spec: DivergenceSpec, work: np.ndarray):
     """The plug-in score of N(mu, sigma) over (mu, log sigma), for gamma > 0.
 
-    ``objective((mu, log sigma))`` returns five things: the score F; its
-    gradient and its Hessian (a pair of rows) in (t, log sigma), with t in
-    units of that point's sigma, both divided by that point's sensitivity
+    ``objective(points)`` takes a list of points (mu, log sigma) and
+    returns, for each, five things: the score F; its gradient and its
+    Hessian (a pair of rows) in (t, log sigma), with t in units of that
+    point's sigma, both divided by that point's sensitivity
     |X dF/dX| + |Y dF/dY|; the sensitivity; and sigma.  The division lets one
     gradient tolerance serve every location, scale and family; where both
     first partials of F are 0 the gradient is NaN, so a descent stops there
     unconverged.  Outside [SIGMA_FLOOR, e**MAX_LOG_SIGMA] sigma is held at
     the bound, and the log sigma component of the gradient and the log sigma
-    row and column of the Hessian are 0.  Every pass over the samples writes
-    into ``work`` (see :func:`_gaussian_brackets`).
+    row and column of the Hessian are 0.  The points share one ``score``
+    call (see :func:`_outer`) and, ``work.shape[1]`` points at a time, a
+    pass over the samples, which writes into ``work`` (see
+    :func:`_gaussian_brackets`); each point's result is the bits of a
+    one-point call.
     """
     gamma = spec.gamma
     log_floor = math.log(SIGMA_FLOOR)
 
-    def objective(params):
-        mu, log_sigma = params
-        held = min(max(log_sigma, log_floor), MAX_LOG_SIGMA)
-        x, y, a_t, a_u, a_tt, a_tu, a_uu = _gaussian_brackets(samples, gamma, mu, held, work)
-        value, ex, ey, f_aa, f_ab, f_bb = _outer(spec, x, y)
-        # F(log X, log Y) with d log Y / dlog sigma = -gamma the only
-        # nonzero partial of log Y
-        d_t, h_tt = ex * a_t, f_aa * a_t * a_t + ex * a_tt
-        if held != log_sigma:
-            d_u = h_tu = h_uu = 0.0
-        else:
-            d_u = ex * a_u - gamma * ey
-            h_tu = (f_aa * a_u - gamma * f_ab) * a_t + ex * a_tu
-            h_uu = (f_aa * a_u - 2.0 * gamma * f_ab) * a_u + gamma * gamma * f_bb + ex * a_uu
-        sensitivity = abs(ex) + abs(ey)
-        norm = sensitivity or math.nan
-        h_tu /= norm
-        return (value, (d_t / norm, d_u / norm), ((h_tt / norm, h_tu), (h_tu, h_uu / norm)),
-                sensitivity, math.exp(held))
+    def objective(points):
+        held = [(mu, min(max(log_sigma, log_floor), MAX_LOG_SIGMA)) for mu, log_sigma in points]
+        rows = work.shape[1]
+        brackets = [bracket for first in range(0, len(held), rows)
+                    for bracket in _gaussian_brackets(samples, gamma, held[first:first + rows],
+                                                      work)]
+        outers = _outer(spec, [b[0] for b in brackets], [b[1] for b in brackets])
+        out = []
+        for (_, log_sigma), (_, u), bracket, outer in zip(points, held, brackets, outers):
+            _, _, a_t, a_u, a_tt, a_tu, a_uu = bracket
+            value, ex, ey, f_aa, f_ab, f_bb = outer
+            # F(log X, log Y) with d log Y / dlog sigma = -gamma the only
+            # nonzero partial of log Y
+            d_t, h_tt = ex * a_t, f_aa * a_t * a_t + ex * a_tt
+            if u != log_sigma:
+                d_u = h_tu = h_uu = 0.0
+            else:
+                d_u = ex * a_u - gamma * ey
+                h_tu = (f_aa * a_u - gamma * f_ab) * a_t + ex * a_tu
+                h_uu = (f_aa * a_u - 2.0 * gamma * f_ab) * a_u + gamma * gamma * f_bb + ex * a_uu
+            sensitivity = abs(ex) + abs(ey)
+            norm = sensitivity or math.nan
+            h_tu /= norm
+            out.append((value, (d_t / norm, d_u / norm),
+                        ((h_tt / norm, h_tu), (h_tu, h_uu / norm)), sensitivity, math.exp(u)))
+        return out
 
     return objective
 
@@ -319,8 +367,8 @@ def minimize(objective: Callable, x0: tuple[float, float], max_iterations: int,
     """Safeguarded Newton descent over (mu, log sigma).
 
     ``objective(x)`` returns ``(value, gradient, hessian, sensitivity,
-    sigma)`` as :func:`gaussian_objective` does: the gradient as a pair and
-    the Hessian as a pair of rows, in (t, log sigma) with t in units of
+    sigma)`` as :func:`gaussian_objective` does for each point: the gradient
+    as a pair and the Hessian as a pair of rows, in (t, log sigma) with t in units of
     ``sigma``, both divided by ``sensitivity``.  The descent succeeds when
     every gradient component is below GRADIENT_TOLERANCE.  Each step is the
     Newton step of the eigenvalue-floored Hessian (see :func:`_newton_step`),
@@ -334,9 +382,19 @@ def minimize(objective: Callable, x0: tuple[float, float], max_iterations: int,
     descent fails after ``max_iterations`` steps, when MAX_HALVINGS halvings
     find no decrease, or when the step is not a descent direction (a NaN
     gradient or Hessian).
+
+    This is :func:`_lockstep` on one start.  A fit runs its descents in
+    lockstep, where each descent takes the steps it takes here.
     """
+    return _lockstep(lambda points: [objective(points[0])], [x0], max_iterations, min_unit)[0]
+
+
+def _descent(x0: tuple[float, float], max_iterations: int, min_unit: float):
+    """The descent of :func:`minimize` as a generator: it yields each point
+    to evaluate, is sent that point's evaluation, and returns its
+    :class:`Minimum`."""
     x = x0
-    value, grad, hess, sensitivity, sigma = objective(x)
+    value, grad, hess, sensitivity, sigma = yield x
     nfev, nit = 1, 0
     # written so that a NaN component never passes
     while not (abs(grad[0]) < GRADIENT_TOLERANCE and abs(grad[1]) < GRADIENT_TOLERANCE):
@@ -357,7 +415,7 @@ def minimize(objective: Callable, x0: tuple[float, float], max_iterations: int,
         length = 1.0
         for _ in range(MAX_HALVINGS + 1):
             trial = (x[0] + length * step[0] * unit, x[1] + length * step[1])
-            found = objective(trial)
+            found = yield trial
             nfev += 1
             # strict: a step whose gain rounds away is no progress
             if found[0] < value + length * drop:
@@ -367,6 +425,59 @@ def minimize(objective: Callable, x0: tuple[float, float], max_iterations: int,
             return Minimum(x, value, nfev, nit, False)
         x, (value, grad, hess, sensitivity, sigma) = trial, found
     return Minimum(x, value, nfev, nit, True)
+
+
+def _evaluate_in_order(objective: Callable, points: list) -> tuple[list, Exception | None]:
+    """``objective(points)``, and None; where that raises, the evaluations
+    of the points before the first that raises alone, and its error."""
+    try:
+        return objective(points), None
+    except Exception as err:
+        if len(points) == 1:
+            return [], err
+    found = []
+    for point in points:
+        try:
+            found += objective([point])
+        except Exception as err:
+            return found, err
+    return found, None
+
+
+def _lockstep(objective: Callable, starts: list, max_iterations: int,
+              min_unit: float) -> list[Minimum]:
+    """A descent from each start, run together: the :class:`Minimum` of each.
+
+    ``objective(points)`` evaluates a list of points (see
+    :func:`gaussian_objective`).  At each step the pending points of all
+    running descents are evaluated in one call, in start order, and each is
+    sent back to its descent.  A descent so takes the steps that it takes
+    alone.  Where the call raises, its points are evaluated one to a call.
+    The descent whose point raises stops, and so do the descents after it in
+    start order; those before it run on.  At the end the error of the first
+    failing descent in start order is raised, as running the descents one
+    after another raises it.
+    """
+    descents = [_descent(x0, max_iterations, min_unit) for x0 in starts]
+    pending = {i: next(descent) for i, descent in enumerate(descents)}  # start -> point
+    ends = [None] * len(starts)
+    failure = None
+    while pending:
+        order = list(pending)
+        found, error = _evaluate_in_order(objective, [pending[i] for i in order])
+        if error is not None:  # raised by a descent before any that failed earlier
+            failure = error
+        for i in order[len(found):]:  # a failing descent and those after it
+            del pending[i]
+        for i, evaluation in zip(order, found):
+            try:
+                pending[i] = descents[i].send(evaluation)
+            except StopIteration as stop:
+                ends[i] = stop.value
+                del pending[i]
+    if failure is not None:
+        raise failure
+    return ends
 
 
 def _on_floor(sigma: float) -> bool:
@@ -379,12 +490,12 @@ def _on_floor(sigma: float) -> bool:
 def fit(problem: EstimationProblem) -> EstimationResult:
     """Minimize the empirical score over (mu, log sigma).
 
-    gamma = 0 returns the closed-form minimizer.  gamma > 0 runs a Newton
-    descent (:func:`minimize`) from the base initial point (sample median,
-    scaled interquartile range) and from its START_OFFSETS perturbations, and
-    keeps the lowest score.  The fit is converged when the descent whose
-    point it returns met the gradient tolerance and sigma did not land on
-    SIGMA_FLOOR.
+    gamma = 0 returns the closed-form minimizer.  gamma > 0 runs the Newton
+    descent of :func:`minimize` from the base initial point (sample median,
+    scaled interquartile range) and from its START_OFFSETS perturbations, in
+    lockstep (:func:`_lockstep`), and keeps the lowest score.  The fit is
+    converged when the descent whose point it returns met the gradient
+    tolerance and sigma did not land on SIGMA_FLOOR.
     """
     samples = problem.samples
     spec = problem.spec
@@ -408,18 +519,22 @@ def fit(problem: EstimationProblem) -> EstimationResult:
     if cfg.initial is not None:
         mu0, sigma0 = cfg.initial
     else:
-        # both order statistics partition one scratch copy in place; their
-        # values do not depend on the order they leave behind
-        scratch = samples.copy()
-        mu0 = float(np.median(scratch, overwrite_input=True))
-        q75, q25 = np.percentile(scratch, [75.0, 25.0], overwrite_input=True)
+        # both order statistics partition one sorted scratch copy in place,
+        # where selection costs less than on the unsorted samples; their
+        # values do not depend on the order
+        ordered = np.sort(samples)
+        mu0 = float(np.median(ordered, overwrite_input=True))
+        q75, q25 = np.percentile(ordered, [75.0, 25.0], overwrite_input=True)
         sigma0 = float((q75 - q25) / 1.349)
     sigma0 = max(sigma0, 1e-3)
 
-    objective = gaussian_objective(samples, spec, np.empty((3, samples.size)))
     u0 = math.log(sigma0)
-    runs = [minimize(objective, (mu0 + sigma0 * dt, u0 + du), cfg.max_iterations, sigma0)
-            for dt, du in [(0.0, 0.0)] + START_OFFSETS]
+    starts = [(mu0 + sigma0 * dt, u0 + du) for dt, du in [(0.0, 0.0)] + START_OFFSETS]
+    # a block of points fits numpy's buffer (see the module docstring); at
+    # n = 10^5 four points in one pass also cost more than four one-point passes
+    rows = max(1, min(len(starts), np.getbufsize() // samples.size))
+    objective = gaussian_objective(samples, spec, np.empty((3, rows, samples.size)))
+    runs = _lockstep(objective, starts, cfg.max_iterations, sigma0)
     best = min(runs, key=lambda res: res.fun)
     sigma_hat = math.exp(min(max(best.x[1], log_floor), MAX_LOG_SIGMA))
     at_floor = _on_floor(sigma_hat)

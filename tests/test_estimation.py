@@ -37,6 +37,7 @@ from divkit import (
     score,
 )
 from divkit.estimation import (
+    MAX_LOG_SIGMA,
     OUTER_STEP,
     SIGMA_FLOOR,
     START_OFFSETS,
@@ -44,6 +45,7 @@ from divkit.estimation import (
     Minimum,
     _gaussian_brackets,
     _outer,
+    _weighted_sums,
     gaussian_objective,
     minimize,
 )
@@ -156,7 +158,10 @@ OBJECTIVE_SPECS = [
 def objective_and_score(samples, spec):
     """gaussian_objective on the samples, and the plug-in score it evaluates,
     as a function of (mu, log sigma)."""
-    objective = gaussian_objective(samples, spec, np.empty((3, samples.size)))
+    block = gaussian_objective(samples, spec, np.empty((3, 1, samples.size)))
+
+    def objective(point):
+        return block([point])[0]
 
     def reference(mu, u):
         return empirical_score(samples, GaussianDensity(mu, math.exp(u)), spec)
@@ -327,17 +332,95 @@ def test_outer_is_seven_float_bracket_scores_bit_for_bit(name, gamma, table_path
     spec = _outer_spec(name, gamma, table_paths)
     samples = seeded_contaminated(n=300, eps=0.1)
     points = [(0.3, 0.25), (2.0, 0.7), (1e-5, 3e-6), (sys.float_info.min, 1e-300)]
-    work = np.empty((3, samples.size))
-    points += [_gaussian_brackets(samples, gamma, mu, u, work)[:2]
+    work = np.empty((3, 1, samples.size))
+    points += [_gaussian_brackets(samples, gamma, [(mu, u)], work)[0][:2]
                for mu, u in ((0.0, 0.0), (1.5, -2.0), (-30.0, 3.0))]
     for x, y in points:
         try:
             expected = [v.hex() for v in _outer_reference(spec, x, y)]
         except DivkitError as err:  # a point out of float range or xi's support
             with pytest.raises(type(err), match=re.escape(str(err))):
-                _outer(spec, x, y)
+                _outer(spec, [x], [y])
             continue
-        assert [v.hex() for v in _outer(spec, x, y)] == expected
+        assert [v.hex() for v in _outer(spec, [x], [y])[0]] == expected
+
+
+def _flat_hex(evaluation):
+    """The floats of an objective's evaluation, flattened, as hex."""
+    value, grad, hess, sensitivity, sigma = evaluation
+    return [v.hex() for v in (value, *grad, *hess[0], *hess[1], sensitivity, sigma)]
+
+
+def _raised(call):
+    """call(), or the DivkitError that it raises."""
+    try:
+        return call()
+    except DivkitError as err:
+        return err
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("name", sorted(OUTER_SPECS))
+@np.errstate(over="ignore", invalid="ignore")  # as in fit
+def test_a_block_of_points_gives_the_bits_of_one_point_calls(name, gamma, table_paths):
+    spec = _outer_spec(name, gamma, table_paths)
+    # r^2 of the last sample is inf at sigma 1, so those rows sum over the
+    # others; at sigma e^25 it is finite
+    samples = np.r_[seeded_contaminated(n=300, eps=0.1), 1e160]
+    assert not np.isfinite(samples[-1] ** 2)
+    points = [(0.3, 0.0), (0.5, 25.0), (-1.0, -0.7), (2.0, 0.0)]
+    one_row = np.empty((3, 1, samples.size))
+    alone = [_gaussian_brackets(samples, gamma, [point], one_row)[0] for point in points]
+    together = _gaussian_brackets(samples, gamma, points, np.empty((3, 4, samples.size)))
+    assert [[v.hex() for v in row] for row in together] == [
+        [v.hex() for v in row] for row in alone]
+
+    # the stencils of those brackets and of points at the edges of float range
+    pairs = [row[:2] for row in alone] + [(0.3, 0.25), (1e-5, 3e-6),
+                                          (sys.float_info.min, 1e-300), (math.nan, 1.0)]
+    outcomes = [_raised(lambda: _outer(spec, [x], [y])[0]) for x, y in pairs]
+    good = [(pair, got) for pair, got in zip(pairs, outcomes) if not isinstance(got, DivkitError)]
+    failing = [(pair, got) for pair, got in zip(pairs, outcomes) if isinstance(got, DivkitError)]
+    assert len(good) >= 4 and failing  # (nan, 1) leaves float range in every family
+    xs, ys = zip(*(pair for pair, _ in good))
+    assert [[v.hex() for v in row] for row in _outer(spec, xs, ys)] == [
+        [v.hex() for v in got] for _, got in good]
+    for pair, err in failing:
+        xs, ys = zip(*(pair for pair, _ in good[:2]), pair, *(pair for pair, _ in good[2:]))
+        with pytest.raises(type(err), match=re.escape(str(err))):
+            _outer(spec, xs, ys)
+
+    # whole evaluations, with sigma held below its floor and above its top,
+    # and at n = 2500, where a fit's block of three rows takes four points
+    # as 3 + 1 rows
+    held = [(0.1, math.log(SIGMA_FLOOR) - 2.0), (0.2, MAX_LOG_SIGMA + 1.0)]
+    large = np.random.default_rng(3).standard_normal(2500)
+    assert np.getbufsize() // large.size == 3
+    for sample_set, point_set, rows in ((samples, points + held, 6), (large, points, 3)):
+        one_point = gaussian_objective(sample_set, spec, np.empty((3, 1, sample_set.size)))
+        block = gaussian_objective(sample_set, spec, np.empty((3, rows, sample_set.size)))
+        expected = [_raised(lambda: _flat_hex(one_point([point])[0])) for point in point_set]
+        if any(isinstance(outcome, DivkitError) for outcome in expected):
+            continue  # a point whose score leaves float range: _lockstep's case
+        assert [_flat_hex(e) for e in block(point_set)] == expected
+
+
+@pytest.mark.parametrize("n", [np.getbufsize() + 1, 10_000, 100_000])
+def test_a_one_row_block_sums_as_one_dimensional_arrays(n):
+    # a fit at n above numpy's buffer, and the non-finite fallback, sum one
+    # row at a time: each sum must be the bits of the same sum on 1-D arrays
+    rng = np.random.default_rng(n)
+    r = 3.0 * rng.standard_normal(n)
+    r2 = r * r
+    e = np.exp(-0.25 * (r2 - r2.min()))
+    expected = [e.sum(), np.einsum("i,i", e, r)]
+    e_r2 = e * r2
+    expected += [e_r2.sum(), np.einsum("i,i", e_r2, r), np.einsum("i,i", e_r2, r2)]
+    work = np.empty((3, 1, n))
+    work[0, 0], work[1, 0], work[2, 0] = r, r2, e
+    got = _weighted_sums(work[2, :1], work[0, :1], work[1, :1])
+    assert len(got) == 1
+    assert [v.hex() for v in got[0]] == [float(v).hex() for v in expected]
 
 
 # ---------------------------------------------------------------------------
@@ -586,13 +669,10 @@ def test_converged_describes_the_descent_whose_point_is_returned(monkeypatch, de
                                                                  converged):
     # canned descents, one per start, each ending where it started: the
     # second, from START_OFFSETS[0], has the lowest value
-    canned = iter(descents)
+    def lockstep_canned(objective, starts, max_iterations, min_unit):
+        return [Minimum(x0, fun, 3, 2, success) for x0, (fun, success) in zip(starts, descents)]
 
-    def minimize_canned(objective, x0, max_iterations, min_unit):
-        fun, success = next(canned)
-        return Minimum(x0, fun, 3, 2, success)
-
-    monkeypatch.setattr(estimation, "minimize", minimize_canned)
+    monkeypatch.setattr(estimation, "_lockstep", lockstep_canned)
     problem = EstimationProblem(seeded_contaminated(n=200), DPD_HALF,
                                 OptimizerConfig(initial=(0.0, 1.0)))
     res = fit(problem)
@@ -600,6 +680,122 @@ def test_converged_describes_the_descent_whose_point_is_returned(monkeypatch, de
     assert (res.mu, res.sigma) == (dt, math.exp(du))
     assert res.converged is converged and res.optimizer_converged is converged
     assert res.evaluations == (3, 3, 3, 3)
+
+
+def _spy_lockstep(monkeypatch):
+    """Record the arguments of every _lockstep call of a fit, its result, and
+    the rows of its objective's work block."""
+    calls, rows = [], []
+    lockstep, objective = estimation._lockstep, estimation.gaussian_objective
+
+    def objective_spy(samples, spec, work):
+        rows.append(work.shape[1])
+        return objective(samples, spec, work)
+
+    def spy(objective, starts, max_iterations, min_unit):
+        calls.append({"starts": starts, "max_iterations": max_iterations,
+                      "min_unit": min_unit, "rows": rows[-1] if rows else None})
+        calls[-1]["ends"] = lockstep(objective, starts, max_iterations, min_unit)
+        return calls[-1]["ends"]
+
+    monkeypatch.setattr(estimation, "gaussian_objective", objective_spy)
+    monkeypatch.setattr(estimation, "_lockstep", spy)
+    return calls
+
+
+@pytest.mark.parametrize("samples", [
+    np.r_[np.random.default_rng(2).standard_normal(301), np.full(40, 2.5)],
+    np.random.default_rng(4).permutation(np.r_[np.arange(100.0), np.arange(100.0)]),
+    [3.0, 1.0, 2.0, 2.0, 5.0],
+    [7.0, -1.0, 7.0, 0.5],
+], ids=["ties-odd", "ties-even", "five", "four"])
+def test_the_default_start_is_the_order_statistics_of_the_samples(monkeypatch, samples):
+    calls = _spy_lockstep(monkeypatch)
+    fit(EstimationProblem(samples, DPD_HALF))
+    # the order statistics of an unsorted copy
+    scratch = np.array(samples, dtype=float)
+    assert not np.all(np.diff(scratch) >= 0.0)
+    mu0 = float(np.median(scratch, overwrite_input=True))
+    q75, q25 = np.percentile(scratch, [75.0, 25.0], overwrite_input=True)
+    sigma0 = max(float((q75 - q25) / 1.349), 1e-3)
+    (mu, u), min_unit = calls[0]["starts"][0], calls[0]["min_unit"]
+    assert (mu.hex(), u.hex(), min_unit.hex()) == (mu0.hex(), math.log(sigma0).hex(),
+                                                   sigma0.hex())
+
+
+FIT_SETS = {
+    "x1": lambda base: base,
+    "x1e4": lambda base: 1e4 * base - 3,
+    "x1e-3": lambda base: 1e-3 * base + 0.2,
+}
+
+
+def _one_after_another(samples, spec, call):
+    """minimize from each start of a recorded _lockstep call, in turn."""
+    objective = gaussian_objective(samples, spec, np.empty((3, 1, samples.size)))
+    return [minimize(lambda x: objective([x])[0], x0, call["max_iterations"], call["min_unit"])
+            for x0 in call["starts"]]
+
+
+def _ends_hex(ends):
+    return [(end.x[0].hex(), end.x[1].hex(), end.fun.hex(), end.nfev, end.nit, end.success)
+            for end in ends]
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("name", sorted(OUTER_SPECS))
+def test_lockstep_descents_end_as_descents_run_one_after_another(monkeypatch, name, gamma,
+                                                                  table_paths):
+    spec = _outer_spec(name, gamma, table_paths)
+    base = contaminated_sample(700, 0.1, 5.0, [3, 100000000])
+    calls = _spy_lockstep(monkeypatch)
+    for scale in FIT_SETS.values():
+        samples = scale(base)
+        got = _raised(lambda: fit(EstimationProblem(samples, spec)))
+        call = calls[-1]
+        assert call["rows"] == 4
+        expected = _raised(lambda: _one_after_another(samples, spec, call))
+        if isinstance(expected, DivkitError):
+            assert (type(got), str(got)) == (type(expected), str(expected))
+            continue
+        assert _ends_hex(call["ends"]) == _ends_hex(expected)
+
+
+@pytest.mark.parametrize("n, rows", [(2500, 3), (4000, 2), (10_000, 1)])
+@pytest.mark.parametrize("spec", [DPD_HALF, GDIV_HALF], ids=["dpd", "gdiv"])
+def test_lockstep_descents_in_blocks_of_fewer_rows(monkeypatch, spec, n, rows):
+    # blocks of 3 + 1 and 2 + 2 rows, and one-row blocks at n above numpy's
+    # buffer, where a block of more rows would sum each row in chunks
+    samples = seeded_contaminated(n=n, eps=0.1, loc=5.0)
+    calls = _spy_lockstep(monkeypatch)
+    fit(EstimationProblem(samples, spec))
+    call = calls[-1]
+    assert call["rows"] == rows
+    assert _ends_hex(call["ends"]) == _ends_hex(_one_after_another(samples, spec, call))
+
+
+def test_a_fit_raises_the_error_of_the_first_failing_descent_in_start_order(monkeypatch):
+    # a bowl around mu = 3 at sigma 1, where the starts are (0, 0),
+    # (0.5, 0.3), (-0.5, -0.3) and (0.5, -0.3) and every first step is
+    # capped at MAX_STEP: the third descent fails at its start, the first
+    # one step later, at mu = 2, and the others converge at mu = 3
+    failed = []
+
+    def evaluate(point):
+        mu, u = point
+        if mu < -0.4 or mu == 2.0:
+            failed.append(mu)
+            raise DomainError(f"no score at mu={mu!r}")
+        return (0.5 * ((mu - 3.0) ** 2 + u * u), (mu - 3.0, u), ((1.0, 0.0), (0.0, 1.0)),
+                1.0, 1.0)
+
+    monkeypatch.setattr(estimation, "gaussian_objective",
+                        lambda samples, spec, work: lambda points: [evaluate(x) for x in points])
+    problem = EstimationProblem(seeded_contaminated(n=200), DPD_HALF,
+                                OptimizerConfig(initial=(0.0, 1.0)))
+    with pytest.raises(DomainError, match=re.escape("no score at mu=2.0")):
+        fit(problem)
+    assert failed[0] == -0.5 and failed[-1] == 2.0
 
 
 # fits whose F(X, Y) varies by 1e-5..1e-7 of its value on the 1e4-scaled
