@@ -30,14 +30,27 @@ it returns.
 The descents run in lockstep (see :func:`_lockstep`): at each step the
 pending points of all running descents share one pass over a block of
 samples and one ``score`` call on their stencils.  A block holds at most
-numpy's buffer of sample values (8192 by default, see
-:func:`numpy.getbufsize`), so that numpy sums each row in one piece, as it
-sums a single point's, and the block stays in a core's cache; at n above
-half the buffer each point has a pass of its own.  Every row of a block
-gets the bits of a one-point evaluation, so each descent takes the steps
-it takes alone.  Where an evaluation raises, the fit raises the error
+COARSE_SAMPLES = 8192 sample values, so that numpy sums each row as it sums
+a single point's (the rows of a block of longer rows move in their last
+bits, at any :func:`numpy.setbufsize`), and the block stays in a core's
+cache; at n above 4096 each point has a pass of its own.  Every row of a
+block gets the bits of a one-point evaluation, so each descent takes the
+steps it takes alone.  Where an evaluation raises, the fit raises the error
 of the first failing descent in start order, as descents run one after
 another do.
+
+Above COARSE_ABOVE = 12288 samples a fit runs in two phases.  The coarse
+phase runs the descents on a fixed quantile subsample of COARSE_SAMPLES
+order statistics (see :func:`_quantile_subsample`), which locates the
+minima; at n = 10^5 its passes cost about a twelfth of full ones.  Coarse
+end points within SAME_MINIMUM of each other in (t, log sigma) are one
+minimum (see :func:`_distinct`), and the fine phase descends on all the
+samples from each distinct one, usually in two evaluations.  The fit returns the lowest
+fine end point, so it meets the gradient tolerance on the full sample as a
+one-phase fit does.  Its ``evaluations`` list the coarse descents, then the
+fine ones, and its ``iterations`` count the steps of both.  Where a
+descent of either phase raises, the fit raises as above.  The result does
+not depend on :func:`numpy.setbufsize`.
 
 gamma = 0 estimation is only exposed for generators with constant
 derivative (plain likelihood scoring): for any other generator the gamma = 0
@@ -92,6 +105,18 @@ MAX_LOG_SIGMA = 700.0
 START_OFFSETS = [(0.5, 0.3), (-0.5, -0.3), (0.5, -0.3)]
 # sigma is held at or above this; a fit that ends on it is unconverged
 SIGMA_FLOOR = 1e-6
+# numpy sums each row of a (rows, n) block as it sums that row alone while
+# n is at most this (numpy.getbufsize() does not move it), so a block holds
+# at most this many values.  A fit on more than COARSE_ABOVE samples first
+# descends on a quantile subsample of this size (see fit); up to about 1.25
+# times this size, the subsample's descents cost about what they save
+COARSE_SAMPLES = 8192
+COARSE_ABOVE = 3 * COARSE_SAMPLES // 2
+# coarse end points closer than this in (t, log sigma), t in the sigma of the
+# end kept, are one minimum: on 519 fits at n 1.5e4 to 1e5, ends of one basin
+# agreed to 2e-7 in 9 pairs of 10, and distinct minima were 0.5 or more apart
+# (except on one noise-limited score)
+SAME_MINIMUM = 1e-3
 
 
 @dataclass(frozen=True)
@@ -209,9 +234,9 @@ def _outer(spec: DivergenceSpec, xs, ys) -> list[tuple[float, ...]]:
 def _weighted_sums(e: np.ndarray, r: np.ndarray, r2: np.ndarray) -> list[tuple[float, ...]]:
     """The sums of e_i r_i**k, k = 0..4, of each row; multiplies e by r2 in place.
 
-    Each row's sums are the bits of that row alone where the block fits in
-    numpy's buffer, or has one row: numpy sums a longer block in chunks of
-    the buffer's length, which moves the last bits of its rows.
+    Each row's sums are the bits of that row alone where the rows hold at
+    most COARSE_SAMPLES values, or there is one row: numpy sums the rows of
+    a block of longer rows in pieces, which moves their last bits.
     """
     def dot(a, b):
         # einsum rather than a BLAS dot, whose threads stall on a busy machine
@@ -281,6 +306,11 @@ def _gaussian_brackets(samples: np.ndarray, gamma: float, points,
     return out
 
 
+def _held(log_sigma: float) -> float:
+    """log sigma held in [log SIGMA_FLOOR, MAX_LOG_SIGMA]."""
+    return min(max(log_sigma, math.log(SIGMA_FLOOR)), MAX_LOG_SIGMA)
+
+
 def gaussian_objective(samples: np.ndarray, spec: DivergenceSpec, work: np.ndarray):
     """The plug-in score of N(mu, sigma) over (mu, log sigma), for gamma > 0.
 
@@ -300,10 +330,9 @@ def gaussian_objective(samples: np.ndarray, spec: DivergenceSpec, work: np.ndarr
     one-point call.
     """
     gamma = spec.gamma
-    log_floor = math.log(SIGMA_FLOOR)
 
     def objective(points):
-        held = [(mu, min(max(log_sigma, log_floor), MAX_LOG_SIGMA)) for mu, log_sigma in points]
+        held = [(mu, _held(log_sigma)) for mu, log_sigma in points]
         rows = work.shape[1]
         brackets = [bracket for first in range(0, len(held), rows)
                     for bracket in _gaussian_brackets(samples, gamma, held[first:first + rows],
@@ -484,6 +513,46 @@ def _on_floor(sigma: float) -> bool:
     return sigma <= SIGMA_FLOOR * (1.0 + 1e-9)
 
 
+def _median(ordered: np.ndarray) -> float:
+    """numpy's median of a sorted array: the mean of its middle pair at even n."""
+    half = ordered.size // 2
+    if ordered.size % 2:
+        return float(ordered[half])
+    return (float(ordered[half - 1]) + float(ordered[half])) / 2.0
+
+
+def _percentile(ordered: np.ndarray, q: float) -> float:
+    """numpy's ``linear`` percentile of a sorted array at the fraction q, in
+    numpy's arithmetic: interpolated from the nearer of its two neighbours."""
+    virtual = (ordered.size - 1) * q
+    below = math.floor(virtual)
+    a, b = float(ordered[below]), float(ordered[min(below + 1, ordered.size - 1)])
+    t = virtual - below
+    if t >= 0.5:
+        return b - (b - a) * (1.0 - t)
+    return a + (b - a) * t
+
+
+def _quantile_subsample(ordered: np.ndarray) -> np.ndarray:
+    """COARSE_SAMPLES order statistics of a sorted array: the one nearest the
+    middle of each of COARSE_SAMPLES equal runs, where the i-th (from 0)
+    spans [i, i + 1).  The picks of the upper half mirror those of the lower
+    half, so the subsample of a x + b is that of x mapped, also for a < 0."""
+    n, m = ordered.size, COARSE_SAMPLES
+    lower = (2 * np.arange(m // 2) + 1) * n // (2 * m)
+    return ordered[np.concatenate([lower, n - 1 - lower[::-1]])]
+
+
+def _distinct(points: list) -> list:
+    """The points, without those within SAME_MINIMUM of an earlier one."""
+    kept = []
+    for mu, u in points:
+        if not any(max(abs(mu - k_mu) / math.exp(_held(k_u)), abs(u - k_u)) <= SAME_MINIMUM
+                   for k_mu, k_u in kept):
+            kept.append((mu, u))
+    return kept
+
+
 # an overflow or an invalid operation gives inf or NaN, which the range
 # checks and the descent's tests catch
 @np.errstate(over="ignore", invalid="ignore")
@@ -493,14 +562,17 @@ def fit(problem: EstimationProblem) -> EstimationResult:
     gamma = 0 returns the closed-form minimizer.  gamma > 0 runs the Newton
     descent of :func:`minimize` from the base initial point (sample median,
     scaled interquartile range) and from its START_OFFSETS perturbations, in
-    lockstep (:func:`_lockstep`), and keeps the lowest score.  The fit is
-    converged when the descent whose point it returns met the gradient
-    tolerance and sigma did not land on SIGMA_FLOOR.
+    lockstep (:func:`_lockstep`), and keeps the lowest score.  Above
+    COARSE_ABOVE samples those descents run on a quantile subsample of
+    COARSE_SAMPLES values (see :func:`_quantile_subsample`), and a second
+    lockstep descends on all the samples from each distinct end point
+    (:func:`_distinct`); the lowest of those is kept.  The fit is converged
+    when the descent whose point it returns met the gradient tolerance and
+    sigma did not land on SIGMA_FLOOR.
     """
     samples = problem.samples
     spec = problem.spec
     cfg = problem.config
-    log_floor = math.log(SIGMA_FLOOR)
 
     if spec.gamma == 0.0:
         mu_hat, sigma_hat = float(np.mean(samples)), float(np.std(samples))
@@ -516,28 +588,34 @@ def fit(problem: EstimationProblem) -> EstimationResult:
         return EstimationResult(mu_hat, sigma_hat, value, 0, converged=not at_floor,
                                 sigma_at_floor=at_floor)
 
+    large = samples.size > COARSE_ABOVE
+    # the default start and the subsample read one sorted copy
+    ordered = np.sort(samples) if cfg.initial is None or large else None
     if cfg.initial is not None:
         mu0, sigma0 = cfg.initial
     else:
-        # both order statistics partition one sorted scratch copy in place,
-        # where selection costs less than on the unsorted samples; their
-        # values do not depend on the order
-        ordered = np.sort(samples)
-        mu0 = float(np.median(ordered, overwrite_input=True))
-        q75, q25 = np.percentile(ordered, [75.0, 25.0], overwrite_input=True)
-        sigma0 = float((q75 - q25) / 1.349)
+        mu0 = _median(ordered)
+        sigma0 = (_percentile(ordered, 0.75) - _percentile(ordered, 0.25)) / 1.349
     sigma0 = max(sigma0, 1e-3)
+
+    def descend(sample_set: np.ndarray, starts: list) -> list[Minimum]:
+        # a block of points holds at most COARSE_SAMPLES values; at n = 10^5
+        # four points in one pass also cost more than four one-point passes
+        rows = max(1, min(len(starts), COARSE_SAMPLES // sample_set.size))
+        objective = gaussian_objective(sample_set, spec, np.empty((3, rows, sample_set.size)))
+        return _lockstep(objective, starts, cfg.max_iterations, sigma0)
 
     u0 = math.log(sigma0)
     starts = [(mu0 + sigma0 * dt, u0 + du) for dt, du in [(0.0, 0.0)] + START_OFFSETS]
-    # a block of points fits numpy's buffer (see the module docstring); at
-    # n = 10^5 four points in one pass also cost more than four one-point passes
-    rows = max(1, min(len(starts), np.getbufsize() // samples.size))
-    objective = gaussian_objective(samples, spec, np.empty((3, rows, samples.size)))
-    runs = _lockstep(objective, starts, cfg.max_iterations, sigma0)
+    coarse = []
+    if large:
+        coarse = descend(_quantile_subsample(ordered), starts)
+        starts = _distinct([end.x for end in coarse])
+    runs = descend(samples, starts)
     best = min(runs, key=lambda res: res.fun)
-    sigma_hat = math.exp(min(max(best.x[1], log_floor), MAX_LOG_SIGMA))
+    sigma_hat = math.exp(_held(best.x[1]))
     at_floor = _on_floor(sigma_hat)
+    runs = coarse + runs
     return EstimationResult(best.x[0], sigma_hat, best.fun, sum(res.nit for res in runs),
                             converged=best.success and not at_floor,
                             sigma_at_floor=at_floor,

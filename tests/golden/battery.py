@@ -56,6 +56,12 @@ def write_inputs(directory: Path) -> None:
     rng = np.random.default_rng(20261019)
     samples = np.concatenate([0.5 + rng.standard_normal(270), np.full(30, 8.0)])
     (directory / "s.csv").write_text("x\n" + "".join(f"{v!r}\n" for v in samples.tolist()))
+    # a sample large enough that a fit descends on a subsample first
+    rng = np.random.default_rng(20261020)
+    samples = rng.permutation(np.concatenate([-1.0 + 2.0 * rng.standard_normal(18_000),
+                                              np.full(2_000, 15.0)]))
+    (directory / "s-20000.csv").write_text(
+        "x\n" + "".join(f"{v!r}\n" for v in samples.tolist()))
     # generator tables: an identity-like (z, value) line for phi and xi, and
     # the dpd eta at gamma = 0.5 (exact on its knots, linear between them)
     knots = [0.0, 0.5, 1.0, 2.0, 4.0, 1e3, 1e6]
@@ -166,6 +172,8 @@ def commands() -> list[tuple[list[str], bool]]:
             ["--family", "fdpd", "--phi", "power:300", "--gamma", "1"]]
     out += [(["estimate", *flags, "--samples", "s.csv", "--seed", "0"], False)
             for flags in fits]
+    out += [(["estimate", *flags, "--samples", "s-20000.csv", "--seed", "0"], False)
+            for flags in (fits[1], fits[3], fits[5], [*fits[1], "--max-iterations", "1"])]
     sweep = ["sweep", "--outlier", "8", "--n", "300", "--seed", "1",
              "--spec", "family=fdpd,phi=identity,gamma=0",
              "--spec", "family=jhhb,zeta=0,gamma=0.5"]

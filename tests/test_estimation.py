@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divkit import (
@@ -37,6 +37,8 @@ from divkit import (
     score,
 )
 from divkit.estimation import (
+    COARSE_ABOVE,
+    COARSE_SAMPLES,
     MAX_LOG_SIGMA,
     OUTER_STEP,
     SIGMA_FLOOR,
@@ -44,7 +46,10 @@ from divkit.estimation import (
     SWEEP_HEADER,
     Minimum,
     _gaussian_brackets,
+    _median,
     _outer,
+    _percentile,
+    _quantile_subsample,
     _weighted_sums,
     gaussian_objective,
     minimize,
@@ -684,17 +689,18 @@ def test_converged_describes_the_descent_whose_point_is_returned(monkeypatch, de
 
 def _spy_lockstep(monkeypatch):
     """Record the arguments of every _lockstep call of a fit, its result, and
-    the rows of its objective's work block."""
-    calls, rows = [], []
+    the rows and the samples of its objective's work block."""
+    calls, shapes = [], []
     lockstep, objective = estimation._lockstep, estimation.gaussian_objective
 
     def objective_spy(samples, spec, work):
-        rows.append(work.shape[1])
+        shapes.append((work.shape[1], samples))
         return objective(samples, spec, work)
 
     def spy(objective, starts, max_iterations, min_unit):
+        rows, samples = shapes[-1] if shapes else (None, None)
         calls.append({"starts": starts, "max_iterations": max_iterations,
-                      "min_unit": min_unit, "rows": rows[-1] if rows else None})
+                      "min_unit": min_unit, "rows": rows, "samples": samples})
         calls[-1]["ends"] = lockstep(objective, starts, max_iterations, min_unit)
         return calls[-1]["ends"]
 
@@ -772,6 +778,127 @@ def test_lockstep_descents_in_blocks_of_fewer_rows(monkeypatch, spec, n, rows):
     call = calls[-1]
     assert call["rows"] == rows
     assert _ends_hex(call["ends"]) == _ends_hex(_one_after_another(samples, spec, call))
+
+
+@pytest.mark.parametrize("n", [1, 2000, COARSE_SAMPLES, COARSE_ABOVE])
+def test_a_fit_of_at_most_coarse_above_samples_descends_once(monkeypatch, n):
+    samples = seeded_contaminated(n=n, eps=0.1, loc=5.0)
+    calls = _spy_lockstep(monkeypatch)
+    res = fit(EstimationProblem(samples, DPD_HALF))
+    assert len(calls) == 1 and calls[0]["samples"] is samples
+    assert len(calls[0]["starts"]) == len(res.evaluations) == 1 + len(START_OFFSETS)
+
+
+# (n, epsilon, outlier location): clean-ish samples and heavy contamination,
+# where the four starts can end in two minima
+COARSE_SETS = [(20_000, 0.1, 8.0), (20_000, 0.45, 2.0), (30_000, 0.4, 6.0),
+               (100_000, 0.2, 8.0), (100_000, 0.4, 6.0), (100_000, 0.45, 3.0)]
+COARSE_SPECS = {
+    "dpd": DPD_HALF,
+    "dpd-1": DivergenceSpec("fdpd", 1.0, phi=identity_phi()),
+    "gdiv": GDIV_HALF,
+    "fdpd-log": DivergenceSpec("fdpd", 0.5, phi=log_phi()),
+    "jhhb-0.5": DivergenceSpec("jhhb", 1.0, zeta=0.5),
+    "xi-holder": DivergenceSpec("xi_holder", 0.5, eta=dpd_eta(0.5), xi=power_xi(0.5)),
+}
+
+
+@pytest.mark.parametrize("spec", COARSE_SPECS.values(), ids=COARSE_SPECS.keys())
+@pytest.mark.parametrize("n, epsilon, location", COARSE_SETS)
+def test_a_large_fit_descends_on_a_subsample_then_on_all_samples(monkeypatch, n, epsilon,
+                                                                  location, spec):
+    samples = contaminated_sample(n, epsilon, location, [n, int(100 * epsilon)])
+    samples = np.random.default_rng(n).permutation(samples)
+    calls = _spy_lockstep(monkeypatch)
+    res = fit(EstimationProblem(samples, spec))
+    coarse, fine = calls
+    assert coarse["samples"].size == COARSE_SAMPLES and fine["samples"] is samples
+    assert fine["starts"] == estimation._distinct([end.x for end in coarse["ends"]])
+    assert res.evaluations == tuple(end.nfev for end in coarse["ends"] + fine["ends"])
+    assert res.iterations == sum(end.nit for end in coarse["ends"] + fine["ends"])
+
+    # one phase: the descents on all the samples from the same starts
+    objective = gaussian_objective(samples, spec, np.empty((3, 1, n)))
+    ends = estimation._lockstep(objective, coarse["starts"], coarse["max_iterations"],
+                                coarse["min_unit"])
+    best = min(ends, key=lambda end: end.fun)
+    sigma = math.exp(max(best.x[1], math.log(SIGMA_FLOOR)))  # as fit holds it
+    on_floor = sigma <= SIGMA_FLOOR * (1.0 + 1e-9)
+    assert (res.converged, res.sigma_at_floor) == (best.success and not on_floor, on_floor)
+    assert abs(res.mu - best.x[0]) <= 1e-5 * sigma
+    assert abs(res.sigma - sigma) <= 1e-5 * sigma
+    # both end within the gradient tolerance of one minimum, where the
+    # scores differ in their last bits
+    assert res.score <= best.fun + 1e-12 * abs(best.fun)
+
+
+def test_coarse_ends_at_one_minimum_are_one_fine_start(monkeypatch):
+    # at epsilon 0.4 and outliers at 6 sigma the four starts end at two
+    # minima, the clean cluster and a wide fit over both: two fine descents
+    samples = contaminated_sample(30_000, 0.4, 6.0, [30_000, 40])
+    calls = _spy_lockstep(monkeypatch)
+    res = fit(EstimationProblem(samples, COARSE_SPECS["dpd-1"]))
+    coarse, fine = calls
+    assert len(coarse["ends"]) == 4 and len(fine["starts"]) == 2
+    assert len(res.evaluations) == 6 and res.converged
+
+
+@pytest.mark.parametrize("n", [COARSE_ABOVE + 1, 2 * COARSE_SAMPLES, 3 * 2 * COARSE_SAMPLES,
+                               20_001, 100_000])
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (2.5, -1.0), (-1.0, 0.0), (-2.5, 3.0),
+                                  (1e-3, 0.2), (-1e4, 7.0)])
+def test_the_subsample_of_an_affine_map_is_the_map_of_the_subsample(n, a, b):
+    # ties, and a point mass of outliers
+    x = np.round(seeded_contaminated(n=n, eps=0.2, loc=6.0), 2)
+    sub = _quantile_subsample(np.sort(x))
+    assert sub.size == COARSE_SAMPLES and np.all(np.diff(sub) >= 0.0)
+    mapped = _quantile_subsample(np.sort(a * x + b))
+    expected = a * sub + b
+    assert mapped.tobytes() == (expected if a > 0 else expected[::-1]).tobytes()
+    # one order statistic in each run of n / COARSE_SAMPLES, where the i-th
+    # (from 0) spans [i, i + 1) of [0, n)
+    picks = _quantile_subsample(np.arange(n, dtype=float))
+    assert np.all(np.floor((picks + 0.5) * COARSE_SAMPLES / n) == np.arange(COARSE_SAMPLES))
+
+
+@pytest.mark.parametrize("n", [3000, 10_000, COARSE_ABOVE + 1, 100_000])
+def test_a_fit_does_not_depend_on_numpys_buffer_size(n):
+    samples = seeded_contaminated(n=n, eps=0.2, loc=6.0)
+    results = []
+    for size in (np.getbufsize(), 1024, 2**16, 2**20):
+        old = np.setbufsize(size)
+        try:
+            results.append(fit(EstimationProblem(samples, GDIV_HALF)))
+        finally:
+            np.setbufsize(old)
+    assert results == results[:1] * len(results)
+
+
+@st.composite
+def order_statistic_samples(draw):
+    """n in 1..5000 samples drawn from a pool of 1 to n normal draws (ties
+    where the pool is small) and a few values anywhere up to +-1e300."""
+    n = draw(st.integers(1, 5000))
+    extremes = draw(st.lists(st.one_of(st.floats(-1e300, 1e300), st.sampled_from([
+        -1e300, 1e300, -1.0, 0.0, 0.5, 2.0])), max_size=20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    pool = np.r_[extremes, scale * rng.standard_normal(draw(st.integers(1, n)))]
+    return rng.choice(pool, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=order_statistic_samples())
+# a middle pair whose mean and whose linear interpolation at 1/2 differ
+@example(samples=np.array([-0.6232744625373522, 1.215083904686972]))
+def test_the_default_start_reads_numpys_order_statistics_off_the_sorted_samples(samples):
+    ordered = np.sort(samples)
+    # a zero's sign is not compared: numpy versions sum -0.0 to either zero,
+    # and a start adds 0.0 to the median
+    got = [_median(ordered), _percentile(ordered, 0.75), _percentile(ordered, 0.25)]
+    q75, q25 = np.percentile(samples, [75.0, 25.0])
+    assert [(v + 0.0).hex() for v in got] == [
+        (float(v) + 0.0).hex() for v in (np.median(samples), q75, q25)]
 
 
 def test_a_fit_raises_the_error_of_the_first_failing_descent_in_start_order(monkeypatch):
