@@ -35,9 +35,7 @@ a single point's (the rows of a block of longer rows move in their last
 bits, at any :func:`numpy.setbufsize`), and the block stays in a core's
 cache; at n above 4096 each point has a pass of its own.  Every row of a
 block gets the bits of a one-point evaluation, so each descent takes the
-steps it takes alone.  Where an evaluation raises, the fit raises the error
-of the first failing descent in start order, as descents run one after
-another do.
+steps it takes alone.  A failing evaluation fails the fit with its error.
 
 Above COARSE_ABOVE = 12288 samples a fit runs in two phases.  The coarse
 phase runs the descents on a fixed quantile subsample of COARSE_SAMPLES
@@ -48,16 +46,16 @@ minimum (see :func:`_distinct`), and the fine phase descends on all the
 samples from each distinct one, usually in two evaluations.  The fit returns the lowest
 fine end point, so it meets the gradient tolerance on the full sample as a
 one-phase fit does.  Its ``evaluations`` list the coarse descents, then the
-fine ones, and its ``iterations`` count the steps of both.  Where a
-descent of either phase raises, the fit raises as above.  The result does
+fine ones, and its ``iterations`` count the steps of both.  A failing
+evaluation in either phase fails the fit with its error.  The result does
 not depend on :func:`numpy.setbufsize`.
 
-gamma = 0 estimation is only exposed for generators with constant
-derivative (plain likelihood scoring): for any other generator the gamma = 0
-plug-in score fails to be a composite scoring rule, so requesting it raises
-:class:`~divkit.errors.GeneratorValidityError`.  For the accepted generators
-the minimizer is the sample mean and (ddof = 0) standard deviation, which the
-fit returns in closed form.
+gamma = 0 estimation is only exposed for plain likelihood scoring: holder,
+and fdpd and jhhb with a constant-derivative generator.  For any other
+generator the gamma = 0 plug-in score fails to be a composite scoring rule,
+so requesting it raises :class:`~divkit.errors.GeneratorValidityError`.  For
+the accepted specs the minimizer is the sample mean and (ddof = 0) standard
+deviation, which the fit returns in closed form.
 """
 
 from __future__ import annotations
@@ -180,8 +178,7 @@ def empirical_score(samples, f: DensityObject, spec: DivergenceSpec) -> float:
     """Plug-in score of the model f on the samples under the chosen family.
 
     The family's score of :func:`~divkit.densities.empirical_brackets`.  At
-    gamma = 0 only constant-derivative generators are accepted (see module
-    docstring).
+    gamma = 0 only likelihood scoring is accepted (see module docstring).
     """
     if spec.gamma == 0.0:
         if spec.family == "fdpd" and not spec.phi.has_constant_derivative():
@@ -192,9 +189,6 @@ def empirical_score(samples, f: DensityObject, spec: DivergenceSpec) -> float:
             raise GeneratorValidityError(
                 "gamma=0 plug-in scoring in the zeta family is improper unless "
                 f"zeta=1; got zeta={spec.zeta}")
-        if spec.family not in ("fdpd", "jhhb"):
-            raise GeneratorValidityError(
-                f"{spec.family} plug-in scoring requires gamma > 0")
     return score(empirical_brackets(samples, f, spec.gamma), spec)
 
 
@@ -412,8 +406,9 @@ def minimize(objective: Callable, x0: tuple[float, float], max_iterations: int,
     find no decrease, or when the step is not a descent direction (a NaN
     gradient or Hessian).
 
-    This is :func:`_lockstep` on one start.  A fit runs its descents in
-    lockstep, where each descent takes the steps it takes here.
+    A failing evaluation fails the descent with its error.  This is
+    :func:`_lockstep` on one start.  A fit runs its descents in lockstep,
+    where each descent takes the steps it takes here.
     """
     return _lockstep(lambda points: [objective(points[0])], [x0], max_iterations, min_unit)[0]
 
@@ -456,23 +451,6 @@ def _descent(x0: tuple[float, float], max_iterations: int, min_unit: float):
     return Minimum(x, value, nfev, nit, True)
 
 
-def _evaluate_in_order(objective: Callable, points: list) -> tuple[list, Exception | None]:
-    """``objective(points)``, and None; where that raises, the evaluations
-    of the points before the first that raises alone, and its error."""
-    try:
-        return objective(points), None
-    except Exception as err:
-        if len(points) == 1:
-            return [], err
-    found = []
-    for point in points:
-        try:
-            found += objective([point])
-        except Exception as err:
-            return found, err
-    return found, None
-
-
 def _lockstep(objective: Callable, starts: list, max_iterations: int,
               min_unit: float) -> list[Minimum]:
     """A descent from each start, run together: the :class:`Minimum` of each.
@@ -481,31 +459,20 @@ def _lockstep(objective: Callable, starts: list, max_iterations: int,
     :func:`gaussian_objective`).  At each step the pending points of all
     running descents are evaluated in one call, in start order, and each is
     sent back to its descent.  A descent so takes the steps that it takes
-    alone.  Where the call raises, its points are evaluated one to a call.
-    The descent whose point raises stops, and so do the descents after it in
-    start order; those before it run on.  At the end the error of the first
-    failing descent in start order is raised, as running the descents one
-    after another raises it.
+    alone.  A failing evaluation fails the fit with its error: an exception
+    from the call propagates.
     """
     descents = [_descent(x0, max_iterations, min_unit) for x0 in starts]
     pending = {i: next(descent) for i, descent in enumerate(descents)}  # start -> point
     ends = [None] * len(starts)
-    failure = None
     while pending:
-        order = list(pending)
-        found, error = _evaluate_in_order(objective, [pending[i] for i in order])
-        if error is not None:  # raised by a descent before any that failed earlier
-            failure = error
-        for i in order[len(found):]:  # a failing descent and those after it
-            del pending[i]
-        for i, evaluation in zip(order, found):
+        running = list(pending)
+        for i, evaluation in zip(running, objective([pending[i] for i in running])):
             try:
                 pending[i] = descents[i].send(evaluation)
             except StopIteration as stop:
                 ends[i] = stop.value
                 del pending[i]
-    if failure is not None:
-        raise failure
     return ends
 
 
@@ -568,7 +535,8 @@ def fit(problem: EstimationProblem) -> EstimationResult:
     lockstep descends on all the samples from each distinct end point
     (:func:`_distinct`); the lowest of those is kept.  The fit is converged
     when the descent whose point it returns met the gradient tolerance and
-    sigma did not land on SIGMA_FLOOR.
+    sigma did not land on SIGMA_FLOOR.  A failing evaluation fails the fit
+    with its error.
     """
     samples = problem.samples
     spec = problem.spec

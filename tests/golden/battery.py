@@ -62,6 +62,10 @@ def write_inputs(directory: Path) -> None:
                                               np.full(2_000, 15.0)]))
     (directory / "s-20000.csv").write_text(
         "x\n" + "".join(f"{v!r}\n" for v in samples.tolist()))
+    # scaled draws on which a fit fails inside an evaluation of its score
+    draws = np.random.default_rng(1).normal(0.5, 1.0, 1000)
+    for name, scaled in (("s-1e-3.csv", 1e-3 * draws + 0.2), ("s-1e150.csv", 1e150 * draws)):
+        (directory / name).write_text("x\n" + "".join(f"{v!r}\n" for v in scaled.tolist()))
     # generator tables: an identity-like (z, value) line for phi and xi, and
     # the dpd eta at gamma = 0.5 (exact on its knots, linear between them)
     knots = [0.0, 0.5, 1.0, 2.0, 4.0, 1e3, 1e6]
@@ -174,6 +178,15 @@ def commands() -> list[tuple[list[str], bool]]:
             for flags in fits]
     out += [(["estimate", *flags, "--samples", "s-20000.csv", "--seed", "0"], False)
             for flags in (fits[1], fits[3], fits[5], [*fits[1], "--max-iterations", "1"])]
+    # no gamma = 0 generator to certify: the likelihood fit
+    out.append((["estimate", "--family", "holder", "--gamma", "0", "--samples", "s.csv",
+                 "--seed", "0"], False))
+    # fits that fail inside an evaluation: the score leaves float range, and
+    # xi(<f**(1+gamma)>) underflows to 0
+    out += [(["estimate", *flags, "--seed", "0"], False) for flags in [
+        ["--family", "fdpd", "--phi", "exp-minus-one", "--gamma", "2", "--samples", "s-1e-3.csv"],
+        ["--family", "xi_holder", "--eta", "dpd", "--xi", "power:3", "--gamma", "1",
+         "--samples", "s-1e150.csv"]]]
     sweep = ["sweep", "--outlier", "8", "--n", "300", "--seed", "1",
              "--spec", "family=fdpd,phi=identity,gamma=0",
              "--spec", "family=jhhb,zeta=0,gamma=0.5"]

@@ -112,8 +112,17 @@ def test_gamma_zero_rejects_improper_generators(gaussian_pair):
         empirical_score([0.0], f, DivergenceSpec("fdpd", 0.0, phi=log_phi()))
     with pytest.raises(GeneratorValidityError):
         empirical_score([0.0], f, DivergenceSpec("jhhb", 0.0, zeta=0.0))
-    with pytest.raises(GeneratorValidityError):
-        empirical_score([0.0], f, DivergenceSpec("holder", 0.0))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+def test_a_holder_fit_at_gamma_zero_is_the_likelihood_fit(scale):
+    # holder's gamma = 0 score is -cross + Y, fdpd identity's -1.0 * cross + Y
+    samples = scale * seeded_contaminated(n=300)
+    holder = fit(EstimationProblem(samples, DivergenceSpec("holder", 0.0)))
+    mle = fit(EstimationProblem(samples, MLE))
+    assert holder == mle
+    assert [v.hex() for v in (holder.mu, holder.sigma, holder.score)] == [
+        v.hex() for v in (mle.mu, mle.sigma, mle.score)]
 
 
 @pytest.mark.parametrize("spec", [MLE, DivergenceSpec("jhhb", 0.0, zeta=1.0), DPD_HALF,
@@ -901,28 +910,56 @@ def test_the_default_start_reads_numpys_order_statistics_off_the_sorted_samples(
         (float(v) + 0.0).hex() for v in (np.median(samples), q75, q25)]
 
 
-def test_a_fit_raises_the_error_of_the_first_failing_descent_in_start_order(monkeypatch):
+def test_a_fit_stops_at_its_first_failing_evaluation(monkeypatch):
     # a bowl around mu = 3 at sigma 1, where the starts are (0, 0),
     # (0.5, 0.3), (-0.5, -0.3) and (0.5, -0.3) and every first step is
-    # capped at MAX_STEP: the third descent fails at its start, the first
-    # one step later, at mu = 2, and the others converge at mu = 3
-    failed = []
+    # capped at MAX_STEP: the third descent's first step, to mu = 1.5,
+    # raises in the second call, which holds the other descents' steps too
+    calls = []
 
-    def evaluate(point):
-        mu, u = point
-        if mu < -0.4 or mu == 2.0:
-            failed.append(mu)
-            raise DomainError(f"no score at mu={mu!r}")
-        return (0.5 * ((mu - 3.0) ** 2 + u * u), (mu - 3.0, u), ((1.0, 0.0), (0.0, 1.0)),
-                1.0, 1.0)
+    def objective(points):
+        calls.append(points)
+        for mu, _ in points:
+            if mu == 1.5:
+                raise DomainError(f"no score at mu={mu!r}")
+        return [(0.5 * ((mu - 3.0) ** 2 + u * u), (mu - 3.0, u), ((1.0, 0.0), (0.0, 1.0)),
+                 1.0, 1.0) for mu, u in points]
 
-    monkeypatch.setattr(estimation, "gaussian_objective",
-                        lambda samples, spec, work: lambda points: [evaluate(x) for x in points])
+    monkeypatch.setattr(estimation, "gaussian_objective", lambda samples, spec, work: objective)
     problem = EstimationProblem(seeded_contaminated(n=200), DPD_HALF,
                                 OptimizerConfig(initial=(0.0, 1.0)))
-    with pytest.raises(DomainError, match=re.escape("no score at mu=2.0")):
+    with pytest.raises(DomainError, match=re.escape("no score at mu=1.5")):
         fit(problem)
-    assert failed[0] == -0.5 and failed[-1] == 2.0
+    # the call that raised is the last
+    assert [[mu for mu, _ in points] for points in calls] == [[0.0, 0.5, -0.5, 0.5],
+                                                              [2.0, 2.5, 1.5, 2.5]]
+
+
+# fits that fail inside an evaluation of the family's own score: the bracket
+# of exp-minus-one leaves float range, and xi(Y) of power:3 underflows to 0
+FAILING_SETS = {
+    "x1e-3": FIT_SETS["x1e-3"],
+    "x1e-300": lambda base: 1e-300 * base,
+    "x1e150": lambda base: 1e150 * base,
+    "x1e300": lambda base: 1e300 * base,
+}
+
+
+@pytest.mark.parametrize("family, gamma, scaled", [
+    *(("fdpd", gamma, scaled) for gamma in (2.0, 5.0) for scaled in ("x1e-3", "x1e-300")),
+    *(("xi_holder", gamma, scaled) for gamma in (1.0, 2.0) for scaled in ("x1e150", "x1e300")),
+])
+def test_a_failing_fit_raises_as_descents_run_one_after_another(monkeypatch, family, gamma,
+                                                                 scaled):
+    spec = (DivergenceSpec("fdpd", gamma, phi=parse_generator("phi", "exp-minus-one"))
+            if family == "fdpd" else
+            DivergenceSpec("xi_holder", gamma, eta=dpd_eta(gamma), xi=power_xi(3.0)))
+    samples = FAILING_SETS[scaled](contaminated_sample(700, 0.1, 5.0, [3, 100000000]))
+    calls = _spy_lockstep(monkeypatch)
+    got = _raised(lambda: fit(EstimationProblem(samples, spec)))
+    assert isinstance(got, DivkitError)
+    expected = _raised(lambda: _one_after_another(samples, spec, calls[-1]))
+    assert (type(got), str(got)) == (type(expected), str(expected))
 
 
 # fits whose F(X, Y) varies by 1e-5..1e-7 of its value on the 1e4-scaled
