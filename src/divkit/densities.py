@@ -24,11 +24,10 @@ batches give a triple whose fields are arrays, one entry per row, each equal
 bit for bit to the triple of that row alone.
 
 The readers of the grid, discrete and samples files keep what they parse
-in a process under the SHA-256 digest of the file's bytes, so changed bytes
-are parsed again.  A file is digested only once a file of its size has been
-parsed: a process that reads each file once pays for no digest, and one that
-reads the same bytes again, at any path, parses them twice and then no more.
-The cache is bounded (PARSED_ENTRIES results and PARSED_BYTES of arrays,
+in a process next to the file's bytes, so changed bytes are parsed again.
+Each read reads the file whole and compares it with the kept bytes of the
+same size: the same bytes, at any path, are parsed once.  The cache is
+bounded (PARSED_ENTRIES results and PARSED_BYTES of file bytes and arrays,
 oldest dropped first), and a format error is never kept.
 """
 
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import re
 import threading
 from dataclasses import dataclass, replace
@@ -499,75 +497,78 @@ def _parse_samples(path) -> np.ndarray:
     return samples
 
 
-# What the parses above returned, keyed on (file digest, parser), oldest
-# first: at most PARSED_ENTRIES results, holding at most PARSED_BYTES of
-# arrays.  _sizes holds the (file size, parser) pairs of the latest
-# PARSED_ENTRIES parses.  _lock guards every change to either table; a
-# lookup is one dict call.
+# What the parses above returned, oldest first: (parser, the file's bytes,
+# result) for at most PARSED_ENTRIES files, holding at most PARSED_BYTES of
+# file bytes and arrays together.  _keep swaps in a new list under _lock, so
+# a lookup scans a snapshot and takes no lock.
 PARSED_ENTRIES = 16
 PARSED_BYTES = 8 << 20
-_parsed: dict = {}
-_sizes: dict = {}
+_parsed: list = []
 _lock = threading.Lock()
 
 
 def _parse_once(path, parse, copy=None):
     """parse(path), or the kept result of parse on a file of the same bytes.
 
-    A file whose size no recent parse by ``parse`` saw is parsed as it is,
-    without a digest, and nothing is kept: a process that reads each file
-    once pays for no digest.  Otherwise the file is digested before and
-    after a parse, and the result is kept only when the two digests agree:
-    a file rewritten during the parse is never kept under its old content.
-    A parse that raises keeps nothing, nor does one whose arrays exceed
-    PARSED_BYTES.  ``copy`` gives each caller a result of its own; without
-    it, every read of the same bytes shares one result.
+    The file is read whole and compared with the bytes of each kept entry of
+    ``parse``; equal bytes return that entry's result, and only a file of the
+    same size costs a comparison.  Otherwise the path is parsed, and the
+    result kept only when the file still holds the bytes read before the
+    parse: a file rewritten during the parse is never kept under its old
+    content.  A parse that raises keeps nothing, nor does one whose bytes
+    and arrays together exceed PARSED_BYTES.  ``copy`` gives each caller a
+    result of its own; without it, every read of the same bytes, the first
+    included, shares one result.
     """
-    size = (os.stat(path).st_size, parse)
-    if size not in _sizes:
-        result = parse(path)
-        with _lock:
-            _sizes[size] = None
-            if len(_sizes) > PARSED_ENTRIES:
-                del _sizes[next(iter(_sizes))]
-        return result
-    key = (_digest(path), parse)
-    kept = _parsed.get(key)
-    if kept is not None:
-        return kept if copy is None else copy(kept)
+    with open(path, "rb") as handle:
+        content = handle.read()
+    for kept_parse, kept_content, kept in _parsed:
+        if kept_parse is parse and kept_content == content:
+            return kept if copy is None else copy(kept)
     result = parse(path)
-    if _digest(path) == key[0] and _nbytes(result) <= PARSED_BYTES:
-        _keep(key, result if copy is None else copy(result))
+    if len(content) + _result_array(result).nbytes <= PARSED_BYTES and _holds(path, content):
+        _keep((parse, content, _sealed(result)))
     return result
 
 
-def _keep(key, result) -> None:
-    """Keep a result, dropping the oldest until the bounds hold."""
-    with _lock:
-        _parsed[key] = result
-        while (len(_parsed) > PARSED_ENTRIES
-               or sum(map(_nbytes, _parsed.values())) > PARSED_BYTES):
-            del _parsed[next(iter(_parsed))]
-
-
-def _nbytes(result) -> int:
-    """The bytes of a parse result's array: its values, masses or samples."""
-    if isinstance(result, GridDensity):
-        return result.values.nbytes
-    if isinstance(result, DiscreteDensity):
-        return result.masses.nbytes
-    return result.nbytes
-
-
-def _digest(path) -> bytes:
-    """The SHA-256 digest of a file, read in 64 KiB blocks."""
-    import hashlib  # here: importing divkit.cli does not load it
-
-    digest = hashlib.sha256()
+def _holds(path, content: bytes) -> bool:
+    """Whether a file still holds ``content``.  It is compared in 64 KiB
+    blocks: a second whole copy would take fresh pages on every cold read."""
     with open(path, "rb") as handle:
-        while block := handle.read(1 << 16):
-            digest.update(block)
-    return digest.digest()
+        for start in range(0, len(content), 1 << 16):
+            if content[start:start + (1 << 16)] != handle.read(1 << 16):
+                return False
+        return not handle.read(1)
+
+
+def _keep(entry) -> None:
+    """Keep an entry, dropping the oldest until the bounds hold."""
+    global _parsed
+    with _lock:
+        kept = [*_parsed, entry]
+        while (len(kept) > PARSED_ENTRIES
+               or sum(len(content) + _result_array(result).nbytes for _, content, result in kept)
+               > PARSED_BYTES):
+            del kept[0]
+        _parsed = kept
+
+
+def _sealed(result):
+    """A parse result to keep, its array on an immutable bytes buffer whose
+    writeable flag cannot be set again.  A density is sealed in place, since
+    this read and every later one of its bytes share it; samples are copied,
+    since the caller owns the parse's array."""
+    arr = _result_array(result)
+    sealed = np.frombuffer(arr.tobytes(), arr.dtype).reshape(arr.shape)
+    if arr is result:
+        return sealed
+    object.__setattr__(result, "values" if isinstance(result, GridDensity) else "masses", sealed)
+    return result
+
+
+def _result_array(result) -> np.ndarray:
+    """A parse result's array: its values, masses or samples."""
+    return result if isinstance(result, np.ndarray) else _array(result)[0]
 
 
 _LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2}

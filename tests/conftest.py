@@ -22,8 +22,7 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def parsed(monkeypatch):
-    """An empty parse cache for each test, so that no test sees another's files."""
-    cache = {}
-    monkeypatch.setattr(densities, "_parsed", cache)
-    monkeypatch.setattr(densities, "_sizes", {})
-    return cache
+    """An empty parse cache for each test, so that no test sees another's
+    files; calling it gives the entries kept now."""
+    monkeypatch.setattr(densities, "_parsed", [])
+    return lambda: densities._parsed

@@ -54,7 +54,7 @@ def test_importing_the_cli_does_not_load_scipy():
 
 
 def test_importing_the_cli_does_not_load_hashlib():
-    # the readers digest files with hashlib, imported on the first read; its
+    # the parse cache compares a file's bytes and needs no digest: hashlib's
     # import would land on every command's start-up.  numpy 1.x loads it
     # itself (numpy.random imports secrets), so the check is what divkit adds.
     added = in_fresh_interpreter(
@@ -134,7 +134,7 @@ def test_repeated_calls_match_a_parser_built_for_each_command(density_files, tmp
 
 def test_repeated_calls_on_the_same_files_stop_parsing_them(density_files, tmp_path,
                                                            capsys, monkeypatch):
-    # a first read parses a file without keeping it, a second keeps it
+    # a first read parses a file and keeps it; later reads compare its bytes
     g, f = density_files
     samples = tmp_path / "s.csv"
     write_samples(samples, np.random.default_rng(5).standard_normal(200))
@@ -159,7 +159,7 @@ def test_repeated_calls_on_the_same_files_stop_parsing_them(density_files, tmp_p
         parses.append(sorted(parsed))
         parsed.clear()
     assert parses[0] == sorted([g, f, str(samples)])
-    assert set(parses[1]) <= set(parses[0]) and parses[2] == []
+    assert parses[1] == [] and parses[2] == []
     assert outputs == outputs[:2] * 3
 
 
@@ -286,11 +286,11 @@ def test_header_rows_that_name_no_kind_exit_3(tmp_path, capsys, text):
         f"divkit: {str(g)!r}: expected header 'x,value' or 'index,mass'\n")
 
 
-def test_a_malformed_file_is_opened_three_times_on_its_error_path(tmp_path, capsys,
-                                                                 monkeypatch):
-    # in Python, by the kind lookup, the header scan and the row-by-row parse,
-    # which keeps each row's file line for the message; numpy's C reader
-    # opens the path itself
+def test_a_malformed_file_is_opened_four_times_on_its_error_path(tmp_path, capsys,
+                                                                monkeypatch):
+    # in Python, by the kind lookup, the parse cache's read of its bytes, the
+    # header scan and the row-by-row parse, which keeps each row's file line
+    # for the message; numpy's C reader opens the path itself
     g = tmp_path / "g.csv"
     g.write_text("# a grid\nx,value\n0,1\n\n \n1,abc\n")
     opened, real_open = [], open
@@ -304,7 +304,7 @@ def test_a_malformed_file_is_opened_three_times_on_its_error_path(tmp_path, caps
                 "--g", str(g), "--f", str(g)]) == 3
     assert capsys.readouterr().err == (
         f"divkit: {str(g)!r}: could not convert string 'abc' to float64 at line 6, column 2\n")
-    assert opened.count(str(g)) == 3
+    assert opened.count(str(g)) == 4
 
 
 def test_compute_on_a_grid_with_a_nan_x_exits_3_naming_it(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
@@ -683,26 +684,41 @@ def test_grid_csv_accepts_a_full_precision_grid_far_from_the_origin(tmp_path, dx
 # ---------------------------------------------------------------------------
 
 
-class EverySize(dict):
-    """A size table that has seen every size: each read takes the digest path."""
+def recorded_opens(monkeypatch):
+    """The files that ``open`` is given, in call order."""
+    opened, real_open = [], open
 
-    def __contains__(self, key):
-        return True
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    return opened
 
 
-def test_a_file_read_once_is_not_digested(tmp_path, monkeypatch, parsed):
-    # one command per process reads each file once: the first file of a size
-    # is parsed as it is, and only a later read of that size is digested
+def test_a_hit_reads_the_file_once_and_parses_nothing(tmp_path, monkeypatch, parsed):
     path = tmp_path / "grid.csv"
     write_density_csv(path, gaussian_grid(GaussianDensity(0.0, 1.0), points=65))
-    digest, digested = densities._digest, []
-    monkeypatch.setattr(densities, "_digest", lambda p: digested.append(p) or digest(p))
+    calls = recorded_loadtxt(monkeypatch)
     first = read_grid_csv(path)
-    assert not digested and not parsed
-    second = read_grid_csv(path)
-    assert len(digested) == 2 and len(parsed) == 1  # before and after the parse
-    assert read_grid_csv(path) is second and len(digested) == 3
-    assert second.values.tobytes() == first.values.tobytes()
+    assert len(calls) == 1 and len(parsed()) == 1  # a first read keeps its result
+    opened = recorded_opens(monkeypatch)
+    assert read_grid_csv(path) is first
+    assert len(calls) == 1 and opened == [str(path)]
+
+
+def test_two_files_of_one_size_read_in_turn_are_each_parsed_once(tmp_path, monkeypatch,
+                                                                  parsed):
+    # the --g and --f files of a compute command: equal sizes, other bytes
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("x,value\n0,1\n1,2\n")
+    b.write_text("x,value\n0,3\n1,4\n")
+    assert a.stat().st_size == b.stat().st_size
+    calls = recorded_loadtxt(monkeypatch)
+    for _ in range(6):
+        assert read_grid_csv(a).values.tolist() == [1.0, 2.0]
+        assert read_grid_csv(b).values.tolist() == [3.0, 4.0]
+    assert calls == [a, b] and len(parsed()) == 2
 
 
 def test_a_rewrite_that_keeps_the_size_and_mtime_reads_the_new_values(tmp_path, parsed):
@@ -710,7 +726,7 @@ def test_a_rewrite_that_keeps_the_size_and_mtime_reads_the_new_values(tmp_path, 
     path.write_text("x\n0.5\n1.5\n")
     for _ in range(2):
         assert read_samples_csv(path).tolist() == [0.5, 1.5]
-    assert len(parsed) == 1
+    assert len(parsed()) == 1
     stat = os.stat(path)
     path.write_text("x\n0.7\n1.5\n")
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
@@ -721,7 +737,6 @@ def test_a_rewrite_that_keeps_the_size_and_mtime_reads_the_new_values(tmp_path, 
 def test_a_file_rewritten_during_the_parse_is_parsed_again(tmp_path, monkeypatch, parsed):
     path = tmp_path / "grid.csv"
     path.write_text("x,value\n0,1\n1,2\n")
-    read_grid_csv(path)  # the first read of its size, which keeps nothing
     loadtxt, calls = np.loadtxt, []
 
     def rewriting(source, *args, **kwargs):
@@ -733,10 +748,10 @@ def test_a_file_rewritten_during_the_parse_is_parsed_again(tmp_path, monkeypatch
 
     monkeypatch.setattr(np, "loadtxt", rewriting)
     assert read_grid_csv(path).values.tolist() == [1.0, 2.0]  # what the parse read
-    assert not parsed
+    assert not parsed()
     assert read_grid_csv(path).values.tolist() == [3.0, 4.0]
     assert read_grid_csv(path).values.tolist() == [3.0, 4.0]
-    assert len(calls) == 2 and len(parsed) == 1
+    assert len(calls) == 2 and len(parsed()) == 1
 
 
 def test_equal_bytes_at_two_paths_are_one_entry(tmp_path, monkeypatch, parsed):
@@ -744,10 +759,9 @@ def test_equal_bytes_at_two_paths_are_one_entry(tmp_path, monkeypatch, parsed):
     write_density_csv(a, gaussian_grid(GaussianDensity(0.0, 1.0), points=65))
     b.write_bytes(a.read_bytes())
     calls = recorded_loadtxt(monkeypatch)
-    read_grid_csv(a)  # the first read of its size, which keeps nothing
-    kept = read_grid_csv(b)
-    assert read_grid_csv(a) is kept and read_grid_csv(b) is kept
-    assert len(calls) == 2 and len(parsed) == 1
+    kept = read_grid_csv(a)
+    assert read_grid_csv(b) is kept and read_grid_csv(a) is kept
+    assert len(calls) == 1 and len(parsed()) == 1
 
 
 @pytest.mark.parametrize("read, text, message", [
@@ -759,42 +773,42 @@ def test_equal_bytes_at_two_paths_are_one_entry(tmp_path, monkeypatch, parsed):
     (read_grid_csv, "x,value\n2,1\n1,1\n0,1\n", "x must be strictly increasing$"),
 ], ids=["grid-cell", "grid-spacing", "discrete-indices", "samples-cell", "grid-one-row",
         "grid-decreasing"])
-def test_a_malformed_file_raises_on_every_read(tmp_path, monkeypatch, parsed, read, text,
-                                               message):
+def test_a_malformed_file_raises_on_every_read(tmp_path, parsed, read, text, message):
     path = tmp_path / "f.csv"
     path.write_text(text)
-    for sizes in ({}, EverySize()):  # a size not seen before, and one seen
-        monkeypatch.setattr(densities, "_sizes", sizes)
-        for _ in range(3):
-            with pytest.raises(RepresentationError, match=message):
-                read(path)
-    assert not parsed
+    for _ in range(3):
+        with pytest.raises(RepresentationError, match=message):
+            read(path)
+    assert not parsed()
 
 
 def test_a_returned_samples_array_is_the_callers_own(tmp_path, parsed):
     path = tmp_path / "s.csv"
     path.write_text("x\n0.5\n-1.25\n")
     returned = []
-    for _ in range(4):  # the first read of its size, the read that keeps, two hits
+    for _ in range(4):  # the read that keeps, then three hits
         samples = read_samples_csv(path)
         assert samples.tolist() == [0.5, -1.25] and samples.flags.writeable
         assert not any(np.shares_memory(samples, other) for other in returned)
         samples[0] = 99.0
         returned.append(samples)
-    assert len(parsed) == 1
+    assert len(parsed()) == 1
 
 
 def test_a_shared_density_is_read_only_to_plain_writes(tmp_path):
-    # read-only as every density is: a caller that sets the array's
-    # writeable flag again can change what later reads of the bytes return
-    path = tmp_path / "grid.csv"
-    path.write_text("x,value\n0,1\n1,2\n")
-    read_grid_csv(path)
-    shared = read_grid_csv(path)
-    assert read_grid_csv(path) is shared
-    with pytest.raises(ValueError, match="read-only"):
-        shared.values[0] = 5.0
-    assert read_grid_csv(path).values.tolist() == [1.0, 2.0]
+    # every read of the same bytes shares one density, whose array lies on
+    # an immutable buffer: its writeable flag cannot be set again
+    for read, text, name in ((read_grid_csv, "x,value\n0,1\n1,2\n", "values"),
+                             (read_discrete_csv, "index,mass\n0,1\n1,2\n", "masses")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        shared = read(path)
+        assert read(path) is shared
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(shared, name)[0] = 5.0
+        with pytest.raises(ValueError):
+            getattr(shared, name).flags.writeable = True
+        assert getattr(read(path), name).tolist() == [1.0, 2.0]
 
 
 def test_the_cache_holds_at_most_its_bound_and_drops_the_oldest(tmp_path, monkeypatch, parsed):
@@ -803,7 +817,7 @@ def test_the_cache_holds_at_most_its_bound_and_drops_the_oldest(tmp_path, monkey
         path.write_text(f"x\n{k}\n")
         for _ in range(2):
             assert read_samples_csv(path).tolist() == [float(k)]
-        assert len(parsed) == min(k + 1, densities.PARSED_ENTRIES)
+        assert len(parsed()) == min(k + 1, densities.PARSED_ENTRIES)
     calls = recorded_loadtxt(monkeypatch)
     read_samples_csv(paths[-1])
     assert not calls  # kept
@@ -811,26 +825,16 @@ def test_the_cache_holds_at_most_its_bound_and_drops_the_oldest(tmp_path, monkey
     assert len(calls) == 1  # dropped as one of the three oldest
 
 
-def test_the_sizes_seen_are_the_latest_parses_only(tmp_path, parsed):
-    paths = [tmp_path / f"s{k}.csv" for k in range(densities.PARSED_ENTRIES + 1)]
-    for k, path in enumerate(paths):
-        write_samples_text(path, np.zeros(k + 1))  # a size of its own
-        read_samples_csv(path)
-    assert len(densities._sizes) == densities.PARSED_ENTRIES
-    read_samples_csv(paths[0])  # its size was dropped: a first read again
-    assert not parsed
-    read_samples_csv(paths[-1])
-    assert len(parsed) == 1
-
-
 def test_the_cache_holds_at_most_its_bytes_and_drops_the_oldest(tmp_path, monkeypatch, parsed):
-    monkeypatch.setattr(densities, "PARSED_BYTES", 3 * 800)
     paths = [tmp_path / f"s{k}.csv" for k in range(5)]
     for k, path in enumerate(paths):
         write_samples_text(path, np.full(100, float(k)))  # 800 bytes of samples
+    entry = paths[0].stat().st_size + 800  # the file's bytes and the samples
+    monkeypatch.setattr(densities, "PARSED_BYTES", 3 * entry)
+    for k, path in enumerate(paths):
         for _ in range(2):
             assert read_samples_csv(path).tolist() == [float(k)] * 100
-    assert len(parsed) == 3
+    assert len(parsed()) == 3
     calls = recorded_loadtxt(monkeypatch)
     for path in paths[2:]:
         read_samples_csv(path)
@@ -840,19 +844,19 @@ def test_the_cache_holds_at_most_its_bytes_and_drops_the_oldest(tmp_path, monkey
 
 
 def test_a_file_larger_than_the_bytes_bound_is_never_kept(tmp_path, monkeypatch, parsed):
-    monkeypatch.setattr(densities, "PARSED_BYTES", 800)
     small, large, grid = tmp_path / "small.csv", tmp_path / "large.csv", tmp_path / "grid.csv"
     write_samples_text(small, np.zeros(100))
     write_samples_text(large, np.arange(101.0))
     write_density_csv(grid, gaussian_grid(GaussianDensity(0.0, 1.0), points=101))
+    monkeypatch.setattr(densities, "PARSED_BYTES", small.stat().st_size + 800)
     for _ in range(2):
         read_samples_csv(small)
-    kept = dict(parsed)
+    kept = parsed()
     assert len(kept) == 1  # exactly at the bound
     for _ in range(3):
         assert read_samples_csv(large).tolist() == np.arange(101.0).tolist()
         assert read_grid_csv(grid).values.size == 101
-    assert parsed == kept  # nothing larger came in, and nothing went out for it
+    assert parsed() == kept  # nothing larger came in, and nothing went out for it
 
 
 def test_one_file_read_by_two_readers_is_two_entries(tmp_path, parsed):
@@ -862,7 +866,7 @@ def test_one_file_read_by_two_readers_is_two_entries(tmp_path, parsed):
     for _ in range(2):
         assert isinstance(read_discrete_csv(path), DiscreteDensity)
         assert isinstance(read_grid_csv(path), GridDensity)
-    assert len(parsed) == 2
+    assert len(parsed()) == 2
 
 
 def test_threads_sharing_the_cache_keep_it_within_its_bound(tmp_path, monkeypatch, parsed):
@@ -876,10 +880,15 @@ def test_threads_sharing_the_cache_keep_it_within_its_bound(tmp_path, monkeypatc
             path = paths[(k + offset) % len(paths)]
             assert read_samples_csv(path).tolist() == [float(paths.index(path))]
 
-    with ThreadPoolExecutor(max_workers=3) as pool:
-        for done in [pool.submit(reads, offset) for offset in range(3)]:
-            done.result()
-    assert len(parsed) <= 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside a lookup or a keep
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            for done in [pool.submit(reads, offset) for offset in range(3)]:
+                done.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(parsed()) <= 2
 
 
 @pytest.mark.filterwarnings("error")
