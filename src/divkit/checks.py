@@ -23,7 +23,8 @@ Random brackets are always generated from genuine random densities, never
 as free triples, so Hoelder feasibility holds by construction.  Every
 randomized check draws its trials in batches and evaluates each batch in one
 vectorized pass: BATCH_TRIALS trials of discrete densities or Gaussians, or
-as many grid trials as hold BATCH_TRIALS * RANDOM_ATOMS grid values.  The
+as many grid trials as hold the values of a discrete batch's draws,
+BATCH_TRIALS pairs of RANDOM_ATOMS masses (four 4096-point trials).  The
 draws come from the seed's stream trial after trial, as
 :func:`random_discrete_pair` (:func:`random_discrete_density` in the
 consistency check) would draw them one trial at a time, so a seed gives the
@@ -225,9 +226,9 @@ def check_affine_invariance(phi: GeneratorPhi, gamma: float, trials: int, seed: 
     low = np.array([-1.5, -1.5, 0.6, 0.6] * pairs + [0.25, -3.0])
     high = np.array([1.5, 1.5, 1.8, 1.8] * pairs + [4.0, 3.0])
     xs, rows = None, BATCH_TRIALS
-    if representation == "grid":  # a grid batch holds no more values than a discrete one
+    if representation == "grid":  # a grid batch holds no more values than a discrete draw
         xs = np.linspace(-12.0, 12.0, grid_points)
-        rows = max(1, BATCH_TRIALS * RANDOM_ATOMS // grid_points)
+        rows = max(1, BATCH_TRIALS * 2 * RANDOM_ATOMS // grid_points)
 
     worst = {"sigma": None, "mu": None, "ratio": None}
     worst_violation = -1.0

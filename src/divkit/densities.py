@@ -28,14 +28,21 @@ in a process next to the file's bytes, so changed bytes are parsed again.
 Each read reads the file whole and compares it with the kept bytes of the
 same size: the same bytes, at any path, are parsed once.  The cache is
 bounded (PARSED_ENTRIES results and PARSED_BYTES of file bytes and arrays,
-oldest dropped first), and a format error is never kept.
+oldest dropped first), and a format error is never kept.  A file that is
+not a regular file, such as a pipe, can be read only once: its bytes are
+read whole, and the kind lookup, the header scan and the parse all read
+those bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import math
+import os
 import re
+import stat
 import threading
 from dataclasses import dataclass, replace
 
@@ -191,14 +198,25 @@ class BracketTriple:
 
 
 def _check_nonnegative(arr: np.ndarray, name: str) -> None:
-    """Finite, nonnegative and not identically zero; a batch, row by row."""
+    """Finite, nonnegative and not identically zero; a batch, row by row.
+
+    Whole-array passes: one min of every value answers the first two for all
+    rows at once, and one peak per row the third.  The peaks are reduced
+    along the longer axis: across the rows of a batch taller than its rows
+    are long (a contiguous transposed copy), else along each row.  min and
+    max do not depend on the order of the values.
+    """
     if arr.ndim not in (1, 2) or arr.size == 0:
         raise DomainError(f"{name} must be a nonempty 1-D array or a 2-D batch of them")
-    low, high = arr.min(axis=-1), arr.max(axis=-1)
+    low = arr.min()
+    if arr.ndim == 2 and arr.shape[1] < arr.shape[0]:
+        high = np.ascontiguousarray(arr.T).max(axis=0)
+    else:
+        high = arr.max(axis=-1)
     # a NaN makes both NaN
-    if not ((-math.inf < low) & (low <= high) & (high < math.inf)).all():
+    if not (-math.inf < low and (high < math.inf).all()):
         raise DomainError(f"{name} must be finite")
-    if (low < 0.0).any():
+    if low < 0.0:
         raise DomainError(f"{name} must be nonnegative")
     if not (high > 0.0).all():
         raise DomainError(f"{name} must not be identically zero")
@@ -447,18 +465,23 @@ def seeded_rng(seed) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def read_grid_csv(path) -> GridDensity:
+def read_grid_csv(path, content: bytes | None = None) -> GridDensity:
     """Grid density file: header ``x,value``, finite, equally spaced increasing x.
 
     Each step may differ from the mean step dx by min(1e-9 max(1, |dx|),
     1e-6 |dx|), a millionth of a step at most, plus 4 ulps of the largest |x|.
+    ``content`` is the bytes of a file that is not a regular file, when the
+    caller has read them (:func:`pipe_bytes`); the file is then not opened.
     """
-    return _parse_once(path, _parse_grid)
+    return _parse_once(path, _parse_grid, content=content)
 
 
-def read_discrete_csv(path) -> DiscreteDensity:
-    """Discrete density file: header ``index,mass`` with indices 0..n-1."""
-    return _parse_once(path, _parse_discrete)
+def read_discrete_csv(path, content: bytes | None = None) -> DiscreteDensity:
+    """Discrete density file: header ``index,mass`` with indices 0..n-1.
+
+    ``content`` is as for :func:`read_grid_csv`.
+    """
+    return _parse_once(path, _parse_discrete, content=content)
 
 
 def read_samples_csv(path) -> np.ndarray:
@@ -466,8 +489,8 @@ def read_samples_csv(path) -> np.ndarray:
     return _parse_once(path, _parse_samples, np.copy)
 
 
-def _parse_grid(path) -> GridDensity:
-    xs, values = read_columns(path, ("x", "value"))
+def _parse_grid(path, content) -> GridDensity:
+    xs, values = read_columns(path, ("x", "value"), content)
     if xs.size < 2:
         raise RepresentationError(f"{path!r}: a grid needs at least two rows")
     if not np.isfinite(xs).all():
@@ -483,8 +506,8 @@ def _parse_grid(path) -> GridDensity:
     return GridDensity(float(xs[0]), float(dx), values)
 
 
-def _parse_discrete(path) -> DiscreteDensity:
-    idx, masses = read_columns(path, ("index", "mass"))
+def _parse_discrete(path, content) -> DiscreteDensity:
+    idx, masses = read_columns(path, ("index", "mass"), content)
     order = np.argsort(idx)
     idx = idx[order]
     if not np.array_equal(idx, np.arange(idx.size)):
@@ -492,8 +515,8 @@ def _parse_discrete(path) -> DiscreteDensity:
     return DiscreteDensity(masses[order])
 
 
-def _parse_samples(path) -> np.ndarray:
-    (samples,) = read_columns(path, ("x",))
+def _parse_samples(path, content) -> np.ndarray:
+    (samples,) = read_columns(path, ("x",), content)
     return samples
 
 
@@ -507,28 +530,47 @@ _parsed: list = []
 _lock = threading.Lock()
 
 
-def _parse_once(path, parse, copy=None):
+def _parse_once(path, parse, copy=None, content=None):
     """parse(path), or the kept result of parse on a file of the same bytes.
 
-    The file is read whole and compared with the bytes of each kept entry of
+    The file is read whole, unless ``content`` holds the bytes of a file that
+    is not a regular file, and compared with the bytes of each kept entry of
     ``parse``; equal bytes return that entry's result, and only a file of the
-    same size costs a comparison.  Otherwise the path is parsed, and the
-    result kept only when the file still holds the bytes read before the
-    parse: a file rewritten during the parse is never kept under its old
-    content.  A parse that raises keeps nothing, nor does one whose bytes
-    and arrays together exceed PARSED_BYTES.  ``copy`` gives each caller a
-    result of its own; without it, every read of the same bytes, the first
-    included, shares one result.
+    same size costs a comparison.  Otherwise a regular file is parsed by its
+    path, and the result kept only when the file still holds the bytes read
+    before the parse: a file rewritten during the parse is never kept under
+    its old content.  Any other file is parsed from the bytes read, and is
+    not opened again.  A parse that raises keeps nothing, nor does one whose
+    bytes and arrays together exceed PARSED_BYTES.  ``copy`` gives each
+    caller a result of its own; without it, every read of the same bytes,
+    the first included, shares one result.
     """
-    with open(path, "rb") as handle:
-        content = handle.read()
+    regular = content is None
+    if regular:
+        content, regular = _read_whole(path)
     for kept_parse, kept_content, kept in _parsed:
         if kept_parse is parse and kept_content == content:
             return kept if copy is None else copy(kept)
-    result = parse(path)
-    if len(content) + _result_array(result).nbytes <= PARSED_BYTES and _holds(path, content):
+    result = parse(path, None if regular else content)
+    if (len(content) + _result_array(result).nbytes <= PARSED_BYTES
+            and (not regular or _holds(path, content))):
         _keep((parse, content, _sealed(result)))
     return result
+
+
+def _read_whole(path) -> tuple[bytes, bool]:
+    """A file's bytes, read in one ``read()``, and whether it is a regular file."""
+    with open(path, "rb") as handle:
+        return handle.read(), stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+
+
+def pipe_bytes(path) -> bytes | None:
+    """The bytes of a file that is not a regular file (a pipe, a device),
+    read whole, since it can be read only once; None for a regular file,
+    which its readers open by path."""
+    if stat.S_ISREG(os.stat(path).st_mode):
+        return None
+    return _read_whole(path)[0]
 
 
 def _holds(path, content: bytes) -> bool:
@@ -574,7 +616,7 @@ def _result_array(result) -> np.ndarray:
 _LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2}
 
 
-def read_columns(path, names) -> tuple[np.ndarray, ...]:
+def read_columns(path, names, content: bytes | None = None) -> tuple[np.ndarray, ...]:
     """The numeric columns of a CSV file, one array per name in ``names``.
 
     Rows before the first data row are headers; a row is data when its first
@@ -588,10 +630,14 @@ def read_columns(path, names) -> tuple[np.ndarray, ...]:
     chunked C reader, given the path.  That reader skips empty rows but not
     whitespace-only ones, so a file with whitespace-only rows, or with a
     format error, is read again row by row through Python, which skips the
-    former and names the file line of the latter.
+    former and names the file line of the latter.  A file that is not a
+    regular file is read once (:func:`pipe_bytes`), or ``content`` holds its
+    bytes, read before; both passes then read those bytes, row by row.
     """
     expected = ",".join(names)
-    with open(path, errors="backslashreplace") as handle:
+    if content is None:
+        content = pipe_bytes(path)
+    with _text(path, content) as handle:
         for line, row in _rows(handle):
             if _is_data(row):
                 break
@@ -600,11 +646,13 @@ def read_columns(path, names) -> tuple[np.ndarray, ...]:
                     f"{path!r}: expected columns {expected}, got header {row.strip()!r}")
         else:  # checked here, since loadtxt warns on a file without data
             raise RepresentationError(f"{path!r}: expected columns {expected}, got no data row")
-    try:
-        data = np.loadtxt(path, skiprows=line - 1, **_LOADTXT)
-    except ValueError:
+    data = None
+    if content is None:
+        with contextlib.suppress(ValueError):
+            data = np.loadtxt(path, skiprows=line - 1, **_LOADTXT)
+    if data is None:
         lines = []  # the file line of each data row, appended as numpy takes the row
-        with open(path, errors="backslashreplace") as handle:
+        with _text(path, content) as handle:
             rows = (lines.append(number) or row for number, row in _rows(handle) if number >= line)
             try:
                 data = np.loadtxt(rows, **_LOADTXT)
@@ -616,19 +664,28 @@ def read_columns(path, names) -> tuple[np.ndarray, ...]:
     return tuple(data.T)
 
 
-def density_kind(path) -> str | None:
+def density_kind(path, content: bytes | None = None) -> str | None:
     """The kind a CSV file's header names: ``x`` (grid), ``index`` (discrete) or None.
 
     That is the first cell, stripped of quotes and whitespace and lowercased, of the
-    first header row of two or more cells that names a kind.
+    first header row of two or more cells that names a kind.  ``content`` is
+    as for :func:`read_grid_csv`.
     """
-    with open(path, errors="backslashreplace") as handle:
+    with _text(path, content) as handle:
         for _, row in _rows(handle):
             if _is_data(row):
                 break
             if "," in row and (kind := _first_cell(row).lower()) in ("x", "index"):
                 return kind
     return None
+
+
+def _text(path, content: bytes | None):
+    """The file as text, or ``content``, its bytes read before; a byte that
+    does not decode reads as its ``\\xNN`` escape."""
+    if content is None:
+        return open(path, errors="backslashreplace")
+    return io.TextIOWrapper(io.BytesIO(content), errors="backslashreplace")
 
 
 def _rows(handle):

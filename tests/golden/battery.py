@@ -164,6 +164,20 @@ def commands() -> list[tuple[list[str], bool]]:
         ["--theorem", "fdps-lower-bound", "--gamma", "0", "--seed", "1"],
         ["--theorem", "jhhb-representation", "--gamma", "1", "--seed", "1"],
     ]
+    # trials that fill more than one batch at the default sizes, the last one
+    # partly: 4096-point grids, and BATCH_TRIALS = 1024 discrete pairs
+    for phi, gamma in (("log", "0"), ("log", "0.5"), ("log", "1"), ("exp-minus-one", "1")):
+        verify.append(["--theorem", "affine-invariance", "--phi", phi, "--gamma", gamma,
+                       "--trials", "9", "--grid-points", "4096", "--representation", "grid",
+                       "--seed", "8"])
+    verify += [
+        ["--theorem", "fdps-lower-bound", "--phi", "power:0.5", "--gamma", "1",
+         "--trials", "2085", "--seed", "9"],
+        ["--theorem", "jhhb-representation", "--zeta", "0.5", "--gamma", "1",
+         "--trials", "2085", "--seed", "9"],
+        ["--theorem", "uv-consistency", "--xi", "power:2", "--gamma", "2",
+         "--trials", "2085", "--seed", "9"],
+    ]
     out += [(["verify", *argv], False) for argv in verify]
     fits = [["--family", "fdpd", "--phi", "identity", "--gamma", "0"],
             ["--family", "fdpd", "--phi", "identity", "--gamma", "0.5"],

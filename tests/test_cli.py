@@ -1,8 +1,10 @@
+import contextlib
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from divkit import (
     write_density_csv,
 )
 from divkit.checks import random_discrete_density
-from divkit import cli, scores
+from divkit import cli, densities, scores
 from divkit.cli import main
 from divkit.scores import FAMILIES
 
@@ -342,6 +344,98 @@ def test_a_phi_table_with_a_nan_cell_exits_3_naming_the_table(tmp_path, capsys,
                 "--g", g, "--f", f]) == 3
     assert capsys.readouterr().err == (
         f"divkit: generator table {str(table)!r} must have finite z and value\n")
+
+
+@contextlib.contextmanager
+def piped(*paths):
+    """For each file, a path that reads its bytes from a pipe, as a shell's
+    ``<(cat file)`` gives: a second open of it reads only what is left."""
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd to name a pipe by")
+    ends, writers = [], []
+    for path in paths:
+        read_end, write_end = os.pipe()
+
+        def feed(write_end=write_end, data=Path(path).read_bytes()):
+            with os.fdopen(write_end, "wb") as handle, contextlib.suppress(BrokenPipeError):
+                handle.write(data)
+
+        ends.append(read_end)
+        writers.append(threading.Thread(target=feed))
+        writers[-1].start()
+    try:
+        yield [f"/dev/fd/{end}" for end in ends]
+    finally:
+        for end in ends:
+            os.close(end)
+        for writer in writers:
+            writer.join()
+
+
+def _piped_inputs(tmp_path):
+    """Files of each reader, each above the 8 KiB a buffered header scan reads."""
+    rng = np.random.default_rng(29)
+    for name, mu in (("g", 0.0), ("f", 1.0)):
+        write_density_csv(tmp_path / f"{name}.csv",
+                          gaussian_grid(GaussianDensity(mu, 1.0), x_min=-12.0, x_max=13.0,
+                                        points=401))
+        write_density_csv(tmp_path / f"{name}-masses.csv",
+                          DiscreteDensity(rng.uniform(0.05, 3.0, 500)))
+    write_samples(tmp_path / "s.csv", rng.normal(0.5, 1.0, 500))
+    (tmp_path / "line.csv").write_text(
+        "z,value\n" + "".join(f"{z!r},{z!r}\n" for z in np.linspace(0.0, 50.0, 600).tolist()))
+
+
+@pytest.mark.parametrize("command", [
+    ["compute", "--family", "fdpd", "--phi", "identity", "--gamma", "0.5",
+     "--g", "{g}", "--f", "{f}"],
+    ["compute", "--family", "jhhb", "--zeta", "0", "--gamma", "0",
+     "--g", "{g-masses}", "--f", "{f-masses}"],
+    ["estimate", "--family", "fdpd", "--phi", "identity", "--gamma", "0.5",
+     "--samples", "{s}", "--seed", "0"],
+    ["compute", "--family", "fdpd", "--phi", "file:{line}", "--gamma", "0.5",
+     "--g", "g.csv", "--f", "f.csv"],
+], ids=["grid", "discrete", "samples", "phi-table"])
+def test_a_file_given_as_a_pipe_reads_as_the_file(tmp_path, capsys, monkeypatch, command):
+    _piped_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    names = [arg[arg.index("{") + 1:-1] for arg in command if "{" in arg]
+    files = [f"{name}.csv" for name in names]
+    assert run([arg.format_map(dict(zip(names, files))) for arg in command]) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setattr(densities, "_parsed", [])  # no parse of the files is kept
+    opened, real_open = [], open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    with piped(*files) as paths:
+        monkeypatch.setattr("builtins.open", counting_open)
+        assert run([arg.format_map(dict(zip(names, paths))) for arg in command]) == 0
+    assert sorted(path for path in opened if path in paths) == sorted(paths)  # once each
+    out = capsys.readouterr()
+    for file, path in zip(files, paths):  # the reports name the paths given
+        out = out._replace(out=out.out.replace(path, file))
+    assert out == expected
+
+
+def test_a_malformed_pipe_names_the_line_of_its_bad_cell(tmp_path, capsys, monkeypatch):
+    # the header scan and the row-by-row parse both read the one copy of its bytes
+    _piped_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    text = Path("g.csv").read_text().splitlines(keepends=True)
+    Path("bad.csv").write_text("".join(["# a grid\n", *text[:200], "  \n", "1,abc\n",
+                                        *text[200:]]))
+    command = ["compute", "--family", "fdpd", "--phi", "identity", "--gamma", "1",
+               "--g", "{bad}", "--f", "f.csv"]
+    assert run([arg.format(bad="bad.csv") for arg in command]) == 3
+    expected = capsys.readouterr().err
+    assert expected == ("divkit: 'bad.csv': could not convert string 'abc' to float64 "
+                        "at line 203, column 2\n")
+    with piped("bad.csv") as (path,):
+        assert run([arg.format(bad=path) for arg in command]) == 3
+    assert capsys.readouterr().err == expected.replace("bad.csv", path)
 
 
 def test_compute_gamma_zero_reports_kl_fields(density_files, tmp_path):

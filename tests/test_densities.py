@@ -1017,6 +1017,72 @@ def test_batch_validation_is_row_by_row(row, message):
         DiscreteDensity([[0.5, 0.5], row, [2.0, 1.0]])
 
 
+def _bad_row(kind: str, size: int, at: int, rng) -> np.ndarray:
+    """A row of ``size`` values with one defect of ``kind`` at ``at``."""
+    row = rng.uniform(0.05, 3.0, size)
+    if kind in ("zeros", "negative zeros", "subnormal only"):
+        row[:] = -0.0 if kind == "negative zeros" else 0.0
+        if kind == "subnormal only":  # a valid row
+            row[at] = 5e-324
+        elif kind == "negative zeros":
+            row[rng.random(size) < 0.5] = 0.0  # -0.0 and 0.0 mixed, -0.0 at ``at``
+            row[at] = -0.0
+    else:
+        row[at] = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf,
+                   "negative": -rng.choice([5e-324, 1.0, 1e300])}[kind]
+    return row
+
+
+def _error(make, values):
+    """The class and message of the DomainError make(values) raises; None if none."""
+    try:
+        make(values)
+    except DomainError as err:
+        return type(err), str(err)
+    return None
+
+
+BATCH_SHAPES = [(3, 8), (1024, 8), (2, 4096), (8192, 2)]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(shape=st.one_of(st.tuples(st.just(1), st.integers(1, 16)), st.sampled_from(BATCH_SHAPES)),
+       kind=st.sampled_from(["nan", "+inf", "-inf", "negative", "zeros", "negative zeros",
+                             "subnormal only"]),
+       where=st.sampled_from(["first", "middle", "last"]),
+       seed=st.integers(0, 2**32 - 1), column=st.floats(0.0, 1.0, exclude_max=True))
+def test_a_batch_raises_what_its_bad_row_raises_alone(shape, kind, where, seed, column):
+    rng = np.random.default_rng(seed)
+    rows, size = shape
+    values = rng.uniform(0.0, 3.0, shape) * (rng.random(shape) < 0.7)
+    values[np.arange(rows), rng.integers(0, size, rows)] = rng.uniform(0.05, 3.0, rows)
+    row = _bad_row(kind, size, int(column * size), rng)
+    values[{"first": 0, "middle": rows // 2, "last": rows - 1}[where]] = row
+    for make in (DiscreteDensity, lambda v: GridDensity(-1.0, 0.5, v)):
+        expected = _error(make, row)
+        assert (expected is None) == (kind == "subnormal only")
+        assert _error(make, values) == expected
+        assert _error(make, values[..., ::-1]) == expected  # a strided batch
+
+
+@pytest.mark.parametrize("shape", [(1, 5), *BATCH_SHAPES])
+@pytest.mark.parametrize("first, last, message", [
+    (-1.0, math.nan, "finite"),
+    (0.0, math.inf, "finite"),
+    (0.0, -math.inf, "finite"),
+    (0.0, -1.0, "nonnegative"),
+])
+def test_a_batch_raises_the_first_message_of_the_order_whatever_the_rows(shape, first, last,
+                                                                         message):
+    # "finite" before "nonnegative" before "identically zero", in any rows
+    values = np.ones(shape)
+    if shape[0] > 2:
+        values[shape[0] // 2] = 0.0
+    values[0, 0], values[-1, -1] = first, last
+    with pytest.raises(DomainError, match=message):
+        DiscreteDensity(values)
+
+
 def test_batches_must_share_a_shape():
     two, three = DiscreteDensity(np.ones((2, 4))), DiscreteDensity(np.ones((3, 4)))
     with pytest.raises(RepresentationError, match="batches differ"):
