@@ -29,13 +29,21 @@ it returns.
 
 The descents run in lockstep (see :func:`_lockstep`): at each step the
 pending points of all running descents share one pass over a block of
-samples and one ``score`` call on their stencils.  A block holds at most
-COARSE_SAMPLES = 8192 sample values, so that numpy sums each row as it sums
-a single point's (the rows of a block of longer rows move in their last
-bits, at any :func:`numpy.setbufsize`), and the block stays in a core's
-cache; at n above 4096 each point has a pass of its own.  Every row of a
-block gets the bits of a one-point evaluation, so each descent takes the
-steps it takes alone.  A failing evaluation fails the fit with its error.
+samples and one ``score`` call on their stencils.  A block holds up to
+BLOCK_ROWS = 4 points in rows of at most COARSE_SAMPLES = 8192 sample
+values, so that numpy sums each row as it sums a single point's (the rows
+of a block of longer rows move in their last bits, at any
+:func:`numpy.setbufsize`); on more samples each point has a pass of its
+own.  Every row of a block gets the bits of a one-point evaluation, so each
+descent takes the steps it takes alone.  A failing evaluation fails the fit
+with its error.
+
+A contamination sweep runs the descents of all its fits in one lockstep
+(see :func:`_fit_together`).  At each step the points on one samples array
+at one gamma share their passes, each distinct point bracketed once (specs
+that share a gamma start from the same four points), and the points of one
+spec share one ``score`` call.  Each fit so gets the bits that it gets
+alone; a failing evaluation fails every fit of the sweep with its error.
 
 Above COARSE_ABOVE = 12288 samples a fit runs in two phases.  The coarse
 phase runs the descents on a fixed quantile subsample of COARSE_SAMPLES
@@ -104,12 +112,16 @@ START_OFFSETS = [(0.5, 0.3), (-0.5, -0.3), (0.5, -0.3)]
 # sigma is held at or above this; a fit that ends on it is unconverged
 SIGMA_FLOOR = 1e-6
 # numpy sums each row of a (rows, n) block as it sums that row alone while
-# n is at most this (numpy.getbufsize() does not move it), so a block holds
-# at most this many values.  A fit on more than COARSE_ABOVE samples first
-# descends on a quantile subsample of this size (see fit); up to about 1.25
-# times this size, the subsample's descents cost about what they save
+# n is at most this (numpy.getbufsize() does not move it), so a pass over at
+# most this many samples brackets BLOCK_ROWS points in one block, and a pass
+# over more brackets one point.  A fit on more than COARSE_ABOVE samples
+# first descends on a quantile subsample of this size (see fit); up to about
+# 1.25 times this size, the subsample's descents cost about what they save
 COARSE_SAMPLES = 8192
 COARSE_ABOVE = 3 * COARSE_SAMPLES // 2
+# a fit's four pending points fill one block; blocks of 16 rows were slower
+# (nine fits at n = 2000: 6.3 ms against 5.4 ms, on 2 CPUs)
+BLOCK_ROWS = 4
 # coarse end points closer than this in (t, log sigma), t in the sigma of the
 # end kept, are one minimum: on 519 fits at n 1.5e4 to 1e5, ends of one basin
 # agreed to 2e-7 in 9 pairs of 10, and distinct minima were 0.5 or more apart
@@ -259,11 +271,12 @@ def _gaussian_brackets(samples: np.ndarray, gamma: float, points,
 
     The exponent is shifted by the smallest r^2, so the sums stay positive
     when every f(x_i) underflows.  The pass writes into ``work``, a
-    (3, rows, n) array that the fit allocates once, one row per point: at
-    n = 10^5 a fresh one per call would cost about as much time as the pass
-    itself, in page faults.  The shifts and scales of each row are scalar
-    ufunc calls on that row, and the square, the exp and the sums run over
-    the whole block; every row gets the bits of a one-point call.
+    (3, rows, n) array that the objective allocates once for each n, one row
+    per point: at n = 10^5 a fresh one per call would cost about as much
+    time as the pass itself, in page faults.  The shifts and scales of each
+    row are scalar ufunc calls on that row, and the square, the exp and the
+    sums run over the whole block; every row gets the bits of a one-point
+    call.
     """
     r, r2, e = work[:, :len(points)]
     for row, (mu, log_sigma) in zip(r, points):
@@ -305,35 +318,62 @@ def _held(log_sigma: float) -> float:
     return min(max(log_sigma, math.log(SIGMA_FLOOR)), MAX_LOG_SIGMA)
 
 
-def gaussian_objective(samples: np.ndarray, spec: DivergenceSpec, work: np.ndarray):
+def gaussian_objective():
     """The plug-in score of N(mu, sigma) over (mu, log sigma), for gamma > 0.
 
-    ``objective(points)`` takes a list of points (mu, log sigma) and
-    returns, for each, five things: the score F; its gradient and its
-    Hessian (a pair of rows) in (t, log sigma), with t in units of that
-    point's sigma, both divided by that point's sensitivity
-    |X dF/dX| + |Y dF/dY|; the sensitivity; and sigma.  The division lets one
-    gradient tolerance serve every location, scale and family; where both
-    first partials of F are 0 the gradient is NaN, so a descent stops there
-    unconverged.  Outside [SIGMA_FLOOR, e**MAX_LOG_SIGMA] sigma is held at
-    the bound, and the log sigma component of the gradient and the log sigma
-    row and column of the Hessian are 0.  The points share one ``score``
-    call (see :func:`_outer`) and, ``work.shape[1]`` points at a time, a
-    pass over the samples, which writes into ``work`` (see
-    :func:`_gaussian_brackets`); each point's result is the bits of a
-    one-point call.
-    """
-    gamma = spec.gamma
+    ``objective(requests)`` takes a list of requests ``((samples, spec),
+    (mu, log sigma))`` and returns, for each, five things: the score F of
+    ``spec`` on ``samples``; its gradient and its Hessian (a pair of rows)
+    in (t, log sigma), with t in units of that point's sigma, both divided
+    by that point's sensitivity |X dF/dX| + |Y dF/dY|; the sensitivity; and
+    sigma.  The division lets one gradient tolerance serve every location,
+    scale and family; where both first partials of F are 0 the gradient is
+    NaN, so a descent stops there unconverged.  Outside [SIGMA_FLOOR,
+    e**MAX_LOG_SIGMA] sigma is held at the bound, and the log sigma
+    component of the gradient and the log sigma row and column of the
+    Hessian are 0.
 
-    def objective(points):
-        held = [(mu, _held(log_sigma)) for mu, log_sigma in points]
-        rows = work.shape[1]
-        brackets = [bracket for first in range(0, len(held), rows)
-                    for bracket in _gaussian_brackets(samples, gamma, held[first:first + rows],
-                                                      work)]
-        outers = _outer(spec, [b[0] for b in brackets], [b[1] for b in brackets])
+    The requests share their work.  Each distinct held point of a samples
+    array and a gamma is bracketed once (see :func:`_gaussian_brackets`),
+    in blocks of at most BLOCK_ROWS points on at most COARSE_SAMPLES
+    samples and of one point on more, which write into one work array per
+    sample count.  The points of one spec share one ``score`` call (see
+    :func:`_outer`).  Each request's result is the bits of a one-point call.
+    """
+    works = {}  # sample count -> the work array of _gaussian_brackets
+
+    def objective(requests):
+        passes = {}  # (samples, gamma) -> (samples, gamma, {held point: its row})
+        placed = []  # the pass and the row of each request
+        for (samples, spec), (mu, log_sigma) in requests:
+            key = (id(samples), spec.gamma)
+            if key not in passes:
+                passes[key] = (samples, spec.gamma, {})
+            points = passes[key][2]
+            placed.append((key, points.setdefault((mu, _held(log_sigma)), len(points))))
+        found = {}  # (samples, gamma) -> the brackets of its points
+        for key, (samples, gamma, points) in passes.items():
+            work = works.get(samples.size)
+            if work is None:
+                rows = BLOCK_ROWS if samples.size <= COARSE_SAMPLES else 1
+                work = works[samples.size] = np.empty((3, rows, samples.size))
+            held, rows = list(points), work.shape[1]
+            found[key] = [bracket for first in range(0, len(held), rows)
+                          for bracket in _gaussian_brackets(samples, gamma,
+                                                            held[first:first + rows], work)]
+        brackets = [found[key][row] for key, row in placed]
+        by_spec = {}  # spec -> (spec, the indices of its requests)
+        for i, ((_, spec), _) in enumerate(requests):
+            by_spec.setdefault(id(spec), (spec, []))[1].append(i)
+        outers = [None] * len(requests)
+        for spec, members in by_spec.values():
+            scored = _outer(spec, [brackets[i][0] for i in members],
+                            [brackets[i][1] for i in members])
+            for i, outer in zip(members, scored):
+                outers[i] = outer
         out = []
-        for (_, log_sigma), (_, u), bracket, outer in zip(points, held, brackets, outers):
+        for ((_, spec), (_, log_sigma)), bracket, outer in zip(requests, brackets, outers):
+            gamma, u = spec.gamma, _held(log_sigma)
             _, _, a_t, a_u, a_tt, a_tu, a_uu = bracket
             value, ex, ey, f_aa, f_ab, f_bb = outer
             # F(log X, log Y) with d log Y / dlog sigma = -gamma the only
@@ -410,7 +450,8 @@ def minimize(objective: Callable, x0: tuple[float, float], max_iterations: int,
     :func:`_lockstep` on one start.  A fit runs its descents in lockstep,
     where each descent takes the steps it takes here.
     """
-    return _lockstep(lambda points: [objective(points[0])], [x0], max_iterations, min_unit)[0]
+    return _lockstep(lambda requests: [objective(requests[0][1])],
+                     [(None, x0, max_iterations, min_unit)])[0]
 
 
 def _descent(x0: tuple[float, float], max_iterations: int, min_unit: float):
@@ -451,25 +492,28 @@ def _descent(x0: tuple[float, float], max_iterations: int, min_unit: float):
     return Minimum(x, value, nfev, nit, True)
 
 
-def _lockstep(objective: Callable, starts: list, max_iterations: int,
-              min_unit: float) -> list[Minimum]:
-    """A descent from each start, run together: the :class:`Minimum` of each.
+def _lockstep(objective: Callable, descents: list) -> list[Minimum]:
+    """The descents, run together: the :class:`Minimum` of each.
 
-    ``objective(points)`` evaluates a list of points (see
-    :func:`gaussian_objective`).  At each step the pending points of all
-    running descents are evaluated in one call, in start order, and each is
-    sent back to its descent.  A descent so takes the steps that it takes
-    alone.  A failing evaluation fails the fit with its error: an exception
-    from the call propagates.
+    Each descent is ``(task, start, max_iterations, min_unit)``, a descent
+    of :func:`minimize` from ``start`` on the objective of ``task``.
+    ``objective(requests)`` evaluates a list of ``(task, point)`` requests
+    (see :func:`gaussian_objective`, whose tasks are (samples, spec)
+    pairs).  At each step the pending points of all running descents are
+    evaluated in one call, in descent order, and each is sent back to its
+    descent.  A descent so takes the steps that it takes alone.  A failing
+    evaluation fails every descent with its error: an exception from the
+    call propagates.
     """
-    descents = [_descent(x0, max_iterations, min_unit) for x0 in starts]
-    pending = {i: next(descent) for i, descent in enumerate(descents)}  # start -> point
-    ends = [None] * len(starts)
+    runs = [_descent(x0, max_iterations, min_unit) for _, x0, max_iterations, min_unit in descents]
+    pending = {i: next(run) for i, run in enumerate(runs)}  # descent -> point
+    ends = [None] * len(runs)
     while pending:
         running = list(pending)
-        for i, evaluation in zip(running, objective([pending[i] for i in running])):
+        for i, evaluation in zip(running, objective([(descents[i][0], pending[i])
+                                                     for i in running])):
             try:
-                pending[i] = descents[i].send(evaluation)
+                pending[i] = runs[i].send(evaluation)
             except StopIteration as stop:
                 ends[i] = stop.value
                 del pending[i]
@@ -536,11 +580,10 @@ def fit(problem: EstimationProblem) -> EstimationResult:
     (:func:`_distinct`); the lowest of those is kept.  The fit is converged
     when the descent whose point it returns met the gradient tolerance and
     sigma did not land on SIGMA_FLOOR.  A failing evaluation fails the fit
-    with its error.
+    with its error.  This is :func:`_fit_together` on one problem.
     """
     samples = problem.samples
     spec = problem.spec
-    cfg = problem.config
 
     if spec.gamma == 0.0:
         mu_hat, sigma_hat = float(np.mean(samples)), float(np.std(samples))
@@ -555,40 +598,73 @@ def fit(problem: EstimationProblem) -> EstimationResult:
         at_floor = _on_floor(sigma_hat)
         return EstimationResult(mu_hat, sigma_hat, value, 0, converged=not at_floor,
                                 sigma_at_floor=at_floor)
+    return _fit_together([problem])[0]
 
-    large = samples.size > COARSE_ABOVE
-    # the default start and the subsample read one sorted copy
-    ordered = np.sort(samples) if cfg.initial is None or large else None
-    if cfg.initial is not None:
-        mu0, sigma0 = cfg.initial
-    else:
-        mu0 = _median(ordered)
-        sigma0 = (_percentile(ordered, 0.75) - _percentile(ordered, 0.25)) / 1.349
-    sigma0 = max(sigma0, 1e-3)
 
-    def descend(sample_set: np.ndarray, starts: list) -> list[Minimum]:
-        # a block of points holds at most COARSE_SAMPLES values; at n = 10^5
-        # four points in one pass also cost more than four one-point passes
-        rows = max(1, min(len(starts), COARSE_SAMPLES // sample_set.size))
-        objective = gaussian_objective(sample_set, spec, np.empty((3, rows, sample_set.size)))
-        return _lockstep(objective, starts, cfg.max_iterations, sigma0)
+@np.errstate(over="ignore", invalid="ignore")
+def _fit_together(problems: list[EstimationProblem]) -> list[EstimationResult]:
+    """The :func:`fit` of each problem, bit for bit, from one lockstep.
 
-    u0 = math.log(sigma0)
-    starts = [(mu0 + sigma0 * dt, u0 + du) for dt, du in [(0.0, 0.0)] + START_OFFSETS]
-    coarse = []
-    if large:
-        coarse = descend(_quantile_subsample(ordered), starts)
-        starts = _distinct([end.x for end in coarse])
-    runs = descend(samples, starts)
-    best = min(runs, key=lambda res: res.fun)
-    sigma_hat = math.exp(_held(best.x[1]))
-    at_floor = _on_floor(sigma_hat)
-    runs = coarse + runs
-    return EstimationResult(best.x[0], sigma_hat, best.fun, sum(res.nit for res in runs),
-                            converged=best.success and not at_floor,
-                            sigma_at_floor=at_floor,
-                            optimizer_converged=best.success,
-                            evaluations=tuple(res.nfev for res in runs))
+    gamma = 0 problems take fit's closed form.  The descents of all the
+    others run in one :func:`_lockstep`, and the second phases of those on
+    more than COARSE_ABOVE samples in a second, so that at each step they
+    share passes over the samples and score calls (see
+    :func:`gaussian_objective`).  Each samples array is sorted once, for its
+    default start and its subsample.  A failing evaluation fails every fit
+    with its error.
+    """
+    results = [fit(problem) if problem.spec.gamma == 0.0 else None for problem in problems]
+    sorted_sets = {}  # samples -> [the sorted samples, their quantile subsample]
+    fits, first = [], []  # (index, problem, large, min_unit); the first phase's descents
+    for i, problem in enumerate(problems):
+        if results[i] is not None:
+            continue
+        samples, cfg = problem.samples, problem.config
+        large = samples.size > COARSE_ABOVE
+        if cfg.initial is None or large:
+            # the default start and the subsample read one sorted copy
+            sorted_set = sorted_sets.get(id(samples))
+            if sorted_set is None:
+                sorted_set = sorted_sets[id(samples)] = [np.sort(samples), None]
+            ordered = sorted_set[0]
+        if cfg.initial is not None:
+            mu0, sigma0 = cfg.initial
+        else:
+            mu0 = _median(ordered)
+            sigma0 = (_percentile(ordered, 0.75) - _percentile(ordered, 0.25)) / 1.349
+        sigma0 = max(sigma0, 1e-3)
+        sample_set = samples
+        if large:
+            if sorted_set[1] is None:
+                sorted_set[1] = _quantile_subsample(ordered)
+            sample_set = sorted_set[1]
+        u0 = math.log(sigma0)
+        first += [((sample_set, problem.spec), (mu0 + sigma0 * dt, u0 + du),
+                   cfg.max_iterations, sigma0) for dt, du in [(0.0, 0.0)] + START_OFFSETS]
+        fits.append((i, problem, large, sigma0))
+
+    per_fit = 1 + len(START_OFFSETS)
+    ends = _lockstep(gaussian_objective(), first)
+    firsts = [ends[k * per_fit:(k + 1) * per_fit] for k in range(len(fits))]
+    # a large fit descends on all its samples from each distinct coarse end
+    second = [[((problem.samples, problem.spec), x0, problem.config.max_iterations, sigma0)
+               for x0 in _distinct([end.x for end in coarse])] if large else []
+              for (_, problem, large, sigma0), coarse in zip(fits, firsts)]
+    fine = iter(_lockstep(gaussian_objective(), [descent for descents in second
+                                                 for descent in descents]))
+    for (i, _, large, _), own, descents in zip(fits, firsts, second):
+        last = [next(fine) for _ in descents] if large else own
+        best = min(last, key=lambda res: res.fun)
+        sigma_hat = math.exp(_held(best.x[1]))
+        at_floor = _on_floor(sigma_hat)
+        runs = own + last if large else own
+        results[i] = EstimationResult(best.x[0], sigma_hat, best.fun,
+                                      sum(res.nit for res in runs),
+                                      converged=best.success and not at_floor,
+                                      sigma_at_floor=at_floor,
+                                      optimizer_converged=best.success,
+                                      evaluations=tuple(res.nfev for res in runs))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -640,18 +716,19 @@ def contamination_sweep(epsilons, outlier_location: float,
     """Fit every spec against every contamination level; bias is mu_hat - 0.
 
     Rows are ordered (epsilon outer, spec inner) and fully determined by the
-    seed.
+    seed.  All the fits run together (see :func:`_fit_together`): each row
+    is the :func:`fit` of its problem alone, and a failing evaluation fails
+    the sweep with its error.
     """
     config = config or OptimizerConfig()
-    rows = []
+    cases, problems = [], []
     for epsilon in epsilons:
         epsilon = float(epsilon)
         _require_epsilon(epsilon)  # before the seed key, which takes finite epsilon only
         samples = contaminated_sample(n, epsilon, outlier_location,
                                       [seed, int(round(1e9 * epsilon))])
-        for spec in specs:
-            result = fit(EstimationProblem(samples, spec, config))
-            rows.append(SweepRow(epsilon, spec.family, spec.gamma, spec.zeta,
-                                 result.mu, result.sigma, result.mu - 0.0,
-                                 result.converged))
-    return rows
+        cases += [(epsilon, spec) for spec in specs]
+        problems += [EstimationProblem(samples, spec, config) for spec in specs]
+    return [SweepRow(epsilon, spec.family, spec.gamma, spec.zeta, result.mu, result.sigma,
+                     result.mu - 0.0, result.converged)
+            for (epsilon, spec), result in zip(cases, _fit_together(problems))]

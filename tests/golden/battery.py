@@ -62,6 +62,14 @@ def write_inputs(directory: Path) -> None:
                                               np.full(2_000, 15.0)]))
     (directory / "s-20000.csv").write_text(
         "x\n" + "".join(f"{v!r}\n" for v in samples.tolist()))
+    # samples that fill a block of four 1250-value rows and four 8192-value rows
+    for n, seed in ((5000, 20261021), (8192, 20261022)):
+        rng = np.random.default_rng(seed)
+        n_out = n // 10
+        samples = rng.permutation(np.concatenate([0.5 + rng.standard_normal(n - n_out),
+                                                  np.full(n_out, 6.0)]))
+        (directory / f"s-{n}.csv").write_text(
+            "x\n" + "".join(f"{v!r}\n" for v in samples.tolist()))
     # scaled draws on which a fit fails inside an evaluation of its score
     draws = np.random.default_rng(1).normal(0.5, 1.0, 1000)
     for name, scaled in (("s-1e-3.csv", 1e-3 * draws + 0.2), ("s-1e150.csv", 1e150 * draws)):
@@ -192,6 +200,8 @@ def commands() -> list[tuple[list[str], bool]]:
             for flags in fits]
     out += [(["estimate", *flags, "--samples", "s-20000.csv", "--seed", "0"], False)
             for flags in (fits[1], fits[3], fits[5], [*fits[1], "--max-iterations", "1"])]
+    out += [(["estimate", *flags, "--samples", samples, "--seed", "0"], False)
+            for samples in ("s-5000.csv", "s-8192.csv") for flags in (fits[1], fits[3], fits[5])]
     # no gamma = 0 generator to certify: the likelihood fit
     out.append((["estimate", "--family", "holder", "--gamma", "0", "--samples", "s.csv",
                  "--seed", "0"], False))
@@ -209,6 +219,18 @@ def commands() -> list[tuple[list[str], bool]]:
             (sweep + ["--epsilons", "nan"], False),
             (sweep[:-4] + ["--spec", "family=fdpd,phi=power:3,gamma=0.5",
                            "--epsilons", "0,0.1"], False)]
+    # every family at gamma 0 to 2 in one sweep, specs sharing a gamma among
+    # them; at n = 13000 every fit runs in two phases
+    mixed = ["--outlier", "8", "--seed", "2", "--epsilons", "0,0.1,0.3"]
+    for spec in ("family=holder,eta=dpd,gamma=1", "family=fdpd,phi=identity,gamma=0",
+                 "family=fdpd,phi=identity,gamma=0.5", "family=fdpd,phi=log,gamma=0.5",
+                 "family=jhhb,zeta=0,gamma=0.5", "family=jhhb,zeta=0.5,gamma=1",
+                 "family=xi_holder,eta=dpd,xi=power:0.5,gamma=0.5",
+                 "family=holder,eta=ps,gamma=2", "family=fdpd,phi=power:2,gamma=2"):
+        mixed += ["--spec", spec]
+    out += [(["sweep", "--n", "300", *mixed], False),
+            (["sweep", "--n", "300", *mixed, "--format", "json"], False),
+            (["sweep", "--n", "13000", *mixed], False)]
     return out
 
 

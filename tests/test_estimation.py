@@ -14,6 +14,7 @@ from divkit import (
     DivkitError,
     DomainError,
     EstimationProblem,
+    EvaluationError,
     GaussianDensity,
     GeneratorValidityError,
     GridDensity,
@@ -172,10 +173,10 @@ OBJECTIVE_SPECS = [
 def objective_and_score(samples, spec):
     """gaussian_objective on the samples, and the plug-in score it evaluates,
     as a function of (mu, log sigma)."""
-    block = gaussian_objective(samples, spec, np.empty((3, 1, samples.size)))
+    requests = gaussian_objective()
 
     def objective(point):
-        return block([point])[0]
+        return requests([((samples, spec), point)])[0]
 
     def reference(mu, u):
         return empirical_score(samples, GaussianDensity(mu, math.exp(u)), spec)
@@ -404,19 +405,19 @@ def test_a_block_of_points_gives_the_bits_of_one_point_calls(name, gamma, table_
         with pytest.raises(type(err), match=re.escape(str(err))):
             _outer(spec, xs, ys)
 
-    # whole evaluations, with sigma held below its floor and above its top,
-    # and at n = 2500, where a fit's block of three rows takes four points
-    # as 3 + 1 rows
+    # whole evaluations, with sigma held below its floor and above its top
+    # (blocks of 4 + 2 rows), and at n = COARSE_SAMPLES, where four points
+    # fill one block of the longest rows
     held = [(0.1, math.log(SIGMA_FLOOR) - 2.0), (0.2, MAX_LOG_SIGMA + 1.0)]
-    large = np.random.default_rng(3).standard_normal(2500)
-    assert np.getbufsize() // large.size == 3
-    for sample_set, point_set, rows in ((samples, points + held, 6), (large, points, 3)):
-        one_point = gaussian_objective(sample_set, spec, np.empty((3, 1, sample_set.size)))
-        block = gaussian_objective(sample_set, spec, np.empty((3, rows, sample_set.size)))
-        expected = [_raised(lambda: _flat_hex(one_point([point])[0])) for point in point_set]
+    large = np.random.default_rng(3).standard_normal(COARSE_SAMPLES)
+    for sample_set, point_set in ((samples, points + held), (large, points)):
+        task = (sample_set, spec)
+        expected = [_raised(lambda: _flat_hex(gaussian_objective()([(task, point)])[0]))
+                    for point in point_set]
         if any(isinstance(outcome, DivkitError) for outcome in expected):
             continue  # a point whose score leaves float range: _lockstep's case
-        assert [_flat_hex(e) for e in block(point_set)] == expected
+        together = gaussian_objective()([(task, point) for point in point_set])
+        assert [_flat_hex(e) for e in together] == expected
 
 
 @pytest.mark.parametrize("n", [np.getbufsize() + 1, 10_000, 100_000])
@@ -683,8 +684,9 @@ def test_converged_describes_the_descent_whose_point_is_returned(monkeypatch, de
                                                                  converged):
     # canned descents, one per start, each ending where it started: the
     # second, from START_OFFSETS[0], has the lowest value
-    def lockstep_canned(objective, starts, max_iterations, min_unit):
-        return [Minimum(x0, fun, 3, 2, success) for x0, (fun, success) in zip(starts, descents)]
+    def lockstep_canned(objective, started):
+        return [Minimum(x0, fun, 3, 2, success)
+                for (_, x0, _, _), (fun, success) in zip(started, descents)]
 
     monkeypatch.setattr(estimation, "_lockstep", lockstep_canned)
     problem = EstimationProblem(seeded_contaminated(n=200), DPD_HALF,
@@ -697,23 +699,38 @@ def test_converged_describes_the_descent_whose_point_is_returned(monkeypatch, de
 
 
 def _spy_lockstep(monkeypatch):
-    """Record the arguments of every _lockstep call of a fit, its result, and
-    the rows and the samples of its objective's work block."""
-    calls, shapes = [], []
-    lockstep, objective = estimation._lockstep, estimation.gaussian_objective
+    """Record every _lockstep call of a fit that runs descents: its descents,
+    their ends, and for each step (each objective call) the blocks of its
+    passes, as (samples, points, rows of the work array).  The samples,
+    starts, max_iterations and min_unit of its first descent's fit are
+    recorded too, and the most rows any block had."""
+    calls = []
+    lockstep, brackets = estimation._lockstep, estimation._gaussian_brackets
 
-    def objective_spy(samples, spec, work):
-        shapes.append((work.shape[1], samples))
-        return objective(samples, spec, work)
+    def brackets_spy(samples, gamma, points, work):
+        if calls:
+            calls[-1]["steps"][-1].append((samples, len(points), work.shape[1]))
+            calls[-1]["rows"] = max(calls[-1]["rows"], work.shape[1])
+        return brackets(samples, gamma, points, work)
 
-    def spy(objective, starts, max_iterations, min_unit):
-        rows, samples = shapes[-1] if shapes else (None, None)
-        calls.append({"starts": starts, "max_iterations": max_iterations,
-                      "min_unit": min_unit, "rows": rows, "samples": samples})
-        calls[-1]["ends"] = lockstep(objective, starts, max_iterations, min_unit)
-        return calls[-1]["ends"]
+    def spy(objective, descents):
+        if not descents or descents[0][0] is None:  # no descents, or minimize's
+            return lockstep(objective, descents)
+        (samples, spec), _, max_iterations, min_unit = descents[0]
+        call = {"descents": descents, "samples": samples, "max_iterations": max_iterations,
+                "min_unit": min_unit, "rows": 0, "steps": [],
+                "starts": [x0 for (on, of), x0, _, _ in descents
+                           if on is samples and of is spec]}
+        calls.append(call)
 
-    monkeypatch.setattr(estimation, "gaussian_objective", objective_spy)
+        def objective_spy(requests):
+            call["steps"].append([])
+            return objective(requests)
+
+        call["ends"] = lockstep(objective_spy, descents)
+        return call["ends"]
+
+    monkeypatch.setattr(estimation, "_gaussian_brackets", brackets_spy)
     monkeypatch.setattr(estimation, "_lockstep", spy)
     return calls
 
@@ -747,9 +764,9 @@ FIT_SETS = {
 
 def _one_after_another(samples, spec, call):
     """minimize from each start of a recorded _lockstep call, in turn."""
-    objective = gaussian_objective(samples, spec, np.empty((3, 1, samples.size)))
-    return [minimize(lambda x: objective([x])[0], x0, call["max_iterations"], call["min_unit"])
-            for x0 in call["starts"]]
+    objective = gaussian_objective()
+    return [minimize(lambda x: objective([((samples, spec), x)])[0], x0, call["max_iterations"],
+                     call["min_unit"]) for x0 in call["starts"]]
 
 
 def _ends_hex(ends):
@@ -776,16 +793,19 @@ def test_lockstep_descents_end_as_descents_run_one_after_another(monkeypatch, na
         assert _ends_hex(call["ends"]) == _ends_hex(expected)
 
 
-@pytest.mark.parametrize("n, rows", [(2500, 3), (4000, 2), (10_000, 1)])
+@pytest.mark.parametrize("n, rows", [(2500, 4), (4000, 4), (COARSE_SAMPLES, 4), (10_000, 1)])
 @pytest.mark.parametrize("spec", [DPD_HALF, GDIV_HALF], ids=["dpd", "gdiv"])
 def test_lockstep_descents_in_blocks_of_fewer_rows(monkeypatch, spec, n, rows):
-    # blocks of 3 + 1 and 2 + 2 rows, and one-row blocks at n above numpy's
-    # buffer, where a block of more rows would sum each row in chunks
+    # the four starts in one block of four rows of up to COARSE_SAMPLES
+    # values, and one-row blocks at n above it, where a block of more rows
+    # would sum each row in chunks
     samples = seeded_contaminated(n=n, eps=0.1, loc=5.0)
     calls = _spy_lockstep(monkeypatch)
     fit(EstimationProblem(samples, spec))
     call = calls[-1]
     assert call["rows"] == rows
+    assert [(blocked is samples, points) for blocked, points, _ in call["steps"][0]] == [
+        (True, rows)] * (4 // rows)
     assert _ends_hex(call["ends"]) == _ends_hex(_one_after_another(samples, spec, call))
 
 
@@ -827,9 +847,9 @@ def test_a_large_fit_descends_on_a_subsample_then_on_all_samples(monkeypatch, n,
     assert res.iterations == sum(end.nit for end in coarse["ends"] + fine["ends"])
 
     # one phase: the descents on all the samples from the same starts
-    objective = gaussian_objective(samples, spec, np.empty((3, 1, n)))
-    ends = estimation._lockstep(objective, coarse["starts"], coarse["max_iterations"],
-                                coarse["min_unit"])
+    ends = estimation._lockstep(gaussian_objective(), [
+        ((samples, spec), x0, coarse["max_iterations"], coarse["min_unit"])
+        for x0 in coarse["starts"]])
     best = min(ends, key=lambda end: end.fun)
     sigma = math.exp(max(best.x[1], math.log(SIGMA_FLOOR)))  # as fit holds it
     on_floor = sigma <= SIGMA_FLOOR * (1.0 + 1e-9)
@@ -870,16 +890,22 @@ def test_the_subsample_of_an_affine_map_is_the_map_of_the_subsample(n, a, b):
     assert np.all(np.floor((picks + 0.5) * COARSE_SAMPLES / n) == np.arange(COARSE_SAMPLES))
 
 
-@pytest.mark.parametrize("n", [3000, 10_000, COARSE_ABOVE + 1, 100_000])
-def test_a_fit_does_not_depend_on_numpys_buffer_size(n):
+@pytest.mark.parametrize("n, rows", [(3000, 4), (COARSE_SAMPLES, 4), (10_000, 1),
+                                     (COARSE_ABOVE + 1, 4), (100_000, 4)])
+def test_a_fit_does_not_depend_on_numpys_buffer_size(monkeypatch, n, rows):
+    # rows: the rows of the first phase's blocks, the coarse phase's above
+    # COARSE_ABOVE
     samples = seeded_contaminated(n=n, eps=0.2, loc=6.0)
+    calls = _spy_lockstep(monkeypatch)
     results = []
     for size in (np.getbufsize(), 1024, 2**16, 2**20):
         old = np.setbufsize(size)
+        calls.clear()
         try:
             results.append(fit(EstimationProblem(samples, GDIV_HALF)))
         finally:
             np.setbufsize(old)
+        assert calls[0]["rows"] == rows
     assert results == results[:1] * len(results)
 
 
@@ -917,7 +943,8 @@ def test_a_fit_stops_at_its_first_failing_evaluation(monkeypatch):
     # raises in the second call, which holds the other descents' steps too
     calls = []
 
-    def objective(points):
+    def objective(requests):
+        points = [point for _, point in requests]
         calls.append(points)
         for mu, _ in points:
             if mu == 1.5:
@@ -925,7 +952,7 @@ def test_a_fit_stops_at_its_first_failing_evaluation(monkeypatch):
         return [(0.5 * ((mu - 3.0) ** 2 + u * u), (mu - 3.0, u), ((1.0, 0.0), (0.0, 1.0)),
                  1.0, 1.0) for mu, u in points]
 
-    monkeypatch.setattr(estimation, "gaussian_objective", lambda samples, spec, work: objective)
+    monkeypatch.setattr(estimation, "gaussian_objective", lambda: objective)
     problem = EstimationProblem(seeded_contaminated(n=200), DPD_HALF,
                                 OptimizerConfig(initial=(0.0, 1.0)))
     with pytest.raises(DomainError, match=re.escape("no score at mu=1.5")):
@@ -1246,3 +1273,79 @@ def test_contaminated_sample_rejects_a_seed_numpy_rejects(seed_key):
 def test_sweep_csv_row_shape():
     rows = contamination_sweep([0.0], 8.0, [MLE], n=200, seed=3)
     assert len(rows[0].as_csv_row()) == len(SWEEP_HEADER)
+
+
+# the gamma = 0 specs that a fit accepts: the likelihood fit in four guises
+GAMMA_ZERO_SPECS = [MLE, DivergenceSpec("holder", 0.0), DivergenceSpec("jhhb", 0.0, zeta=1.0),
+                    DivergenceSpec("fdpd", 0.0, phi=power_phi(1.0))]
+
+
+def _result_hex(res):
+    return (res.mu.hex(), res.sigma.hex(), res.score.hex(), res.evaluations, res.iterations,
+            res.converged)
+
+
+@pytest.mark.parametrize("n", [300, 2000, 2500, COARSE_SAMPLES, 13_000])
+def test_every_sweep_row_is_the_fit_of_its_problem_alone(monkeypatch, n, table_paths):
+    # every OUTER_SPECS entry at gamma 0.5, 1 and 2, mixed with the gamma = 0
+    # specs, in one sweep; at n = 13000 every fit runs in two phases
+    specs = [_outer_spec(name, gamma, table_paths) for name in sorted(OUTER_SPECS)
+             for gamma in (0.5, 1.0, 2.0)]
+    for k, spec in enumerate(GAMMA_ZERO_SPECS):
+        specs.insert(16 * k, spec)
+    together = []
+    fit_together = estimation._fit_together
+
+    def spy(problems):
+        together.append((problems, fit_together(problems)))
+        return together[-1][1]
+
+    monkeypatch.setattr(estimation, "_fit_together", spy)
+    rows = contamination_sweep([0.0, 0.2], 8.0, specs, n, seed=n)
+    assert len(together) == 1
+    problems, results = together[0]
+    assert len(problems) == len(rows) == 2 * len(specs)
+    for row, problem, res in zip(rows, problems, results):
+        assert (row.mu_hat.hex(), row.sigma_hat.hex(), row.converged) == (
+            res.mu.hex(), res.sigma.hex(), res.converged)
+        assert _result_hex(res) == _result_hex(fit(problem))
+
+
+def test_a_sweep_brackets_the_shared_starts_of_a_gamma_once(monkeypatch):
+    # three specs at gamma 0.5 start from the same four points on a sample
+    calls = _spy_lockstep(monkeypatch)
+    scored, outer = [], estimation._outer
+
+    def outer_spy(spec, xs, ys):
+        scored.append((spec, len(xs)))
+        return outer(spec, xs, ys)
+
+    monkeypatch.setattr(estimation, "_outer", outer_spy)
+    specs = [DPD_HALF, GDIV_HALF, DivergenceSpec("fdpd", 0.5, phi=log_phi())]
+    contamination_sweep([0.0, 0.1, 0.2], 8.0, specs, n=2000, seed=1)
+    (call,) = calls
+    assert len(call["descents"]) == 3 * 3 * 4
+    # one block of the four starts per sample at step 0, not three
+    assert [(id(samples), points, rows) for samples, points, rows in call["steps"][0]] == [
+        (id(samples), 4, 4) for (samples, _), _, _, _ in call["descents"][::12]]
+    # and one score call per spec, on its points on every sample
+    assert scored[:3] == [(spec, 12) for spec in specs]
+
+
+def test_a_failing_evaluation_fails_the_whole_sweep():
+    # phi(z) = z until it is switched off, after the spec has certified it
+    off = []
+
+    def phi(z):
+        if off:
+            raise DomainError("phi is switched off")
+        return z
+
+    failing = DivergenceSpec("fdpd", 0.5, phi=custom_phi(phi))
+    off.append(True)
+    with pytest.raises(EvaluationError, match="raised DomainError.'phi is switched off'."):
+        contamination_sweep([0.0, 0.1], 8.0, [DPD_HALF, MLE, failing, GDIV_HALF], n=300, seed=1)
+    # as a fit of that spec alone fails
+    samples = contaminated_sample(300, 0.0, 8.0, [1, 0])
+    with pytest.raises(EvaluationError, match="raised DomainError.'phi is switched off'."):
+        fit(EstimationProblem(samples, failing))
