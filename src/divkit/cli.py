@@ -81,12 +81,11 @@ def build_spec(family: str, gamma: float, eta: str | None, phi: str | None,
 def load_density(path):
     """The grid or discrete density of a CSV file, by :func:`densities.density_kind`.
 
-    A file that is not a regular file, such as a pipe, is read once: the
-    kind lookup and the parse both take those bytes.
+    The file is read once: the kind lookup and the parse take its bytes.
     """
-    content = densities.pipe_bytes(path)
+    content = densities.read_bytes(path)
     read = {"x": read_grid_csv, "index": read_discrete_csv}.get(
-        densities.density_kind(path, content))
+        densities.density_kind(content))
     if read is None:
         raise CliUsageError(f"{path!r}: expected header 'x,value' or 'index,mass'")
     return read(path, content)

@@ -23,15 +23,13 @@ numpy's ufuncs give a value the same bits alone and inside an array, so two
 batches give a triple whose fields are arrays, one entry per row, each equal
 bit for bit to the triple of that row alone.
 
-The readers of the grid, discrete and samples files keep what they parse
-in a process next to the file's bytes, so changed bytes are parsed again.
-Each read reads the file whole and compares it with the kept bytes of the
-same size: the same bytes, at any path, are parsed once.  The cache is
-bounded (PARSED_ENTRIES results and PARSED_BYTES of file bytes and arrays,
-oldest dropped first), and a format error is never kept.  A file that is
-not a regular file, such as a pipe, can be read only once: its bytes are
-read whole, and the kind lookup, the header scan and the parse all read
-those bytes.
+Every input file is read once, whole (:func:`read_bytes`), and the kind
+lookup, the header scan, the parse cache and the parse all read that one
+copy of its bytes.  The readers of the grid, discrete and samples files
+keep what they parse in a process next to those bytes, so changed bytes
+are parsed again: the same bytes, at any path, are parsed once.  The cache
+is bounded (PARSED_ENTRIES results and PARSED_BYTES of file bytes and
+arrays, oldest dropped first), and a format error is never kept.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ import io
 import math
 import os
 import re
-import stat
 import threading
 from dataclasses import dataclass, replace
 
@@ -470,8 +467,8 @@ def read_grid_csv(path, content: bytes | None = None) -> GridDensity:
 
     Each step may differ from the mean step dx by min(1e-9 max(1, |dx|),
     1e-6 |dx|), a millionth of a step at most, plus 4 ulps of the largest |x|.
-    ``content`` is the bytes of a file that is not a regular file, when the
-    caller has read them (:func:`pipe_bytes`); the file is then not opened.
+    ``content`` is the file's bytes, when the caller has read them
+    (:func:`read_bytes`); the file is then not read again.
     """
     return _parse_once(path, _parse_grid, content=content)
 
@@ -531,46 +528,34 @@ _lock = threading.Lock()
 
 
 def _parse_once(path, parse, copy=None, content=None):
-    """parse(path), or the kept result of parse on a file of the same bytes.
+    """parse(path, content), or the kept result of parse on the same bytes.
 
-    The file is read whole, unless ``content`` holds the bytes of a file that
-    is not a regular file, and compared with the bytes of each kept entry of
-    ``parse``; equal bytes return that entry's result, and only a file of the
-    same size costs a comparison.  Otherwise a regular file is parsed by its
-    path, and the result kept only when the file still holds the bytes read
-    before the parse: a file rewritten during the parse is never kept under
-    its old content.  Any other file is parsed from the bytes read, and is
-    not opened again.  A parse that raises keeps nothing, nor does one whose
-    bytes and arrays together exceed PARSED_BYTES.  ``copy`` gives each
-    caller a result of its own; without it, every read of the same bytes,
-    the first included, shares one result.
+    ``content`` is the file's bytes, read here (:func:`read_bytes`) unless
+    the caller has read them, and is compared with the bytes of each kept
+    entry of ``parse``; equal bytes return that entry's result, and only a
+    file of the same size costs a comparison.  Otherwise the bytes are
+    parsed (:func:`read_columns`), and the result is kept under them.  A
+    parse that raises keeps nothing, nor does one whose bytes and arrays
+    together exceed PARSED_BYTES.  ``copy`` gives each caller a result of
+    its own; without it, every read of the same bytes, the first included,
+    shares one result.
     """
-    regular = content is None
-    if regular:
-        content, regular = _read_whole(path)
+    if content is None:
+        content = read_bytes(path)
     for kept_parse, kept_content, kept in _parsed:
         if kept_parse is parse and kept_content == content:
             return kept if copy is None else copy(kept)
-    result = parse(path, None if regular else content)
-    if (len(content) + _result_array(result).nbytes <= PARSED_BYTES
-            and (not regular or _holds(path, content))):
+    result = parse(path, content)
+    if len(content) + _result_array(result).nbytes <= PARSED_BYTES:
         _keep((parse, content, _sealed(result)))
     return result
 
 
-def _read_whole(path) -> tuple[bytes, bool]:
-    """A file's bytes, read in one ``read()``, and whether it is a regular file."""
+def read_bytes(path) -> bytes:
+    """A file's bytes, read whole in one ``read()``: the one read of every
+    input file, which a pipe allows only once."""
     with open(path, "rb") as handle:
-        return handle.read(), stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
-
-
-def pipe_bytes(path) -> bytes | None:
-    """The bytes of a file that is not a regular file (a pipe, a device),
-    read whole, since it can be read only once; None for a regular file,
-    which its readers open by path."""
-    if stat.S_ISREG(os.stat(path).st_mode):
-        return None
-    return _read_whole(path)[0]
+        return handle.read()
 
 
 def _holds(path, content: bytes) -> bool:
@@ -626,18 +611,22 @@ def read_columns(path, names, content: bytes | None = None) -> tuple[np.ndarray,
     file without data rows raises :class:`RepresentationError`.  A byte that
     does not decode reads as its ``\\xNN`` escape, a non-numeric cell.
 
-    One Python pass reads the header rows; the data rows go to numpy's
-    chunked C reader, given the path.  That reader skips empty rows but not
-    whitespace-only ones, so a file with whitespace-only rows, or with a
-    format error, is read again row by row through Python, which skips the
-    former and names the file line of the latter.  A file that is not a
-    regular file is read once (:func:`pipe_bytes`), or ``content`` holds its
-    bytes, read before; both passes then read those bytes, row by row.
+    ``content`` is the file's bytes, read here (:func:`read_bytes`) unless
+    the caller has read them.  One Python pass over them reads the header
+    rows.  A regular file's data rows go to numpy's chunked C reader, given
+    the path, which is faster than any in-memory source; the rows are kept
+    only when the file still holds ``content`` (:func:`_holds`), so that
+    they are the rows of those bytes.  Otherwise the data rows are read from
+    ``content``, row by row through Python: for a file rewritten since,
+    for a file that is not a regular file (a pipe can be read only once),
+    and for a file with whitespace-only rows or a format error, since
+    numpy's reader skips empty rows but not whitespace-only ones.  Python
+    skips the former and names the file line of the latter.
     """
     expected = ",".join(names)
     if content is None:
-        content = pipe_bytes(path)
-    with _text(path, content) as handle:
+        content = read_bytes(path)
+    with _text(content) as handle:
         for line, row in _rows(handle):
             if _is_data(row):
                 break
@@ -647,12 +636,14 @@ def read_columns(path, names, content: bytes | None = None) -> tuple[np.ndarray,
         else:  # checked here, since loadtxt warns on a file without data
             raise RepresentationError(f"{path!r}: expected columns {expected}, got no data row")
     data = None
-    if content is None:
+    if os.path.isfile(path):
         with contextlib.suppress(ValueError):
             data = np.loadtxt(path, skiprows=line - 1, **_LOADTXT)
+        if data is not None and not _holds(path, content):
+            data = None
     if data is None:
         lines = []  # the file line of each data row, appended as numpy takes the row
-        with _text(path, content) as handle:
+        with _text(content) as handle:
             rows = (lines.append(number) or row for number, row in _rows(handle) if number >= line)
             try:
                 data = np.loadtxt(rows, **_LOADTXT)
@@ -664,14 +655,14 @@ def read_columns(path, names, content: bytes | None = None) -> tuple[np.ndarray,
     return tuple(data.T)
 
 
-def density_kind(path, content: bytes | None = None) -> str | None:
+def density_kind(content: bytes) -> str | None:
     """The kind a CSV file's header names: ``x`` (grid), ``index`` (discrete) or None.
 
     That is the first cell, stripped of quotes and whitespace and lowercased, of the
-    first header row of two or more cells that names a kind.  ``content`` is
-    as for :func:`read_grid_csv`.
+    first header row of two or more cells that names a kind, in the file's
+    bytes (:func:`read_bytes`).
     """
-    with _text(path, content) as handle:
+    with _text(content) as handle:
         for _, row in _rows(handle):
             if _is_data(row):
                 break
@@ -680,11 +671,9 @@ def density_kind(path, content: bytes | None = None) -> str | None:
     return None
 
 
-def _text(path, content: bytes | None):
-    """The file as text, or ``content``, its bytes read before; a byte that
-    does not decode reads as its ``\\xNN`` escape."""
-    if content is None:
-        return open(path, errors="backslashreplace")
+def _text(content: bytes):
+    """A file's bytes as text; a byte that does not decode reads as its
+    ``\\xNN`` escape."""
     return io.TextIOWrapper(io.BytesIO(content), errors="backslashreplace")
 
 

@@ -564,9 +564,6 @@ def _distinct(points: list) -> list:
     return kept
 
 
-# an overflow or an invalid operation gives inf or NaN, which the range
-# checks and the descent's tests catch
-@np.errstate(over="ignore", invalid="ignore")
 def fit(problem: EstimationProblem) -> EstimationResult:
     """Minimize the empirical score over (mu, log sigma).
 
@@ -582,62 +579,60 @@ def fit(problem: EstimationProblem) -> EstimationResult:
     sigma did not land on SIGMA_FLOOR.  A failing evaluation fails the fit
     with its error.  This is :func:`_fit_together` on one problem.
     """
-    samples = problem.samples
-    spec = problem.spec
-
-    if spec.gamma == 0.0:
-        mu_hat, sigma_hat = float(np.mean(samples)), float(np.std(samples))
-        if not (math.isfinite(mu_hat) and math.isfinite(sigma_hat)):
-            # the sum or the squares overflow: take both on the samples
-            # divided by their largest magnitude, and scale back
-            top = float(np.max(np.abs(samples)))
-            mu_hat, sigma_hat = (top * float(np.mean(samples / top)),
-                                 top * float(np.std(samples / top)))
-        sigma_hat = max(sigma_hat, SIGMA_FLOOR)
-        value = empirical_score(samples, GaussianDensity(mu_hat, sigma_hat, 1.0), spec)
-        at_floor = _on_floor(sigma_hat)
-        return EstimationResult(mu_hat, sigma_hat, value, 0, converged=not at_floor,
-                                sigma_at_floor=at_floor)
     return _fit_together([problem])[0]
 
 
+def _closed_form(problem: EstimationProblem) -> EstimationResult:
+    """The gamma = 0 fit: the sample mean and standard deviation."""
+    samples = problem.samples
+    mu_hat, sigma_hat = float(np.mean(samples)), float(np.std(samples))
+    if not (math.isfinite(mu_hat) and math.isfinite(sigma_hat)):
+        # the sum or the squares overflow: take both on the samples
+        # divided by their largest magnitude, and scale back
+        top = float(np.max(np.abs(samples)))
+        mu_hat, sigma_hat = (top * float(np.mean(samples / top)),
+                             top * float(np.std(samples / top)))
+    sigma_hat = max(sigma_hat, SIGMA_FLOOR)
+    value = empirical_score(samples, GaussianDensity(mu_hat, sigma_hat, 1.0), problem.spec)
+    at_floor = _on_floor(sigma_hat)
+    return EstimationResult(mu_hat, sigma_hat, value, 0, converged=not at_floor,
+                            sigma_at_floor=at_floor)
+
+
+# an overflow or an invalid operation gives inf or NaN, which the range
+# checks and the descent's tests catch
 @np.errstate(over="ignore", invalid="ignore")
 def _fit_together(problems: list[EstimationProblem]) -> list[EstimationResult]:
     """The :func:`fit` of each problem, bit for bit, from one lockstep.
 
-    gamma = 0 problems take fit's closed form.  The descents of all the
-    others run in one :func:`_lockstep`, and the second phases of those on
-    more than COARSE_ABOVE samples in a second, so that at each step they
-    share passes over the samples and score calls (see
+    gamma = 0 problems take the closed form (:func:`_closed_form`).  The
+    descents of all the others run in one :func:`_lockstep`, and the second
+    phases of those on more than COARSE_ABOVE samples in a second, so that
+    at each step they share passes over the samples and score calls (see
     :func:`gaussian_objective`).  Each samples array is sorted once, for its
     default start and its subsample.  A failing evaluation fails every fit
     with its error.
     """
-    results = [fit(problem) if problem.spec.gamma == 0.0 else None for problem in problems]
-    sorted_sets = {}  # samples -> [the sorted samples, their quantile subsample]
+    results = [_closed_form(problem) if problem.spec.gamma == 0.0 else None
+               for problem in problems]
+    # id(samples) -> (the sorted samples, the samples the first phase descends on)
+    sorted_sets = {}
     fits, first = [], []  # (index, problem, large, min_unit); the first phase's descents
     for i, problem in enumerate(problems):
         if results[i] is not None:
             continue
         samples, cfg = problem.samples, problem.config
         large = samples.size > COARSE_ABOVE
-        if cfg.initial is None or large:
-            # the default start and the subsample read one sorted copy
-            sorted_set = sorted_sets.get(id(samples))
-            if sorted_set is None:
-                sorted_set = sorted_sets[id(samples)] = [np.sort(samples), None]
-            ordered = sorted_set[0]
+        if id(samples) not in sorted_sets:
+            ordered = np.sort(samples)
+            sorted_sets[id(samples)] = ordered, _quantile_subsample(ordered) if large else samples
+        ordered, sample_set = sorted_sets[id(samples)]
         if cfg.initial is not None:
             mu0, sigma0 = cfg.initial
         else:
             mu0 = _median(ordered)
             sigma0 = (_percentile(ordered, 0.75) - _percentile(ordered, 0.25)) / 1.349
         sigma0 = max(sigma0, 1e-3)
-        sample_set = samples
-        if large:
-            if sorted_set[1] is None:
-                sorted_set[1] = _quantile_subsample(ordered)
-            sample_set = sorted_set[1]
         u0 = math.log(sigma0)
         first += [((sample_set, problem.spec), (mu0 + sigma0 * dt, u0 + du),
                    cfg.max_iterations, sigma0) for dt, du in [(0.0, 0.0)] + START_OFFSETS]

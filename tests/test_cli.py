@@ -288,11 +288,10 @@ def test_header_rows_that_name_no_kind_exit_3(tmp_path, capsys, text):
         f"divkit: {str(g)!r}: expected header 'x,value' or 'index,mass'\n")
 
 
-def test_a_malformed_file_is_opened_four_times_on_its_error_path(tmp_path, capsys,
-                                                                monkeypatch):
-    # in Python, by the kind lookup, the parse cache's read of its bytes, the
-    # header scan and the row-by-row parse, which keeps each row's file line
-    # for the message; numpy's C reader opens the path itself
+def test_a_malformed_file_is_opened_once_on_its_error_path(tmp_path, capsys, monkeypatch):
+    # in Python, by the one read of its bytes, which the kind lookup, the
+    # header scan and the row-by-row parse all read; numpy's C reader opens
+    # the path itself, and fails on the whitespace-only row
     g = tmp_path / "g.csv"
     g.write_text("# a grid\nx,value\n0,1\n\n \n1,abc\n")
     opened, real_open = [], open
@@ -306,7 +305,56 @@ def test_a_malformed_file_is_opened_four_times_on_its_error_path(tmp_path, capsy
                 "--g", str(g), "--f", str(g)]) == 3
     assert capsys.readouterr().err == (
         f"divkit: {str(g)!r}: could not convert string 'abc' to float64 at line 6, column 2\n")
-    assert opened.count(str(g)) == 4
+    assert opened.count(str(g)) == 1
+
+
+_OPENS = []  # while a list is pushed here, the audit hook appends each opened path to it
+
+
+def _audit_opens(event, args):
+    if event == "open" and _OPENS:
+        _OPENS[-1].append(args[0])
+
+
+@contextlib.contextmanager
+def opens_under(directory):
+    """Every open of a file under ``directory`` inside the block, by any
+    code, numpy's included.  An audit hook cannot be removed, so one is
+    added on the first call and stays idle outside the block."""
+    if not hasattr(opens_under, "hooked"):
+        sys.addaudithook(_audit_opens)
+        opens_under.hooked = True
+    opened = []
+    _OPENS.append(opened)
+    try:
+        yield opened
+    finally:
+        _OPENS.pop()
+        opened[:] = [path for path in opened
+                     if isinstance(path, (str, os.PathLike))
+                     and Path(path).is_relative_to(directory)]
+
+
+@pytest.mark.parametrize("command, cold, repeat", [
+    (["compute", "--family", "fdpd", "--phi", "identity", "--gamma", "0.5",
+      "--g", "{grid}", "--f", "{grid}"], 4, 2),
+    (["estimate", "--family", "fdpd", "--phi", "identity", "--gamma", "0.5",
+      "--samples", "{samples}", "--seed", "0"], 3, 1),
+], ids=["compute-one-grid", "estimate"])
+def test_each_input_file_is_read_once_per_command(tmp_path, capsys, command, cold, repeat):
+    # cold: the one read of the file's bytes, numpy's read of its data rows
+    # by path and the check that the file still holds those bytes, then the
+    # read of the second file (the same one here), which the kept parse
+    # serves; repeated: the read of each file's bytes alone
+    grid, samples = tmp_path / "g.csv", tmp_path / "s.csv"
+    write_density_csv(grid, gaussian_grid(GaussianDensity(0.0, 1.0), points=20_000))
+    write_samples(samples, np.random.default_rng(31).normal(0.5, 1.0, 1000))
+    args = [arg.format(grid=grid, samples=samples) for arg in command]
+    for expected in (cold, repeat):
+        with opens_under(tmp_path) as opened:
+            assert run(args) == 0
+        assert len(opened) == expected, opened
+    capsys.readouterr()
 
 
 def test_compute_on_a_grid_with_a_nan_x_exits_3_naming_it(tmp_path, capsys):

@@ -548,11 +548,8 @@ def test_a_bad_row_after_blank_and_whitespace_rows_names_its_file_line(tmp_path,
 ], ids=["grid", "discrete", "quoted-spaced", "comment-above", "below-other-headers",
         "first-kind-row", "after-data", "one-cell", "other-name", "no-header", "blank",
         "empty"])
-def test_density_kind_is_named_by_the_first_kind_row_among_the_headers(tmp_path, text,
-                                                                       kind):
-    path = tmp_path / "d.csv"
-    path.write_text(text)
-    assert densities.density_kind(path) == kind
+def test_density_kind_is_named_by_the_first_kind_row_among_the_headers(text, kind):
+    assert densities.density_kind(text.encode()) == kind
 
 
 def recorded_loadtxt(monkeypatch):
@@ -747,11 +744,13 @@ def test_a_file_rewritten_during_the_parse_is_parsed_again(tmp_path, monkeypatch
         return data
 
     monkeypatch.setattr(np, "loadtxt", rewriting)
-    assert read_grid_csv(path).values.tolist() == [1.0, 2.0]  # what the parse read
-    assert not parsed()
+    # the file no longer holds the bytes read, so the rows read by path are
+    # dropped and those bytes are parsed, and kept under them
+    assert read_grid_csv(path).values.tolist() == [1.0, 2.0]
+    assert [content for _, content, _ in parsed()] == [b"x,value\n0,1\n1,2\n"]
     assert read_grid_csv(path).values.tolist() == [3.0, 4.0]
     assert read_grid_csv(path).values.tolist() == [3.0, 4.0]
-    assert len(calls) == 2 and len(parsed()) == 1
+    assert len(calls) == 3 and len(parsed()) == 2
 
 
 def test_equal_bytes_at_two_paths_are_one_entry(tmp_path, monkeypatch, parsed):
