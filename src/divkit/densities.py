@@ -598,7 +598,9 @@ def _result_array(result) -> np.ndarray:
     return result if isinstance(result, np.ndarray) else _array(result)[0]
 
 
-_LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2}
+# utf-8-sig, as _text decodes: a byte-order mark is never part of a cell
+_LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2,
+            "encoding": "utf-8-sig"}
 
 
 def read_columns(path, names, content: bytes | None = None) -> tuple[np.ndarray, ...]:
@@ -608,8 +610,9 @@ def read_columns(path, names, content: bytes | None = None) -> tuple[np.ndarray,
     cell, stripped of quotes and whitespace, is a number.  Blank rows are
     skipped.  A header row with more cells than ``names``, a data row with a
     non-numeric or empty cell, a column count other than ``len(names)``, or a
-    file without data rows raises :class:`RepresentationError`.  A byte that
-    does not decode reads as its ``\\xNN`` escape, a non-numeric cell.
+    file without data rows raises :class:`RepresentationError`.  The text is
+    UTF-8, a leading byte-order mark dropped (:func:`_text`); a byte that does
+    not decode reads as its ``\\xNN`` escape, a non-numeric cell.
 
     ``content`` is the file's bytes, read here (:func:`read_bytes`) unless
     the caller has read them.  One Python pass over them reads the header
@@ -672,9 +675,10 @@ def density_kind(content: bytes) -> str | None:
 
 
 def _text(content: bytes):
-    """A file's bytes as text; a byte that does not decode reads as its
-    ``\\xNN`` escape."""
-    return io.TextIOWrapper(io.BytesIO(content), errors="backslashreplace")
+    """A file's bytes as UTF-8 text, without a leading byte-order mark; a
+    byte that does not decode reads as its ``\\xNN`` escape."""
+    return io.TextIOWrapper(io.BytesIO(content), encoding="utf-8-sig",
+                            errors="backslashreplace")
 
 
 def _rows(handle):

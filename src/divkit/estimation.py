@@ -115,8 +115,8 @@ SIGMA_FLOOR = 1e-6
 # n is at most this (numpy.getbufsize() does not move it), so a pass over at
 # most this many samples brackets BLOCK_ROWS points in one block, and a pass
 # over more brackets one point.  A fit on more than COARSE_ABOVE samples
-# first descends on a quantile subsample of this size (see fit); up to about
-# 1.25 times this size, the subsample's descents cost about what they save
+# first descends on a quantile subsample of this size (see _fit_together); up to
+# about 1.25 times this size, the subsample's descents cost about what they save
 COARSE_SAMPLES = 8192
 COARSE_ABOVE = 3 * COARSE_SAMPLES // 2
 # a fit's four pending points fill one block; blocks of 16 rows were slower

@@ -8,7 +8,8 @@ also holds the platform they were taken on: the numpy and Python versions,
 the machine and the CPU features numpy dispatches to, since a SIMD ``exp``
 or ``log`` may round differently from the C library's.
 
-``regenerate.py`` writes the records; ``tests/test_golden.py`` replays them.
+``regenerate.py`` writes the records; ``tests/test_golden.py`` replays them
+in one process, and ``replay.py`` replays each in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 import os
 import platform
 import re
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -62,7 +64,8 @@ def write_inputs(directory: Path) -> None:
                                               np.full(2_000, 15.0)]))
     (directory / "s-20000.csv").write_text(
         "x\n" + "".join(f"{v!r}\n" for v in samples.tolist()))
-    # samples that fill a block of four 1250-value rows and four 8192-value rows
+    # samples whose fits bracket one block of four 5000-value rows, and of
+    # four 8192-value rows
     for n, seed in ((5000, 20261021), (8192, 20261022)):
         rng = np.random.default_rng(seed)
         n_out = n // 10
@@ -84,6 +87,9 @@ def write_inputs(directory: Path) -> None:
     (directory / "falling.csv").write_text("z,value\n0,1\n1,0\n2,-1\n")
     (directory / "flat.csv").write_text("z,value\n0,1\n1,1\n2,2\n")  # max(z, 1)
     (directory / "bad.csv").write_text("a,b\n1,2\n")
+    # a byte-order mark before a grid's header and before a headerless sample
+    (directory / "bom-g.csv").write_bytes(b"\xef\xbb\xbf" + (directory / "g.csv").read_bytes())
+    (directory / "bom-s.csv").write_bytes(b"\xef\xbb\xbf1.0\n2.0\n3.0\n10.0\n")
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +135,10 @@ def commands() -> list[tuple[list[str], bool]]:
         ["compute", "--family", "fdpd", "--phi", "nonesuch", "--gamma", "0.5",
          "--g", "g.csv", "--f", "f.csv"],
         ["compute", "--family", "fdpd", "--gamma", "0.5", "--g", "g.csv", "--f", "f.csv"],
+        ["compute", "--family", "fdpd", "--phi", "identity", "--gamma", "0.5",
+         "--g", "bom-g.csv", "--f", "f.csv"],
+        ["estimate", "--family", "fdpd", "--phi", "identity", "--gamma", "0",
+         "--samples", "bom-s.csv", "--seed", "0"],
     ]]
     # power lifts flat to rounding near z = 1e-6, a lift flat up to z = 1, and
     # generators whose certificate grid leaves float range
@@ -261,6 +271,31 @@ def run(argv: list[str]) -> tuple[int, str, str]:
         except SystemExit as done:  # --help
             code = done.code
     return code, stdout.getvalue(), stderr.getvalue()
+
+
+def run_fresh(argv: list[str], directory: Path) -> tuple[int, str, str]:
+    """:func:`run` as ``python -m divkit argv`` in a new interpreter, in the
+    inputs' ``directory``, on the divkit imported here, at the help width and
+    with a numpy RuntimeWarning an error: every input file is read cold."""
+    import divkit
+
+    env = dict(os.environ, PYTHONPATH=str(Path(divkit.__file__).resolve().parents[1]),
+               COLUMNS=HELP_WIDTH, PYTHONWARNINGS="error::RuntimeWarning")
+    done = subprocess.run([sys.executable, "-m", "divkit", *argv], cwd=directory, env=env,
+                          capture_output=True, text=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+def fresh_mismatches(recorded: dict, records: list[dict], directory: Path) -> list[str]:
+    """A :func:`moves` line for each of ``records``, from ``recorded``, that
+    :func:`run_fresh` in ``directory`` does not replay (:func:`replays`)."""
+    here, lines = platform_key(), []
+    for record in records:
+        code, stdout, stderr = run_fresh(record["argv"], directory)
+        fresh = dict(record, exit=code, stdout=stdout, stderr=stderr)
+        if not replays(record, fresh, recorded["platform"], here):
+            lines += moves({"records": [record]}, {"records": [fresh]})
+    return lines
 
 
 def record_all(directory: Path) -> dict:

@@ -31,8 +31,9 @@ from divkit import (
     write_density_csv,
 )
 from divkit import densities
+from divkit.cli import load_density
 from divkit.densities import read_columns
-from divkit.generators import eta_from_table
+from divkit.generators import eta_from_table, tabulated
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -603,6 +604,38 @@ def test_a_quoted_first_data_row_is_data(tmp_path):
     assert (back.x0, back.dx, back.values.tolist()) == (0.0, 1.0, [0.5, 0.25])
 
 
+def _fields(density):
+    return [np.asarray(getattr(density, field.name)).tolist() for field in fields(density)]
+
+
+@pytest.mark.parametrize("piped", [False, True], ids=["file", "pipe"])
+@pytest.mark.parametrize("read, text", [
+    (lambda path: read_samples_csv(path).tolist(), b"1.0\n2.0\n3.0\n10.0\n"),
+    (lambda path: _fields(load_density(path)), b"x,value\n0,0.5\n1,0.5\n"),
+    (lambda path: _fields(load_density(path)), b"index,mass\n0,0.25\n1,0.75\n"),
+    (lambda path: tabulated(path)(np.array([0.5, 2.5])).tolist(), b"0,0\n1,1\n2,4\n"),
+], ids=["samples", "grid", "discrete", "table"])
+def test_a_byte_order_mark_is_not_part_of_the_first_cell(tmp_path, read, text, piped):
+    # with the mark in its first cell, a headerless first row read as a
+    # header and was dropped, and a grid or discrete header named no kind
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    expected = read(plain)
+    if not piped:
+        assert read(marked) == expected
+        return
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd to name a pipe by")
+    read_end, write_end = os.pipe()
+    os.write(write_end, marked.read_bytes())  # well within a pipe's buffer
+    os.close(write_end)
+    try:
+        assert read(f"/dev/fd/{read_end}") == expected
+    finally:
+        os.close(read_end)
+
+
 @pytest.mark.parametrize("text", ["", "\n  \n", "x,value\n", "x,value\n\n# no rows\n"],
                          ids=["empty", "blank", "header-only", "headers-and-blanks"])
 def test_a_file_without_data_rows_raises_without_a_warning(tmp_path, text):
@@ -718,17 +751,22 @@ def test_two_files_of_one_size_read_in_turn_are_each_parsed_once(tmp_path, monke
     assert calls == [a, b] and len(parsed()) == 2
 
 
-def test_a_rewrite_that_keeps_the_size_and_mtime_reads_the_new_values(tmp_path, parsed):
-    path = tmp_path / "s.csv"
-    path.write_text("x\n0.5\n1.5\n")
-    for _ in range(2):
-        assert read_samples_csv(path).tolist() == [0.5, 1.5]
-    assert len(parsed()) == 1
+@pytest.mark.parametrize("read, header", [
+    (lambda path: read_samples_csv(path).tolist(), "x\n"),
+    (lambda path: read_grid_csv(path).values.tolist(), "x,value\n0,1\n1,"),
+    (lambda path: read_discrete_csv(path).masses.tolist(), "index,mass\n0,0.25\n1,"),
+], ids=["samples", "grid", "discrete"])
+def test_a_rewrite_that_keeps_the_size_and_mtime_reads_the_new_values(tmp_path, parsed,
+                                                                         read, header):
+    path = tmp_path / "f.csv"
+    path.write_text(header + "0.5\n")
+    expected = read(path)
+    assert read(path) == expected and len(parsed()) == 1
     stat = os.stat(path)
-    path.write_text("x\n0.7\n1.5\n")
+    path.write_text(header + "0.7\n")
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
     assert os.stat(path).st_size == stat.st_size
-    assert read_samples_csv(path).tolist() == [0.7, 1.5]
+    assert read(path) == [*expected[:-1], 0.7]
 
 
 def test_a_file_rewritten_during_the_parse_is_parsed_again(tmp_path, monkeypatch, parsed):

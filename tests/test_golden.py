@@ -3,7 +3,9 @@
 On the platform the records were taken on, every command must give the
 recorded exit code, standard output and standard error byte for byte, and
 the whole records file must come out again.  On another platform the exit
-codes and the text between the numbers must match (``battery.replays``).
+codes and the text between the numbers must match (``battery.replays``).  A
+few records are also replayed in fresh interpreters, as ``replay.py`` replays
+every record.
 """
 
 import json
@@ -32,6 +34,20 @@ def test_every_command_replays_its_record(recorded, tmp_path):
                               else "exit codes and the text between the numbers")
     if here == there:
         assert battery.dumps(replayed) == battery.RECORDS.read_text()
+
+
+# argparse's help at the given COLUMNS, a cold read by path, a two-phase fit, an exit 3
+FRESH = ["--help",
+         "compute --family fdpd --gamma 0.5 --phi identity --g g.csv --f f.csv",
+         "estimate --family fdpd --phi identity --gamma 0.5 --samples s-20000.csv --seed 0",
+         "compute --family fdpd --phi identity --gamma 0.5 --g bad.csv --f f.csv"]
+
+
+def test_a_fresh_interpreter_replays_the_records(recorded, tmp_path):
+    records = [r for r in recorded["records"] if " ".join(r["argv"]) in FRESH]
+    assert sorted(r["exit"] for r in records) == [0, 0, 0, 3]
+    battery.write_inputs(tmp_path)
+    assert battery.fresh_mismatches(recorded, records, tmp_path) == []
 
 
 REPORT = {"argv": ["verify"], "argparse": False, "exit": 0,
