@@ -429,7 +429,9 @@ def empirical_brackets(samples, f: DensityObject, gamma: float) -> BracketTriple
     if _batch_shape(f):
         raise RepresentationError("empirical brackets take a single model density")
     values = np.asarray(density_value(f, samples), dtype=float)
-    x, y = _in_range(gamma, (np.mean(values**gamma), _power_integral(f, gamma)))
+    # pow(v, 0) is 1 for every v, NaN and inf too: X = 1 at gamma = 0 without a pass
+    x = np.mean(values**gamma) if gamma > 0.0 else 1.0
+    x, y = _in_range(gamma, (x, _power_integral(f, gamma)))
     if gamma > 0.0:
         return BracketTriple(x, y, None, gamma)
     return BracketTriple(x, y, None, 0.0, cross=float(np.mean(np.log(values))))

@@ -30,7 +30,7 @@ it returns.
 The descents run in lockstep (see :func:`_lockstep`): at each step the
 pending points of all running descents share one pass over a block of
 samples and one ``score`` call on their stencils.  A block holds up to
-BLOCK_ROWS = 4 points in rows of at most COARSE_SAMPLES = 8192 sample
+BLOCK_ROWS = 4 points in rows of at most BLOCK_SAMPLES = 8192 sample
 values, so that numpy sums each row as it sums a single point's (the rows
 of a block of longer rows move in their last bits, at any
 :func:`numpy.setbufsize`); on more samples each point has a pass of its
@@ -46,17 +46,17 @@ spec share one ``score`` call.  Each fit so gets the bits that it gets
 alone; a failing evaluation fails every fit of the sweep with its error.
 
 Above COARSE_ABOVE = 12288 samples a fit runs in two phases.  The coarse
-phase runs the descents on a fixed quantile subsample of COARSE_SAMPLES
-order statistics (see :func:`_quantile_subsample`), which locates the
-minima; at n = 10^5 its passes cost about a twelfth of full ones.  Coarse
-end points within SAME_MINIMUM of each other in (t, log sigma) are one
-minimum (see :func:`_distinct`), and the fine phase descends on all the
-samples from each distinct one, usually in two evaluations.  The fit returns the lowest
-fine end point, so it meets the gradient tolerance on the full sample as a
-one-phase fit does.  Its ``evaluations`` list the coarse descents, then the
-fine ones, and its ``iterations`` count the steps of both.  A failing
-evaluation in either phase fails the fit with its error.  The result does
-not depend on :func:`numpy.setbufsize`.
+phase runs the descents on a fixed quantile subsample of COARSE_SAMPLES =
+1024 order statistics (see :func:`_quantile_subsample`), which locates the
+minima; at n = 10^5 a coarse evaluation costs about 2% of a full one.
+Coarse end points within SAME_MINIMUM of each other in (t, log sigma) are
+one minimum (see :func:`_distinct`), and the fine phase descends on all the
+samples from each distinct one, usually in two evaluations.  The fit returns
+the lowest fine end point, so it meets the gradient tolerance on the full
+sample as a one-phase fit does.  Its ``evaluations`` list the coarse
+descents, then the fine ones, and its ``iterations`` count the steps of
+both.  A failing evaluation in either phase fails the fit with its error.
+The result does not depend on :func:`numpy.setbufsize`.
 
 gamma = 0 estimation is only exposed for plain likelihood scoring: holder,
 and fdpd and jhhb with a constant-derivative generator.  For any other
@@ -114,18 +114,26 @@ SIGMA_FLOOR = 1e-6
 # numpy sums each row of a (rows, n) block as it sums that row alone while
 # n is at most this (numpy.getbufsize() does not move it), so a pass over at
 # most this many samples brackets BLOCK_ROWS points in one block, and a pass
-# over more brackets one point.  A fit on more than COARSE_ABOVE samples
-# first descends on a quantile subsample of this size (see _fit_together); up to
-# about 1.25 times this size, the subsample's descents cost about what they save
-COARSE_SAMPLES = 8192
-COARSE_ABOVE = 3 * COARSE_SAMPLES // 2
+# over more brackets one point
+BLOCK_SAMPLES = 8192
+# a fit on more than COARSE_ABOVE samples first descends on a quantile
+# subsample of COARSE_SAMPLES values (see _fit_together), which places its
+# minima for the fine phase as 8192 values did: on 626 two-phase fits at n
+# 1.5e4 to 1e5 the fine phase took 1574 evaluations after 1024 values and
+# 1596 after 8192.  At n = 10^5 a coarse pass costs about 2% of a full one.
+# A fit on at most COARSE_ABOVE samples keeps one phase, and its bits: at
+# n = 2000 two phases were no faster, since there a descent is bound by
+# Python work, not by its passes
+COARSE_SAMPLES = 1024
+COARSE_ABOVE = 12288
 # a fit's four pending points fill one block; blocks of 16 rows were slower
 # (nine fits at n = 2000: 6.3 ms against 5.4 ms, on 2 CPUs)
 BLOCK_ROWS = 4
 # coarse end points closer than this in (t, log sigma), t in the sigma of the
-# end kept, are one minimum: on 519 fits at n 1.5e4 to 1e5, ends of one basin
-# agreed to 2e-7 in 9 pairs of 10, and distinct minima were 0.5 or more apart
-# (except on one noise-limited score)
+# end kept, are one minimum: on 626 fits at n 1.5e4 to 1e5, on subsamples of
+# 1024 and of 8192 values alike, ends of one basin agreed to 2e-7 in 9 pairs
+# of 10, and distinct minima were 0.5 or more apart (except on two
+# noise-limited scores)
 SAME_MINIMUM = 1e-3
 
 
@@ -241,7 +249,7 @@ def _weighted_sums(e: np.ndarray, r: np.ndarray, r2: np.ndarray) -> list[tuple[f
     """The sums of e_i r_i**k, k = 0..4, of each row; multiplies e by r2 in place.
 
     Each row's sums are the bits of that row alone where the rows hold at
-    most COARSE_SAMPLES values, or there is one row: numpy sums the rows of
+    most BLOCK_SAMPLES values, or there is one row: numpy sums the rows of
     a block of longer rows in pieces, which moves their last bits.
     """
     def dot(a, b):
@@ -335,7 +343,7 @@ def gaussian_objective():
 
     The requests share their work.  Each distinct held point of a samples
     array and a gamma is bracketed once (see :func:`_gaussian_brackets`),
-    in blocks of at most BLOCK_ROWS points on at most COARSE_SAMPLES
+    in blocks of at most BLOCK_ROWS points on at most BLOCK_SAMPLES
     samples and of one point on more, which write into one work array per
     sample count.  The points of one spec share one ``score`` call (see
     :func:`_outer`).  Each request's result is the bits of a one-point call.
@@ -355,7 +363,7 @@ def gaussian_objective():
         for key, (samples, gamma, points) in passes.items():
             work = works.get(samples.size)
             if work is None:
-                rows = BLOCK_ROWS if samples.size <= COARSE_SAMPLES else 1
+                rows = BLOCK_ROWS if samples.size <= BLOCK_SAMPLES else 1
                 work = works[samples.size] = np.empty((3, rows, samples.size))
             held, rows = list(points), work.shape[1]
             found[key] = [bracket for first in range(0, len(held), rows)

@@ -334,6 +334,17 @@ def test_empirical_law_of_large_numbers(rng):
     assert b.Y == pytest.approx(target, rel=1e-12)
 
 
+def test_empirical_mass_at_gamma_zero_is_one_where_densities_underflow(gaussian_pair):
+    # X = mean f(x_i)**0, which is 1 also where f(x_i) is 0 or subnormal
+    g, _ = gaussian_pair
+    samples = [0.0, 38.5, 40.0, 1e200]
+    values = density_value(g, np.array(samples))
+    assert 0.0 < values[1] < sys.float_info.min and not values[2:].any()
+    b = empirical_brackets(samples, g, 0.0)
+    assert (b.X, b.cross) == (1.0, -math.inf)
+    assert type(b.X) is float
+
+
 def test_empirical_rejects_bad_input(gaussian_pair):
     g, _ = gaussian_pair
     with pytest.raises(DomainError):

@@ -38,6 +38,7 @@ from divkit import (
     score,
 )
 from divkit.estimation import (
+    BLOCK_SAMPLES,
     COARSE_ABOVE,
     COARSE_SAMPLES,
     MAX_LOG_SIGMA,
@@ -406,10 +407,10 @@ def test_a_block_of_points_gives_the_bits_of_one_point_calls(name, gamma, table_
             _outer(spec, xs, ys)
 
     # whole evaluations, with sigma held below its floor and above its top
-    # (blocks of 4 + 2 rows), and at n = COARSE_SAMPLES, where four points
+    # (blocks of 4 + 2 rows), and at n = BLOCK_SAMPLES, where four points
     # fill one block of the longest rows
     held = [(0.1, math.log(SIGMA_FLOOR) - 2.0), (0.2, MAX_LOG_SIGMA + 1.0)]
-    large = np.random.default_rng(3).standard_normal(COARSE_SAMPLES)
+    large = np.random.default_rng(3).standard_normal(BLOCK_SAMPLES)
     for sample_set, point_set in ((samples, points + held), (large, points)):
         task = (sample_set, spec)
         expected = [_raised(lambda: _flat_hex(gaussian_objective()([(task, point)])[0]))
@@ -793,10 +794,10 @@ def test_lockstep_descents_end_as_descents_run_one_after_another(monkeypatch, na
         assert _ends_hex(call["ends"]) == _ends_hex(expected)
 
 
-@pytest.mark.parametrize("n, rows", [(2500, 4), (4000, 4), (COARSE_SAMPLES, 4), (10_000, 1)])
+@pytest.mark.parametrize("n, rows", [(2500, 4), (4000, 4), (BLOCK_SAMPLES, 4), (10_000, 1)])
 @pytest.mark.parametrize("spec", [DPD_HALF, GDIV_HALF], ids=["dpd", "gdiv"])
 def test_lockstep_descents_in_blocks_of_fewer_rows(monkeypatch, spec, n, rows):
-    # the four starts in one block of four rows of up to COARSE_SAMPLES
+    # the four starts in one block of four rows of up to BLOCK_SAMPLES
     # values, and one-row blocks at n above it, where a block of more rows
     # would sum each row in chunks
     samples = seeded_contaminated(n=n, eps=0.1, loc=5.0)
@@ -809,7 +810,7 @@ def test_lockstep_descents_in_blocks_of_fewer_rows(monkeypatch, spec, n, rows):
     assert _ends_hex(call["ends"]) == _ends_hex(_one_after_another(samples, spec, call))
 
 
-@pytest.mark.parametrize("n", [1, 2000, COARSE_SAMPLES, COARSE_ABOVE])
+@pytest.mark.parametrize("n", [1, 2000, BLOCK_SAMPLES, COARSE_ABOVE])
 def test_a_fit_of_at_most_coarse_above_samples_descends_once(monkeypatch, n):
     samples = seeded_contaminated(n=n, eps=0.1, loc=5.0)
     calls = _spy_lockstep(monkeypatch)
@@ -861,18 +862,43 @@ def test_a_large_fit_descends_on_a_subsample_then_on_all_samples(monkeypatch, n,
     assert res.score <= best.fun + 1e-12 * abs(best.fun)
 
 
-def test_coarse_ends_at_one_minimum_are_one_fine_start(monkeypatch):
+@pytest.mark.parametrize("n", [30_000, 100_000])
+def test_coarse_ends_at_one_minimum_are_one_fine_start(monkeypatch, n):
     # at epsilon 0.4 and outliers at 6 sigma the four starts end at two
-    # minima, the clean cluster and a wide fit over both: two fine descents
-    samples = contaminated_sample(30_000, 0.4, 6.0, [30_000, 40])
+    # minima, the clean cluster and a wide fit over both: two fine descents,
+    # which end no higher than the four descents on all the samples, but for
+    # the last bits of scores within the gradient tolerance of one minimum
+    samples = contaminated_sample(n, 0.4, 6.0, [n, 40])
+    spec = COARSE_SPECS["dpd-1"]
     calls = _spy_lockstep(monkeypatch)
-    res = fit(EstimationProblem(samples, COARSE_SPECS["dpd-1"]))
-    coarse, fine = calls
+    res = fit(EstimationProblem(samples, spec))
+    coarse, fine = calls[:2]
     assert len(coarse["ends"]) == 4 and len(fine["starts"]) == 2
     assert len(res.evaluations) == 6 and res.converged
+    ends = estimation._lockstep(gaussian_objective(), [
+        ((samples, spec), x0, coarse["max_iterations"], coarse["min_unit"])
+        for x0 in coarse["starts"]])
+    best = min(end.fun for end in ends)
+    assert res.score <= best + 1e-12 * abs(best)
 
 
-@pytest.mark.parametrize("n", [COARSE_ABOVE + 1, 2 * COARSE_SAMPLES, 3 * 2 * COARSE_SAMPLES,
+@pytest.mark.parametrize("name", ["dpd", "gdiv", "xi-holder"])
+def test_a_fit_of_the_benchmarks_shape_confirms_one_minimum_in_two_evaluations(monkeypatch,
+                                                                              name):
+    # 10^5 samples, 10% of them outliers at 8 sigma: the four descents run
+    # on COARSE_SAMPLES values in blocks of four rows and end at one
+    # minimum, where one descent on all the samples stops after 2 evaluations
+    samples = np.random.default_rng(5).permutation(
+        contaminated_sample(100_000, 0.1, 8.0, [5, 1]))
+    calls = _spy_lockstep(monkeypatch)
+    res = fit(EstimationProblem(samples, COARSE_SPECS[name]))
+    coarse, fine = calls
+    assert coarse["samples"].size == COARSE_SAMPLES and coarse["rows"] == 4
+    assert fine["samples"] is samples and [end.nfev for end in fine["ends"]] == [2]
+    assert len(res.evaluations) == 5 and res.converged
+
+
+@pytest.mark.parametrize("n", [COARSE_ABOVE + 1, 16 * COARSE_SAMPLES, 48 * COARSE_SAMPLES,
                                20_001, 100_000])
 @pytest.mark.parametrize("a, b", [(1.0, 0.0), (2.5, -1.0), (-1.0, 0.0), (-2.5, 3.0),
                                   (1e-3, 0.2), (-1e4, 7.0)])
@@ -890,7 +916,7 @@ def test_the_subsample_of_an_affine_map_is_the_map_of_the_subsample(n, a, b):
     assert np.all(np.floor((picks + 0.5) * COARSE_SAMPLES / n) == np.arange(COARSE_SAMPLES))
 
 
-@pytest.mark.parametrize("n, rows", [(3000, 4), (COARSE_SAMPLES, 4), (10_000, 1),
+@pytest.mark.parametrize("n, rows", [(3000, 4), (BLOCK_SAMPLES, 4), (10_000, 1),
                                      (COARSE_ABOVE + 1, 4), (100_000, 4)])
 def test_a_fit_does_not_depend_on_numpys_buffer_size(monkeypatch, n, rows):
     # rows: the rows of the first phase's blocks, the coarse phase's above
@@ -1285,7 +1311,7 @@ def _result_hex(res):
             res.converged)
 
 
-@pytest.mark.parametrize("n", [300, 2000, 2500, COARSE_SAMPLES, 13_000])
+@pytest.mark.parametrize("n", [300, 2000, 2500, BLOCK_SAMPLES, 13_000])
 def test_every_sweep_row_is_the_fit_of_its_problem_alone(monkeypatch, n, table_paths):
     # every OUTER_SPECS entry at gamma 0.5, 1 and 2, mixed with the gamma = 0
     # specs, in one sweep; at n = 13000 every fit runs in two phases

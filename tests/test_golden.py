@@ -87,3 +87,16 @@ def test_regeneration_reports_what_moved():
                                        "divkit --help: exit 0 -> 2, stdout text",
                                        "divkit -h: new command"]
     assert battery.moves(old, old) == []
+
+
+def test_regeneration_reports_moved_counts_as_counts():
+    # a fit that takes one more evaluation and step, and ends one ulp away:
+    # its counts are not floats 1e15 ulps apart
+    fit = dict(REPORT, stdout='{"evaluations": [5, 6, 2], "iterations": 17, "mu_hat": 0.5}\n')
+    moved = {"evaluations": [5, 7, 2], "iterations": 18, "mu_hat": 0.5000000000000001}
+    counts_only = {"evaluations": [5, 6, 3], "iterations": 17, "mu_hat": 0.5}
+    new = [dict(fit, stdout=json.dumps(moved) + "\n"),
+           dict(fit, argv=["-h"], stdout=json.dumps(counts_only) + "\n")]
+    assert battery.moves({"records": [fit, dict(fit, argv=["-h"])]}, {"records": new}) == [
+        "divkit verify: stdout count 6 -> 7, count 17 -> 18, 1 ulps",
+        "divkit -h: stdout count 2 -> 3, 0 ulps"]
