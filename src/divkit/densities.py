@@ -437,16 +437,15 @@ def empirical_brackets(samples, f: DensityObject, gamma: float) -> BracketTriple
     return BracketTriple(x, y, None, 0.0, cross=float(np.mean(np.log(values))))
 
 
-def gaussian_grid(d: GaussianDensity, half_width_sigmas: float = 12.0,
-                  points: int = 4096, x_min: float | None = None,
+def gaussian_grid(d: GaussianDensity, points: int = 4096, x_min: float | None = None,
                   x_max: float | None = None) -> GridDensity:
     """Render a single Gaussian on a uniform grid (default: +/- 12 sigma)."""
     if _batch_shape(d):
         raise RepresentationError("gaussian_grid renders a single Gaussian, not a batch")
     if points < 2:
         raise DomainError(f"a grid needs at least 2 points, got {points}")
-    lo = d.mu - half_width_sigmas * d.sigma if x_min is None else x_min
-    hi = d.mu + half_width_sigmas * d.sigma if x_max is None else x_max
+    lo = d.mu - 12.0 * d.sigma if x_min is None else x_min
+    hi = d.mu + 12.0 * d.sigma if x_max is None else x_max
     xs = np.linspace(lo, hi, points)
     return GridDensity(lo, float(xs[1] - xs[0]), np.asarray(density_value(d, xs)))
 

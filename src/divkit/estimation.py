@@ -45,18 +45,20 @@ that share a gamma start from the same four points), and the points of one
 spec share one ``score`` call.  Each fit so gets the bits that it gets
 alone; a failing evaluation fails every fit of the sweep with its error.
 
-Above COARSE_ABOVE = 12288 samples a fit runs in two phases.  The coarse
-phase runs the descents on a fixed quantile subsample of COARSE_SAMPLES =
-1024 order statistics (see :func:`_quantile_subsample`), which locates the
-minima; at n = 10^5 a coarse evaluation costs about 2% of a full one.
+On more than BLOCK_SAMPLES samples, where the four starts no longer share
+one block, a fit runs in two phases.  The coarse phase runs the descents,
+in one block of four rows, on a fixed quantile subsample of COARSE_SAMPLES
+= 1024 order statistics (see :func:`_quantile_subsample`), which locates
+the minima; at n = 10^5 a coarse evaluation costs about 2% of a full one.
 Coarse end points within SAME_MINIMUM of each other in (t, log sigma) are
 one minimum (see :func:`_distinct`), and the fine phase descends on all the
-samples from each distinct one, usually in two evaluations.  The fit returns
-the lowest fine end point, so it meets the gradient tolerance on the full
-sample as a one-phase fit does.  Its ``evaluations`` list the coarse
-descents, then the fine ones, and its ``iterations`` count the steps of
-both.  A failing evaluation in either phase fails the fit with its error.
-The result does not depend on :func:`numpy.setbufsize`.
+samples from each distinct one, one point to a pass, usually in two
+evaluations.  The fit returns the lowest fine end point, so it meets the
+gradient tolerance on the full sample as a one-phase fit does.  Its
+``evaluations`` list the coarse descents, then the fine ones, and its
+``iterations`` count the steps of both.  A failing evaluation in either
+phase fails the fit with its error.  The result does not depend on
+:func:`numpy.setbufsize`.
 
 gamma = 0 estimation is only exposed for plain likelihood scoring: holder,
 and fdpd and jhhb with a constant-derivative generator.  For any other
@@ -114,18 +116,17 @@ SIGMA_FLOOR = 1e-6
 # numpy sums each row of a (rows, n) block as it sums that row alone while
 # n is at most this (numpy.getbufsize() does not move it), so a pass over at
 # most this many samples brackets BLOCK_ROWS points in one block, and a pass
-# over more brackets one point
+# over more brackets one point.  A fit on at most this many samples runs its
+# four descents in one block; a fit on more runs them on a subsample first
+# (see _fit_together), so that only its short fine descents take one-point
+# passes
 BLOCK_SAMPLES = 8192
-# a fit on more than COARSE_ABOVE samples first descends on a quantile
-# subsample of COARSE_SAMPLES values (see _fit_together), which places its
-# minima for the fine phase as 8192 values did: on 626 two-phase fits at n
-# 1.5e4 to 1e5 the fine phase took 1574 evaluations after 1024 values and
-# 1596 after 8192.  At n = 10^5 a coarse pass costs about 2% of a full one.
-# A fit on at most COARSE_ABOVE samples keeps one phase, and its bits: at
-# n = 2000 two phases were no faster, since there a descent is bound by
-# Python work, not by its passes
+# the coarse phase of a fit on more than BLOCK_SAMPLES samples descends on a
+# quantile subsample of this many values, which places its minima for the
+# fine phase as 8192 values did: on 626 two-phase fits at n 1.5e4 to 1e5 the
+# fine phase took 1574 evaluations after 1024 values and 1596 after 8192.
+# At n = 10^5 a coarse pass costs about 2% of a full one
 COARSE_SAMPLES = 1024
-COARSE_ABOVE = 12288
 # a fit's four pending points fill one block; blocks of 16 rows were slower
 # (nine fits at n = 2000: 6.3 ms against 5.4 ms, on 2 CPUs)
 BLOCK_ROWS = 4
@@ -579,7 +580,7 @@ def fit(problem: EstimationProblem) -> EstimationResult:
     descent of :func:`minimize` from the base initial point (sample median,
     scaled interquartile range) and from its START_OFFSETS perturbations, in
     lockstep (:func:`_lockstep`), and keeps the lowest score.  Above
-    COARSE_ABOVE samples those descents run on a quantile subsample of
+    BLOCK_SAMPLES samples those descents run on a quantile subsample of
     COARSE_SAMPLES values (see :func:`_quantile_subsample`), and a second
     lockstep descends on all the samples from each distinct end point
     (:func:`_distinct`); the lowest of those is kept.  The fit is converged
@@ -615,7 +616,7 @@ def _fit_together(problems: list[EstimationProblem]) -> list[EstimationResult]:
 
     gamma = 0 problems take the closed form (:func:`_closed_form`).  The
     descents of all the others run in one :func:`_lockstep`, and the second
-    phases of those on more than COARSE_ABOVE samples in a second, so that
+    phases of those on more than BLOCK_SAMPLES samples in a second, so that
     at each step they share passes over the samples and score calls (see
     :func:`gaussian_objective`).  Each samples array is sorted once, for its
     default start and its subsample.  A failing evaluation fails every fit
@@ -630,7 +631,7 @@ def _fit_together(problems: list[EstimationProblem]) -> list[EstimationResult]:
         if results[i] is not None:
             continue
         samples, cfg = problem.samples, problem.config
-        large = samples.size > COARSE_ABOVE
+        large = samples.size > BLOCK_SAMPLES
         if id(samples) not in sorted_sets:
             ordered = np.sort(samples)
             sorted_sets[id(samples)] = ordered, _quantile_subsample(ordered) if large else samples

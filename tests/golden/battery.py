@@ -80,6 +80,13 @@ def write_inputs(directory: Path) -> None:
                                               np.full(10_000, 8.5)]))
     (directory / "s-100000.csv").write_text(
         "x\n" + "".join(f"{v!r}\n" for v in samples.tolist()))
+    # the same shape at 10^4 samples, just over one block: the smallest
+    # fits that run in two phases
+    rng = np.random.default_rng(20261024)
+    samples = rng.permutation(np.concatenate([0.5 + rng.standard_normal(9_000),
+                                              np.full(1_000, 8.5)]))
+    (directory / "s-10000.csv").write_text(
+        "x\n" + "".join(f"{v!r}\n" for v in samples.tolist()))
     # scaled draws on which a fit fails inside an evaluation of its score
     draws = np.random.default_rng(1).normal(0.5, 1.0, 1000)
     for name, scaled in (("s-1e-3.csv", 1e-3 * draws + 0.2), ("s-1e150.csv", 1e150 * draws)):
@@ -187,6 +194,9 @@ def commands() -> list[tuple[list[str], bool]]:
         ["--theorem", "equality-conditions", "--phi", "log", "--gamma", "1",
          "--c", "1e-300", "--seed", "1"],
         ["--theorem", "fdps-lower-bound", "--gamma", "0", "--seed", "1"],
+        # phi(X) overflows and phi(Y) does not: both sides -inf, their gap NaN
+        ["--theorem", "fdps-lower-bound", "--phi", "exp-minus-one", "--gamma", "5",
+         "--trials", "1", "--seed", "61"],
         ["--theorem", "jhhb-representation", "--gamma", "1", "--seed", "1"],
     ]
     # trials that fill more than one batch at the default sizes, the last one
@@ -218,7 +228,7 @@ def commands() -> list[tuple[list[str], bool]]:
     out += [(["estimate", *flags, "--samples", "s-20000.csv", "--seed", "0"], False)
             for flags in (fits[1], fits[3], fits[5], [*fits[1], "--max-iterations", "1"])]
     out += [(["estimate", *flags, "--samples", samples, "--seed", "0"], False)
-            for samples in ("s-5000.csv", "s-8192.csv", "s-100000.csv")
+            for samples in ("s-5000.csv", "s-8192.csv", "s-10000.csv", "s-100000.csv")
             for flags in (fits[1], fits[3], fits[5])]
     # no gamma = 0 generator to certify: the likelihood fit
     out.append((["estimate", "--family", "holder", "--gamma", "0", "--samples", "s.csv",

@@ -351,6 +351,15 @@ def test_lower_bound_raises_where_one_trial_leaves_float_range():
         check_fdps_lower_bound(phi, 1.0, trials=500, seed=3)
 
 
+def test_lower_bound_raises_where_both_sides_of_a_trial_are_minus_inf():
+    # the one trial has X = 714.09 and Y = 630.6: exp(X) overflows while
+    # exp(Y) stays finite, so the score and the bound are both -inf, each in
+    # range alone, and their gap is -inf - -inf = NaN
+    with pytest.raises(DomainError,
+                       match=r"^the lower-bound gap leaves float range at gamma=5\.0$"):
+        check_fdps_lower_bound(exp_minus_one_phi(), 5.0, trials=1, seed=61)
+
+
 def test_a_lower_bound_whose_every_trial_is_invalid_does_not_hold():
     # phi < 0 at every bracket, so log phi is nowhere defined
     report = check_fdps_lower_bound(custom_phi(lambda z: -np.asarray(z, float)), 1.0,

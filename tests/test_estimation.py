@@ -39,7 +39,6 @@ from divkit import (
 )
 from divkit.estimation import (
     BLOCK_SAMPLES,
-    COARSE_ABOVE,
     COARSE_SAMPLES,
     MAX_LOG_SIGMA,
     OUTER_STEP,
@@ -798,25 +797,43 @@ def test_lockstep_descents_end_as_descents_run_one_after_another(monkeypatch, na
 @pytest.mark.parametrize("spec", [DPD_HALF, GDIV_HALF], ids=["dpd", "gdiv"])
 def test_lockstep_descents_in_blocks_of_fewer_rows(monkeypatch, spec, n, rows):
     # the four starts in one block of four rows of up to BLOCK_SAMPLES
-    # values, and one-row blocks at n above it, where a block of more rows
-    # would sum each row in chunks
-    samples = seeded_contaminated(n=n, eps=0.1, loc=5.0)
+    # values; above it the fine descents on all the samples in one-row
+    # blocks, where a block of more rows would sum each row in chunks.  At
+    # epsilon 0.3 and outliers at 10 sigma the coarse ends are two minima,
+    # the clean cluster and a wide fit over both, so two descents share a step
+    eps, loc = (0.1, 5.0) if n <= BLOCK_SAMPLES else (0.3, 10.0)
+    samples = seeded_contaminated(n=n, eps=eps, loc=loc)
     calls = _spy_lockstep(monkeypatch)
     fit(EstimationProblem(samples, spec))
     call = calls[-1]
-    assert call["rows"] == rows
+    assert call["samples"] is samples and call["rows"] == rows
+    assert len(call["starts"]) == (4 if n <= BLOCK_SAMPLES else 2)
     assert [(blocked is samples, points) for blocked, points, _ in call["steps"][0]] == [
-        (True, rows)] * (4 // rows)
+        (True, rows)] * (len(call["starts"]) // rows)
     assert _ends_hex(call["ends"]) == _ends_hex(_one_after_another(samples, spec, call))
 
 
-@pytest.mark.parametrize("n", [1, 2000, BLOCK_SAMPLES, COARSE_ABOVE])
-def test_a_fit_of_at_most_coarse_above_samples_descends_once(monkeypatch, n):
+@pytest.mark.parametrize("n", [1, 2000, BLOCK_SAMPLES])
+def test_a_fit_of_at_most_block_samples_descends_once(monkeypatch, n):
     samples = seeded_contaminated(n=n, eps=0.1, loc=5.0)
     calls = _spy_lockstep(monkeypatch)
     res = fit(EstimationProblem(samples, DPD_HALF))
     assert len(calls) == 1 and calls[0]["samples"] is samples
     assert len(calls[0]["starts"]) == len(res.evaluations) == 1 + len(START_OFFSETS)
+
+
+@pytest.mark.parametrize("n", [BLOCK_SAMPLES + 1, 12_288])
+def test_a_fit_of_more_than_block_samples_descends_twice(monkeypatch, n):
+    # the four starts on COARSE_SAMPLES values in a block of four rows, then
+    # the distinct ends on all the samples
+    samples = seeded_contaminated(n=n, eps=0.1, loc=5.0)
+    calls = _spy_lockstep(monkeypatch)
+    res = fit(EstimationProblem(samples, DPD_HALF))
+    coarse, fine = calls
+    assert coarse["samples"].size == COARSE_SAMPLES and coarse["rows"] == 4
+    assert len(coarse["starts"]) == 1 + len(START_OFFSETS)
+    assert fine["samples"] is samples and fine["rows"] == 1
+    assert res.evaluations == tuple(end.nfev for end in coarse["ends"] + fine["ends"])
 
 
 # (n, epsilon, outlier location): clean-ish samples and heavy contamination,
@@ -862,7 +879,7 @@ def test_a_large_fit_descends_on_a_subsample_then_on_all_samples(monkeypatch, n,
     assert res.score <= best.fun + 1e-12 * abs(best.fun)
 
 
-@pytest.mark.parametrize("n", [30_000, 100_000])
+@pytest.mark.parametrize("n", [10_000, 30_000, 100_000])
 def test_coarse_ends_at_one_minimum_are_one_fine_start(monkeypatch, n):
     # at epsilon 0.4 and outliers at 6 sigma the four starts end at two
     # minima, the clean cluster and a wide fit over both: two fine descents,
@@ -898,7 +915,7 @@ def test_a_fit_of_the_benchmarks_shape_confirms_one_minimum_in_two_evaluations(m
     assert len(res.evaluations) == 5 and res.converged
 
 
-@pytest.mark.parametrize("n", [COARSE_ABOVE + 1, 16 * COARSE_SAMPLES, 48 * COARSE_SAMPLES,
+@pytest.mark.parametrize("n", [BLOCK_SAMPLES + 1, 16 * COARSE_SAMPLES, 48 * COARSE_SAMPLES,
                                20_001, 100_000])
 @pytest.mark.parametrize("a, b", [(1.0, 0.0), (2.5, -1.0), (-1.0, 0.0), (-2.5, 3.0),
                                   (1e-3, 0.2), (-1e4, 7.0)])
@@ -916,11 +933,11 @@ def test_the_subsample_of_an_affine_map_is_the_map_of_the_subsample(n, a, b):
     assert np.all(np.floor((picks + 0.5) * COARSE_SAMPLES / n) == np.arange(COARSE_SAMPLES))
 
 
-@pytest.mark.parametrize("n, rows", [(3000, 4), (BLOCK_SAMPLES, 4), (10_000, 1),
-                                     (COARSE_ABOVE + 1, 4), (100_000, 4)])
+@pytest.mark.parametrize("n, rows", [(3000, 4), (BLOCK_SAMPLES, 4), (BLOCK_SAMPLES + 1, 4),
+                                     (10_000, 4), (100_000, 4)])
 def test_a_fit_does_not_depend_on_numpys_buffer_size(monkeypatch, n, rows):
     # rows: the rows of the first phase's blocks, the coarse phase's above
-    # COARSE_ABOVE
+    # BLOCK_SAMPLES
     samples = seeded_contaminated(n=n, eps=0.2, loc=6.0)
     calls = _spy_lockstep(monkeypatch)
     results = []
