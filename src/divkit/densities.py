@@ -29,7 +29,9 @@ copy of its bytes.  The readers of the grid, discrete and samples files
 keep what they parse in a process next to those bytes, so changed bytes
 are parsed again: the same bytes, at any path, are parsed once.  The cache
 is bounded (PARSED_ENTRIES results and PARSED_BYTES of file bytes and
-arrays, oldest dropped first), and a format error is never kept.
+arrays, oldest dropped first), and a format error is never kept.  Every
+result a reader returns, kept or too large to keep, has its array on an
+immutable buffer, and every read of the same kept bytes shares it.
 """
 
 from __future__ import annotations
@@ -483,8 +485,9 @@ def read_discrete_csv(path, content: bytes | None = None) -> DiscreteDensity:
 
 
 def read_samples_csv(path) -> np.ndarray:
-    """Samples file: single column ``x``; each call returns a new writable array."""
-    return _parse_once(path, _parse_samples, np.copy)
+    """Samples file: single column ``x``.  The array is read-only and shared by
+    every read of the same bytes; it used to be a new writable copy per call."""
+    return _parse_once(path, _parse_samples)
 
 
 def _parse_grid(path, content) -> GridDensity:
@@ -520,35 +523,43 @@ def _parse_samples(path, content) -> np.ndarray:
 
 # What the parses above returned, oldest first: (parser, the file's bytes,
 # result) for at most PARSED_ENTRIES files, holding at most PARSED_BYTES of
-# file bytes and arrays together.  _keep swaps in a new list under _lock, so
-# a lookup scans a snapshot and takes no lock.
+# file bytes and arrays together.  _parse_once swaps in a new list under
+# _lock, so a lookup scans a snapshot and takes no lock.
 PARSED_ENTRIES = 16
 PARSED_BYTES = 8 << 20
 _parsed: list = []
 _lock = threading.Lock()
 
 
-def _parse_once(path, parse, copy=None, content=None):
-    """parse(path, content), or the kept result of parse on the same bytes.
+def _parse_once(path, parse, content=None):
+    """parse(path, content) sealed (:func:`_sealed`), or the kept result of
+    parse on the same bytes.
 
     ``content`` is the file's bytes, read here (:func:`read_bytes`) unless
     the caller has read them, and is compared with the bytes of each kept
     entry of ``parse``; equal bytes return that entry's result, and only a
     file of the same size costs a comparison.  Otherwise the bytes are
-    parsed (:func:`read_columns`), and the result is kept under them.  A
-    parse that raises keeps nothing, nor does one whose bytes and arrays
-    together exceed PARSED_BYTES.  ``copy`` gives each caller a result of
-    its own; without it, every read of the same bytes, the first included,
+    parsed (:func:`read_columns`), and the result is kept under them,
+    dropping the oldest entries until the bounds hold.  A parse that raises
+    keeps nothing, nor does one whose bytes and arrays together exceed
+    PARSED_BYTES.  Every read of the same kept bytes, the first included,
     shares one result.
     """
+    global _parsed
     if content is None:
         content = read_bytes(path)
     for kept_parse, kept_content, kept in _parsed:
         if kept_parse is parse and kept_content == content:
-            return kept if copy is None else copy(kept)
-    result = parse(path, content)
+            return kept
+    result = _sealed(parse(path, content))
     if len(content) + _result_array(result).nbytes <= PARSED_BYTES:
-        _keep((parse, content, _sealed(result)))
+        with _lock:
+            entries = [*_parsed, (parse, content, result)]
+            while (len(entries) > PARSED_ENTRIES
+                   or sum(len(kept_content) + _result_array(kept).nbytes
+                          for _, kept_content, kept in entries) > PARSED_BYTES):
+                del entries[0]
+            _parsed = entries
     return result
 
 
@@ -569,23 +580,10 @@ def _holds(path, content: bytes) -> bool:
         return not handle.read(1)
 
 
-def _keep(entry) -> None:
-    """Keep an entry, dropping the oldest until the bounds hold."""
-    global _parsed
-    with _lock:
-        kept = [*_parsed, entry]
-        while (len(kept) > PARSED_ENTRIES
-               or sum(len(content) + _result_array(result).nbytes for _, content, result in kept)
-               > PARSED_BYTES):
-            del kept[0]
-        _parsed = kept
-
-
 def _sealed(result):
-    """A parse result to keep, its array on an immutable bytes buffer whose
-    writeable flag cannot be set again.  A density is sealed in place, since
-    this read and every later one of its bytes share it; samples are copied,
-    since the caller owns the parse's array."""
+    """A parse result with its array moved onto an immutable bytes buffer,
+    whose writeable flag cannot be set again: samples are that array, and a
+    density is sealed in place."""
     arr = _result_array(result)
     sealed = np.frombuffer(arr.tobytes(), arr.dtype).reshape(arr.shape)
     if arr is result:
@@ -604,7 +602,7 @@ _LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2,
             "encoding": "utf-8-sig"}
 
 
-def read_columns(path, names, content: bytes | None = None) -> tuple[np.ndarray, ...]:
+def read_columns(path, names, content: bytes) -> tuple[np.ndarray, ...]:
     """The numeric columns of a CSV file, one array per name in ``names``.
 
     Rows before the first data row are headers; a row is data when its first
@@ -615,12 +613,12 @@ def read_columns(path, names, content: bytes | None = None) -> tuple[np.ndarray,
     UTF-8, a leading byte-order mark dropped (:func:`_text`); a byte that does
     not decode reads as its ``\\xNN`` escape, a non-numeric cell.
 
-    ``content`` is the file's bytes, read here (:func:`read_bytes`) unless
-    the caller has read them.  One Python pass over them reads the header
-    rows.  A regular file's data rows go to numpy's chunked C reader, given
-    the path, which is faster than any in-memory source; the rows are kept
-    only when the file still holds ``content`` (:func:`_holds`), so that
-    they are the rows of those bytes.  Otherwise the data rows are read from
+    ``content`` is the file's bytes, as the caller read them
+    (:func:`read_bytes`).  One Python pass over them reads the header rows.
+    A regular file's data rows go to numpy's chunked C reader, given the
+    path, which is faster than any in-memory source; the rows are kept only
+    when the file still holds ``content`` (:func:`_holds`), so that they are
+    the rows of those bytes.  Otherwise the data rows are read from
     ``content``, row by row through Python: for a file rewritten since,
     for a file that is not a regular file (a pipe can be read only once),
     and for a file with whitespace-only rows or a format error, since
@@ -628,8 +626,6 @@ def read_columns(path, names, content: bytes | None = None) -> tuple[np.ndarray,
     skips the former and names the file line of the latter.
     """
     expected = ",".join(names)
-    if content is None:
-        content = read_bytes(path)
     with _text(content) as handle:
         for line, row in _rows(handle):
             if _is_data(row):

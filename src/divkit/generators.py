@@ -29,7 +29,7 @@ from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
-from .densities import read_columns
+from .densities import read_bytes, read_columns
 from .errors import CliUsageError, DomainError, EvaluationError
 
 # Certificate grid: log-spaced over 12 decades, plus the endpoints that the
@@ -111,7 +111,7 @@ def tabulated(path) -> Callable:
     Outside the tabulated range the boundary segments are extended linearly,
     which preserves monotonicity of the table.
     """
-    z_tab, v_tab = read_columns(path, ("z", "value"))
+    z_tab, v_tab = read_columns(path, ("z", "value"), read_bytes(path))
     if z_tab.size < 2:
         raise DomainError(f"generator table {path!r} needs at least two rows")
     if not (np.isfinite(z_tab).all() and np.isfinite(v_tab).all()):
@@ -310,7 +310,8 @@ def exp_minus_one_phi() -> GeneratorPhi:
 
 @dataclass(frozen=True)
 class GeneratorXi(_Labelled):
-    """A nonnegative generator xi with lift psi(t) = log(xi(exp(t)))."""
+    """A nonnegative generator xi with lift psi(t) = log(xi(exp(t))): a preset's
+    closed form, finite where xi(e**t) underflows to 0, or a custom xi's, evaluated."""
 
     slot: ClassVar[str] = "xi"
     kind: str
@@ -318,8 +319,12 @@ class GeneratorXi(_Labelled):
     fn: Callable | None = None
 
     def psi(self, t):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.log(self(np.exp(np.asarray(t, dtype=float))))
+        t, preset = np.asarray(t, dtype=float), PRESETS["xi"].get(self.kind)
+        if preset is not None:
+            out = preset.lift(self, t)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = np.log(self(np.exp(t)))
         return out if np.ndim(out) else float(out)
 
 
@@ -348,15 +353,17 @@ def xi_from_table(path) -> GeneratorXi:
 
 class Preset(NamedTuple):
     """A named generator: ``make(*params, *gamma)`` builds it, ``params`` names its
-    parameter fields in flag order, ``value(generator, z)`` is its formula, and a
+    parameter fields in flag order, ``value(generator, z)`` is its formula, a
     phi preset's ``prime(phi, z)`` is its derivative and, in the power/log class,
-    ``scale(phi)`` the exponent zeta of its scale law under affine maps."""
+    ``scale(phi)`` the exponent zeta of its scale law under affine maps, and a
+    xi preset's ``lift(xi, t)`` is its lift log xi(e**t) in closed form."""
 
     make: Callable
     value: Callable
     params: tuple[str, ...] = ()
     prime: Callable | None = None
     scale: Callable | None = None
+    lift: Callable | None = None
 
 
 def _log(z):
@@ -387,8 +394,9 @@ PRESETS = {
                                 prime=lambda phi, z: np.exp(z)),
     },
     "xi": {
-        "identity": Preset(identity_xi, lambda xi, z: z),
-        "power": Preset(power_xi, lambda xi, z: z**xi.zeta, ("zeta",)),
+        "identity": Preset(identity_xi, lambda xi, z: z, lift=lambda xi, t: t),
+        "power": Preset(power_xi, lambda xi, z: z**xi.zeta, ("zeta",),
+                        lift=lambda xi, t: xi.zeta * t),
     },
 }
 # ``file:PATH`` builds a custom generator of each kind from a (z, value) table

@@ -56,41 +56,25 @@ def write_inputs(directory: Path) -> None:
             (directory / (prefix + name)).write_text(
                 "index,mass\n" + "".join(f"{i},{m * scale!r}\n" for i, m in enumerate(masses)))
     rng = np.random.default_rng(20261019)
-    samples = np.concatenate([0.5 + rng.standard_normal(270), np.full(30, 8.0)])
-    (directory / "s.csv").write_text("x\n" + "".join(f"{v!r}\n" for v in samples.tolist()))
+    write_samples(directory / "s.csv", np.concatenate([0.5 + rng.standard_normal(270),
+                                                       np.full(30, 8.0)]))
     # a sample large enough that a fit descends on a subsample first
-    rng = np.random.default_rng(20261020)
-    samples = rng.permutation(np.concatenate([-1.0 + 2.0 * rng.standard_normal(18_000),
-                                              np.full(2_000, 15.0)]))
-    (directory / "s-20000.csv").write_text(
-        "x\n" + "".join(f"{v!r}\n" for v in samples.tolist()))
+    write_samples(directory / "s-20000.csv",
+                  contaminated(20261020, 20_000, 2_000, 15.0, loc=-1.0, scale=2.0))
     # samples whose fits bracket one block of four 5000-value rows, and of
     # four 8192-value rows
     for n, seed in ((5000, 20261021), (8192, 20261022)):
-        rng = np.random.default_rng(seed)
-        n_out = n // 10
-        samples = rng.permutation(np.concatenate([0.5 + rng.standard_normal(n - n_out),
-                                                  np.full(n_out, 6.0)]))
-        (directory / f"s-{n}.csv").write_text(
-            "x\n" + "".join(f"{v!r}\n" for v in samples.tolist()))
+        write_samples(directory / f"s-{n}.csv", contaminated(seed, n, n // 10, 6.0))
     # the shape of the benchmark's large fits: 10^5 samples, 10% of them
     # outliers at 8 sigma
-    rng = np.random.default_rng(20261023)
-    samples = rng.permutation(np.concatenate([0.5 + rng.standard_normal(90_000),
-                                              np.full(10_000, 8.5)]))
-    (directory / "s-100000.csv").write_text(
-        "x\n" + "".join(f"{v!r}\n" for v in samples.tolist()))
+    write_samples(directory / "s-100000.csv", contaminated(20261023, 100_000, 10_000, 8.5))
     # the same shape at 10^4 samples, just over one block: the smallest
     # fits that run in two phases
-    rng = np.random.default_rng(20261024)
-    samples = rng.permutation(np.concatenate([0.5 + rng.standard_normal(9_000),
-                                              np.full(1_000, 8.5)]))
-    (directory / "s-10000.csv").write_text(
-        "x\n" + "".join(f"{v!r}\n" for v in samples.tolist()))
+    write_samples(directory / "s-10000.csv", contaminated(20261024, 10_000, 1_000, 8.5))
     # scaled draws on which a fit fails inside an evaluation of its score
     draws = np.random.default_rng(1).normal(0.5, 1.0, 1000)
     for name, scaled in (("s-1e-3.csv", 1e-3 * draws + 0.2), ("s-1e150.csv", 1e150 * draws)):
-        (directory / name).write_text("x\n" + "".join(f"{v!r}\n" for v in scaled.tolist()))
+        write_samples(directory / name, scaled)
     # generator tables: an identity-like (z, value) line for phi and xi, and
     # the dpd eta at gamma = 0.5 (exact on its knots, linear between them)
     knots = [0.0, 0.5, 1.0, 2.0, 4.0, 1e3, 1e6]
@@ -104,6 +88,20 @@ def write_inputs(directory: Path) -> None:
     # a byte-order mark before a grid's header and before a headerless sample
     (directory / "bom-g.csv").write_bytes(b"\xef\xbb\xbf" + (directory / "g.csv").read_bytes())
     (directory / "bom-s.csv").write_bytes(b"\xef\xbb\xbf1.0\n2.0\n3.0\n10.0\n")
+
+
+def write_samples(path: Path, samples: np.ndarray) -> None:
+    """A samples file: the header ``x``, then each value as its ``repr``."""
+    path.write_text("x\n" + "".join(f"{v!r}\n" for v in samples.tolist()))
+
+
+def contaminated(seed: int, n: int, outliers: int, at: float, loc: float = 0.5,
+                 scale: float = 1.0) -> np.ndarray:
+    """n values in a seeded random order: n - outliers draws of
+    loc + scale N(0, 1), and ``outliers`` values equal to ``at``."""
+    rng = np.random.default_rng(seed)
+    return rng.permutation(np.concatenate([loc + scale * rng.standard_normal(n - outliers),
+                                           np.full(outliers, at)]))
 
 
 # ---------------------------------------------------------------------------

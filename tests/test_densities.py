@@ -32,7 +32,7 @@ from divkit import (
 )
 from divkit import densities
 from divkit.cli import load_density
-from divkit.densities import read_columns
+from divkit.densities import read_bytes, read_columns
 from divkit.generators import eta_from_table, tabulated
 
 SQRT_PI = math.sqrt(math.pi)
@@ -487,7 +487,7 @@ def test_read_columns_gives_the_floats_of_the_written_text(tmp_path_factory, kin
     path = tmp_path_factory.mktemp("files") / f"{kind}.csv"
     with open(path, "w", newline="") as handle:
         handle.write(newline.join(lines) + newline)
-    columns = read_columns(path, names)
+    columns = read_columns(path, names, read_bytes(path))
     assert len(columns) == len(names)
     for j, column in enumerate(columns):
         expected = np.array([float(row[j]) for row in cells])
@@ -601,8 +601,8 @@ def test_whitespace_only_rows_keep_the_floats(tmp_path, monkeypatch):
         rows.insert(at, blank)
     spaced.write_text("x,value\n" + "".join(rows))
     calls = recorded_loadtxt(monkeypatch)
-    expected = read_columns(plain, ("x", "value"))
-    got = read_columns(spaced, ("x", "value"))
+    expected = read_columns(plain, ("x", "value"), read_bytes(plain))
+    got = read_columns(spaced, ("x", "value"), read_bytes(spaced))
     assert len(calls) == 3  # the plain file once; the spaced one, then its re-read
     for column, want, exact in zip(got, expected, values.T):
         assert column.tobytes() == want.tobytes() == exact.tobytes()
@@ -830,33 +830,46 @@ def test_a_malformed_file_raises_on_every_read(tmp_path, parsed, read, text, mes
     assert not parsed()
 
 
-def test_a_returned_samples_array_is_the_callers_own(tmp_path, parsed):
-    path = tmp_path / "s.csv"
-    path.write_text("x\n0.5\n-1.25\n")
-    returned = []
-    for _ in range(4):  # the read that keeps, then three hits
-        samples = read_samples_csv(path)
-        assert samples.tolist() == [0.5, -1.25] and samples.flags.writeable
-        assert not any(np.shares_memory(samples, other) for other in returned)
-        samples[0] = 99.0
-        returned.append(samples)
-    assert len(parsed()) == 1
+# each reader, a file of two values, and the array of its result
+READERS = ((read_grid_csv, "x,value\n0,1\n1,2\n", lambda grid: grid.values),
+           (read_discrete_csv, "index,mass\n0,1\n1,2\n", lambda discrete: discrete.masses),
+           (read_samples_csv, "x\n1\n2\n", lambda samples: samples))
 
 
-def test_a_shared_density_is_read_only_to_plain_writes(tmp_path):
-    # every read of the same bytes shares one density, whose array lies on
-    # an immutable buffer: its writeable flag cannot be set again
-    for read, text, name in ((read_grid_csv, "x,value\n0,1\n1,2\n", "values"),
-                             (read_discrete_csv, "index,mass\n0,1\n1,2\n", "masses")):
-        path = tmp_path / f"{name}.csv"
+def assert_sealed(array):
+    """A write raises, and so does setting the writeable flag again: the
+    array lies on an immutable buffer."""
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = 5.0
+    with pytest.raises(ValueError):
+        array.flags.writeable = True
+
+
+def test_a_shared_density_is_read_only_to_plain_writes(tmp_path, parsed):
+    # every read of the same bytes, the first included, shares one result:
+    # a grid or discrete density, or samples
+    for k, (read, text, array) in enumerate(READERS):
+        path = tmp_path / f"{k}.csv"
         path.write_text(text)
         shared = read(path)
-        assert read(path) is shared
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(shared, name)[0] = 5.0
-        with pytest.raises(ValueError):
-            getattr(shared, name).flags.writeable = True
-        assert getattr(read(path), name).tolist() == [1.0, 2.0]
+        for _ in range(3):
+            assert read(path) is shared
+        assert_sealed(array(shared))
+        assert array(read(path)).tolist() == [1.0, 2.0]
+    assert len(parsed()) == len(READERS)
+
+
+def test_a_result_too_large_to_keep_is_sealed_too(tmp_path, monkeypatch, parsed):
+    for k, (read, text, array) in enumerate(READERS):
+        path = tmp_path / f"{k}.csv"
+        path.write_text(text)
+        monkeypatch.setattr(densities, "PARSED_BYTES", path.stat().st_size - 1)
+        first, second = read(path), read(path)
+        assert second is not first  # parsed again
+        for result in (first, second):
+            assert array(result).tolist() == [1.0, 2.0]
+            assert_sealed(array(result))
+    assert not parsed()
 
 
 def test_the_cache_holds_at_most_its_bound_and_drops_the_oldest(tmp_path, monkeypatch, parsed):

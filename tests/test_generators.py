@@ -182,8 +182,9 @@ def test_an_eta_past_float_range_raises_without_a_warning(eta, z):
 
 
 def test_a_xi_lift_at_minus_infinity_fails_without_a_warning():
-    # xi = z**400 underflows to 0 below z ~ 0.155, and log 0 - log 0 is NaN
-    cert = validate_xi(power_xi(400.0))
+    # xi = z**400 underflows to 0 below z ~ 0.155, and log 0 - log 0 is NaN;
+    # as a custom xi its lift is evaluated, where the preset's is 400 t
+    cert = validate_xi(custom_xi(lambda z: np.power(z, 400.0)))
     t = log_certificate_grid()
     assert not cert.valid
     assert (cert.failure, cert.points) == ("monotonicity", (t[0], t[1]))
@@ -221,7 +222,7 @@ def test_negative_xi_is_rejected():
     assert not cert.valid
 
 
-@pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0, 400.0])  # z**400 underflows, 400 t does not
 def test_xi_presets_valid(zeta):
     assert validate_xi(identity_xi()).valid
     assert validate_xi(power_xi(zeta)).valid
